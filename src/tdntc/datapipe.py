@@ -27,14 +27,6 @@ class StratificationError(DataError):
 
 
 @dataclass
-class FlowRecord:
-    """One flow: its raw numeric feature vector and its label index."""
-
-    features: np.ndarray
-    label: int
-
-
-@dataclass
 class Dataset:
     """M flows by N features, integer labels, and the label-decoding table."""
 
@@ -63,12 +55,6 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
-
-    def record(self, i: int) -> FlowRecord:
-        return FlowRecord(self.features[i], int(self.labels[i]))
-
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices], self.class_names)
 
 
 @dataclass
@@ -176,11 +162,6 @@ def minmax_apply(state: ScalerState, features: np.ndarray) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0)
 
 
-def minmax_fit_transform(train_features: np.ndarray) -> Tuple[ScalerState, np.ndarray]:
-    state = minmax_fit(train_features)
-    return state, minmax_apply(state, train_features)
-
-
 def stratified_split(ds: Dataset, seed: int = 0) -> SplitIndices:
     """Deterministic per-class 70/10/20 split.
 
@@ -215,7 +196,7 @@ def load_csv_dataset(path, label_column: str = "label") -> Dataset:
     Columns other than the label are features; a column where every cell
     parses as a number is taken numerically, otherwise its distinct values
     are label-encoded lexicographically (the same rule the label column
-    itself uses).
+    itself uses).  A numeric column may not hold nan or inf.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -240,10 +221,14 @@ def load_csv_dataset(path, label_column: str = "label") -> Dataset:
     for i in feature_cols:
         cells = [row[i] for row in rows]
         try:
-            columns.append(np.array([float(cell) for cell in cells], dtype=np.float64))
+            column = np.array([float(cell) for cell in cells], dtype=np.float64)
         except ValueError:
-            encoded, _ = encode_labels(cells)
-            columns.append(encoded.astype(np.float64))
+            column = encode_labels(cells)[0].astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise DataError(f"{path}:{bad[0] + 2}: non-finite value {cells[bad[0]]!r} "
+                            f"in column {header[i]!r}")
+        columns.append(column)
     features = np.column_stack(columns)
     labels, class_names = encode_labels(labels_raw)
     return Dataset(features, labels, class_names)

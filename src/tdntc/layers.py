@@ -1,13 +1,12 @@
 """Layer zoo for the traffic classifiers: forward and backward rules.
 
-All layers run batch-first on float64 numpy arrays and keep whatever the
-backward pass needs from the most recent forward call.  Parameter arrays
-and their gradients are exposed as name->array dicts so the optimizer,
-the parameter audit, and the checkpoint writer can address them uniformly.
-
-The single-sample helpers at the bottom (`conv2d`, `dense`, `lstm_forward`,
-...) mirror the batched classes for code that talks about one frame or one
-sequence at a time.
+Every layer implements the `Layer` interface: an audit `name`,
+`forward(x, train=False)`, `backward(dout)`, `params()` / `grads()` /
+`state()` as name->array dicts, `param_count()` and the audit table's
+`calc_string()`.  Layers run batch-first on float64 numpy arrays and keep
+whatever the backward pass needs from the most recent forward call, so the
+model graph, the optimizer, the parameter audit and the checkpoint writer
+address all of them the same way.
 """
 
 from __future__ import annotations
@@ -25,6 +24,34 @@ class GeometryError(ValueError):
 
 class StatisticsError(ValueError):
     """Raised when batch statistics are requested from a degenerate batch."""
+
+
+class Layer:
+    """One pipeline stage; the defaults suit a parameter-free stage."""
+
+    name = ""
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        raise NotImplementedError
+
+    def backward(self, dout: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def params(self) -> Dict[str, np.ndarray]:
+        return {}
+
+    def grads(self) -> Dict[str, np.ndarray]:
+        return {}
+
+    def state(self) -> Dict[str, np.ndarray]:
+        """Arrays a checkpoint must persist (parameters plus any running stats)."""
+        return self.params()
+
+    def param_count(self) -> int:
+        return 0
+
+    def calc_string(self) -> str:
+        return "-"
 
 
 # ---------------------------------------------------------------------------
@@ -60,18 +87,25 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 # dense / time-distributed
 
 
-class DenseLayer:
-    """Fully connected layer y = act(x W + b), weights shaped (in, out)."""
+class DenseLayer(Layer):
+    """Fully connected layer y = act(x W + b), weights shaped (in, out).
 
-    ACTIVATIONS = ("identity", "relu", "softmax")
+    `name` is the audit name (FFNN_0 hidden, FFNN_1 decision) and
+    `width_desc` the input-width text of its Calculation cell.
+    """
+
+    ACTIVATIONS = ("identity", "relu")
 
     def __init__(self, in_size: int, out_size: int, activation: str = "identity",
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, name: str = "FFNN_0",
+                 width_desc: str | None = None):
         if activation not in self.ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.in_size = int(in_size)
         self.out_size = int(out_size)
         self.activation = activation
+        self.name = name
+        self.width_desc = width_desc or str(self.in_size)
         if rng is None:
             self.weights = np.zeros((self.in_size, self.out_size))
         else:
@@ -82,11 +116,12 @@ class DenseLayer:
         self.grad_bias = np.zeros_like(self.bias)
         self._x = None
         self._z = None
-        self._probs = None
-        self._logits_only = False
 
     def param_count(self) -> int:
         return self.in_size * self.out_size + self.out_size
+
+    def calc_string(self) -> str:
+        return f"{self.width_desc}x{self.out_size}+{self.out_size}"
 
     def params(self) -> Dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}
@@ -100,42 +135,27 @@ class DenseLayer:
                 f"dense expects (batch, {self.in_size}), got {x.shape}"
             )
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward_logits(self, x: np.ndarray) -> np.ndarray:
+        """x W + b; the decision layer pairs it with the fused softmax loss."""
         self._check_input(x)
         self._x = x
         self._z = x @ self.weights + self.bias
-        self._logits_only = False
-        if self.activation == "relu":
-            return relu(self._z)
-        if self.activation == "softmax":
-            self._probs = softmax(self._z, axis=1)
-            return self._probs
         return self._z
 
-    def forward_logits(self, x: np.ndarray) -> np.ndarray:
-        """Pre-activation output; pairs with a fused softmax/cross-entropy loss."""
-        self._check_input(x)
-        self._x = x
-        self._z = x @ self.weights + self.bias
-        self._logits_only = True
-        return self._z
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        z = self.forward_logits(x)
+        return relu(z) if self.activation == "relu" else z
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward before forward")
-        if self._logits_only or self.activation == "identity":
-            dz = dout
-        elif self.activation == "relu":
-            dz = dout * (self._z > 0)
-        else:  # softmax Jacobian: dz_i = p_i (dout_i - sum_j dout_j p_j)
-            p = self._probs
-            dz = p * (dout - (dout * p).sum(axis=1, keepdims=True))
+        dz = dout * (self._z > 0) if self.activation == "relu" else dout
         self.grad_weights = self._x.T @ dz
         self.grad_bias = dz.sum(axis=0)
         return dz @ self.weights.T
 
 
-class TimeDistributed:
+class TimeDistributed(Layer):
     """Shared dense layer applied at every step of the leading sequence axis.
 
     Parameter gradients accumulate over all steps, which is exactly the
@@ -143,9 +163,10 @@ class TimeDistributed:
     of weights, reused across the sequence.
     """
 
+    name = "TD(FFNN_0)"
+
     def __init__(self, inner: DenseLayer):
         self.inner = inner
-        self._steps = None
 
     def param_count(self) -> int:
         return self.inner.param_count()
@@ -156,11 +177,14 @@ class TimeDistributed:
     def grads(self) -> Dict[str, np.ndarray]:
         return self.inner.grads()
 
-    def forward(self, seq: np.ndarray) -> np.ndarray:
+    def calc_string(self) -> str:
+        inner = self.inner
+        return f"{inner.in_size}x{inner.out_size}+{inner.out_size}"
+
+    def forward(self, seq: np.ndarray, train: bool = False) -> np.ndarray:
         if seq.ndim != 3:
             raise ShapeError(f"time_distributed expects (batch, steps, feat), got {seq.shape}")
         b, t, f = seq.shape
-        self._steps = t
         out = self.inner.forward(seq.reshape(b * t, f))
         return out.reshape(b, t, self.inner.out_size)
 
@@ -200,12 +224,14 @@ def conv2d_output_dims(rows: int, cols: int, kernel_rows: int, kernel_cols: int,
     return num_r // stride_x + 1, num_c // stride_y + 1
 
 
-class Conv2DLayer:
+class Conv2DLayer(Layer):
     """2-D cross-correlation over a single-channel input.
 
     kernels: (units, kernel_rows, kernel_cols); biases: (units,).
     Input (batch, rows, cols) -> output (batch, units, out_rows, out_cols).
     """
+
+    name = "CNN_2D"
 
     def __init__(self, units: int, kernel: Tuple[int, int] = (3, 3),
                  stride: Tuple[int, int] = (1, 1), padding: int = 0,
@@ -236,6 +262,9 @@ class Conv2DLayer:
     def grads(self) -> Dict[str, np.ndarray]:
         return {"kernels": self.grad_kernels, "biases": self.grad_biases}
 
+    def calc_string(self) -> str:
+        return f"({self.kernel_rows}x{self.kernel_cols}x1+1)x{self.units}"
+
     def output_dims(self, rows: int, cols: int) -> Tuple[int, int]:
         return conv2d_output_dims(rows, cols, self.kernel_rows, self.kernel_cols,
                                   self.padding, self.stride_x, self.stride_y)
@@ -244,7 +273,7 @@ class Conv2DLayer:
         return arr[:, p: p + self.stride_x * (out_r - 1) + 1: self.stride_x,
                    q: q + self.stride_y * (out_c - 1) + 1: self.stride_y]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeError(f"conv2d expects (batch, rows, cols), got {x.shape}")
         _, rows, cols = x.shape
@@ -283,22 +312,20 @@ class Conv2DLayer:
         return dxp
 
 
-class MaxPool2x2:
+class MaxPool2x2(Layer):
     """2x2 max pooling with stride 2; requires even spatial extents.
 
     The backward pass routes each output gradient to the first maximal cell
     of its window in row-major order, so tie-breaking is deterministic.
     """
 
+    name = "MP_2D"
+
     def __init__(self):
         self._argmax = None
         self._in_shape = None
 
-    @staticmethod
-    def param_count() -> int:
-        return 0
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"maxpool expects (batch, units, rows, cols), got {x.shape}")
         b, u, h, w = x.shape
@@ -320,7 +347,7 @@ class MaxPool2x2:
                 .reshape(b, u, h, w))
 
 
-class BatchNormLayer:
+class BatchNormLayer(Layer):
     """Per-channel batch normalization (channel axis 1).
 
     Train mode normalizes by batch statistics taken over the batch and any
@@ -328,6 +355,8 @@ class BatchNormLayer:
     running = momentum * running + (1 - momentum) * batch.  Inference mode
     normalizes by the running estimates alone.
     """
+
+    name = "BN"
 
     def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.9):
         if not 0.0 < momentum < 1.0:
@@ -351,6 +380,13 @@ class BatchNormLayer:
 
     def grads(self) -> Dict[str, np.ndarray]:
         return {"gamma": self.grad_gamma, "beta": self.grad_beta}
+
+    def state(self) -> Dict[str, np.ndarray]:
+        return {**self.params(), "running_mean": self.running_mean,
+                "running_var": self.running_var}
+
+    def calc_string(self) -> str:
+        return f"2x{self.channels}"
 
     def _broadcast_shape(self, ndim: int):
         return (1, self.channels) + (1,) * (ndim - 2)
@@ -400,22 +436,27 @@ class BatchNormLayer:
 # recurrence
 
 
-class LSTMLayer:
+class LSTMLayer(Layer):
     """Standard four-gate LSTM over (batch, steps, features) sequences.
 
     Gate order within the fused weight matrices is input, forget, candidate,
     output.  Hidden and cell states start at zero.  The recurrence always
     advances on the raw hidden state; `output_activation` only shapes the
     states the layer emits, so a rectified output does not corrupt the gates.
+    The layer emits every step's state, or only the last one when
+    `return_sequences` is false.
     """
 
+    name = "LSTM"
+
     def __init__(self, input_size: int, units: int, output_activation: str = "identity",
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, return_sequences: bool = True):
         if output_activation not in ("identity", "relu"):
             raise ValueError(f"unknown output activation {output_activation!r}")
         self.input_size = int(input_size)
         self.units = int(units)
         self.output_activation = output_activation
+        self.return_sequences = bool(return_sequences)
         s, k = self.input_size, self.units
         if rng is None:
             self.w_x = np.zeros((s, 4 * k))
@@ -440,7 +481,11 @@ class LSTMLayer:
     def grads(self) -> Dict[str, np.ndarray]:
         return {"w_x": self.grad_w_x, "w_h": self.grad_w_h, "bias": self.grad_bias}
 
-    def forward(self, x: np.ndarray, return_sequences: bool = True) -> np.ndarray:
+    def calc_string(self) -> str:
+        s, k = self.input_size, self.units
+        return f"4x[({s}+1)x{k}+{k}^2]"
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ShapeError(
                 f"lstm expects (batch, steps, {self.input_size}), got {x.shape}"
@@ -473,20 +518,19 @@ class LSTMLayer:
             g_arr[:, step], o_arr[:, step] = g, o
             tanh_c[:, step] = tc
             h_arr[:, step] = h
-        self._cache = (x, i_arr, f_arr, g_arr, o_arr, tanh_c, c_prev_arr, h_arr,
-                       return_sequences)
+        self._cache = (x, i_arr, f_arr, g_arr, o_arr, tanh_c, c_prev_arr, h_arr)
         self.last_hidden_states = h_arr
         emitted = relu(h_arr) if self.output_activation == "relu" else h_arr
-        return emitted if return_sequences else emitted[:, -1]
+        return emitted if self.return_sequences else emitted[:, -1]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward before forward")
-        x, i_arr, f_arr, g_arr, o_arr, tanh_c, c_prev_arr, h_arr, return_sequences = self._cache
+        x, i_arr, f_arr, g_arr, o_arr, tanh_c, c_prev_arr, h_arr = self._cache
         b, t, s = x.shape
         k = self.units
         d_emit = np.zeros((b, t, k))
-        if return_sequences:
+        if self.return_sequences:
             d_emit[:] = dout
         else:
             d_emit[:, -1] = dout
@@ -546,60 +590,3 @@ def softmax_cross_entropy_batch(logits: np.ndarray, labels: np.ndarray
     dlogits[np.arange(n), labels] -= 1.0
     return probs, losses, dlogits
 
-
-def softmax_cross_entropy(logits: np.ndarray, true_class: int
-                          ) -> Tuple[np.ndarray, float]:
-    """Single-sample convenience form: (probabilities, -log p[true_class])."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size < 2:
-        raise ShapeError(f"expected a logit vector of >= 2 classes, got {logits.shape}")
-    probs, losses, _ = softmax_cross_entropy_batch(logits[None, :],
-                                                   np.array([true_class]))
-    return probs[0], float(losses[0])
-
-
-# ---------------------------------------------------------------------------
-# single-sample helpers
-
-
-def conv2d(layer: Conv2DLayer, x: np.ndarray) -> np.ndarray:
-    """One frame (rows, cols) -> (units, out_rows, out_cols)."""
-    if x.ndim != 2:
-        raise ShapeError(f"expected a single 2-D frame, got {x.shape}")
-    return layer.forward(x[None])[0]
-
-
-def maxpool2d(x: np.ndarray) -> np.ndarray:
-    """2x2/stride-2 pooling of one map (rows, cols) or one stack (units, rows, cols)."""
-    pool = MaxPool2x2()
-    if x.ndim == 2:
-        return pool.forward(x[None, None])[0, 0]
-    if x.ndim == 3:
-        return pool.forward(x[None])[0]
-    raise ShapeError(f"expected a 2-D or 3-D input, got {x.shape}")
-
-
-def batchnorm(layer: BatchNormLayer, x: np.ndarray, train: bool) -> np.ndarray:
-    return layer.forward(x, train=train)
-
-
-def lstm_forward(layer: LSTMLayer, seq: np.ndarray, return_sequences: bool = False
-                 ) -> np.ndarray:
-    """One sequence (steps, features) -> (steps, units) or (units,)."""
-    if seq.ndim != 2:
-        raise ShapeError(f"expected a single (steps, features) sequence, got {seq.shape}")
-    return layer.forward(seq[None], return_sequences=return_sequences)[0]
-
-
-def dense(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    """One vector in, one vector out."""
-    if x.ndim != 1:
-        raise ShapeError(f"expected a single feature vector, got {x.shape}")
-    return layer.forward(x[None])[0]
-
-
-def time_distributed(td: TimeDistributed, seq: np.ndarray) -> np.ndarray:
-    """One sequence (steps, features) -> (steps, out)."""
-    if seq.ndim != 2:
-        raise ShapeError(f"expected a single (steps, features) sequence, got {seq.shape}")
-    return td.forward(seq[None])[0]

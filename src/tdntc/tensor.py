@@ -1,14 +1,13 @@
-"""Dense float64 array helpers plus the finite-difference gradient oracle.
+"""Shared error types plus the finite-difference gradient oracle.
 
 Every value in this package is a plain numpy array in C (row-major) order
 with dtype float64: 32-bit floats are not precise enough to pass the 1e-4
-gradient checks used to verify the hand-written backward passes.  The
-helpers here add the strict shape checking the rest of the code relies on.
+gradient checks used to verify the hand-written backward passes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -19,44 +18,6 @@ class ShapeError(ValueError):
 
 class NumericError(ArithmeticError):
     """Raised when an evaluation produces a non-finite value."""
-
-
-def tensor_new(shape: Sequence[int], fill: float = 0.0) -> np.ndarray:
-    """Allocate a row-major float64 array of `shape` with every element = fill."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) == 0:
-        raise ShapeError("tensor shape must have at least one extent")
-    for s in shape:
-        if s < 1:
-            raise ShapeError(f"tensor extents must be >= 1, got {shape}")
-    return np.full(shape, float(fill), dtype=np.float64)
-
-
-def as_tensor(values) -> np.ndarray:
-    """Convert nested lists / arrays to a contiguous float64 array."""
-    return np.ascontiguousarray(values, dtype=np.float64)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rank-2 matrix product with explicit inner-extent checking."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def reshape(t: np.ndarray, new_shape: Sequence[int]) -> np.ndarray:
-    """Reinterpret `t` under a new shape without reordering its data."""
-    new_shape = tuple(int(s) for s in new_shape)
-    for s in new_shape:
-        if s < 1:
-            raise ShapeError(f"reshape extents must be >= 1, got {new_shape}")
-    if int(np.prod(new_shape)) != t.size:
-        raise ShapeError(
-            f"cannot reshape {t.size} elements into {new_shape}"
-        )
-    return np.ascontiguousarray(t).reshape(new_shape)
 
 
 def finite_diff_grad(

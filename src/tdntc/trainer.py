@@ -388,8 +388,18 @@ def load_checkpoint(path) -> Tuple[ModelGraph, Optional[ScalerState], Optional[L
             f"{path}: unsupported checkpoint version {version!r}, "
             f"expected {CHECKPOINT_VERSION}"
         )
-    graph = build_model(ModelConfig.from_dict(meta["model_config"]))
+    try:
+        cfg = ModelConfig.from_dict(meta.get("model_config") or {})
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: model_config lacks key {exc.args[0]!r}") from None
+    graph = build_model(cfg)
     live = graph.state_arrays()
+    names = [entry["name"] for entry in meta["tensors"]]
+    missing = [name for name in live if name not in names]
+    if missing:
+        raise CheckpointError(f"{path}: tensor directory lacks {missing[0]!r}")
+    if len(set(names)) != len(names):
+        raise CheckpointError(f"{path}: tensor directory repeats a tensor name")
     payload = len(data) - offset
     expected = sum(int(np.prod(t["shape"])) * 8 for t in meta["tensors"])
     if payload != expected:

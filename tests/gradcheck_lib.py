@@ -47,7 +47,7 @@ def _sample_clear_of_kink(rng, layer, batch):
 def check_dense(rng: np.random.Generator) -> float:
     in_size = int(rng.integers(2, 6))
     out_size = int(rng.integers(2, 5))
-    activation = ("identity", "relu", "softmax")[int(rng.integers(3))]
+    activation = ("identity", "relu")[int(rng.integers(2))]
     layer = layers.DenseLayer(in_size, out_size, activation, rng=rng)
     batch = int(rng.integers(1, 4))
     if activation == "relu":
@@ -116,22 +116,21 @@ def check_lstm(rng: np.random.Generator) -> float:
     s, k = [(1, 2), (2, 2), (3, 2), (1, 3)][int(rng.integers(4))]
     activation = ("identity", "relu")[int(rng.integers(2))]
     return_sequences = bool(rng.integers(2))
-    layer = layers.LSTMLayer(s, k, output_activation=activation, rng=rng)
+    layer = layers.LSTMLayer(s, k, output_activation=activation, rng=rng,
+                             return_sequences=return_sequences)
     shape = (int(rng.integers(1, 3)), int(rng.integers(1, 5)), s)
     x = rng.normal(scale=2.0, size=shape)
     if activation == "relu":
         # hidden states must sit away from the relu corner for the oracle
         for _ in range(100):
-            layer.forward(x, return_sequences=True)
+            layer.forward(x)
             if np.abs(layer.last_hidden_states).min() > 1e-3:
                 break
             x = rng.normal(scale=2.0, size=shape)
         else:
             raise AssertionError("could not sample hidden states away from the kink")
-    out = layer.forward(x, return_sequences=return_sequences)
-    proj = rng.normal(size=out.shape)
-    return _worst_param_and_input_error(
-        layer, x, lambda: layer.forward(x, return_sequences=return_sequences), proj)
+    proj = rng.normal(size=layer.forward(x).shape)
+    return _worst_param_and_input_error(layer, x, lambda: layer.forward(x), proj)
 
 
 def check_time_distributed(rng: np.random.Generator) -> float:

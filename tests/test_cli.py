@@ -6,6 +6,7 @@ import pytest
 import pcap_builder as pb
 from tdntc.cli import main
 from tdntc.flowcap import FEATURE_COLUMNS
+from test_trainer import rewrite_checkpoint
 
 
 @pytest.fixture
@@ -45,6 +46,38 @@ class TestAuditParams:
     def test_cos_decision_width(self, capsys):
         assert main(["audit-params", "m3-td", "48", "24"]) == 0
         assert "18456" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("variant, table", [
+        ("m3-td", [
+            "Network     Calculation            Trainable parameters",
+            "CNN_2D      (3x3x1+1)x128          1280",
+            "MP_2D       -                      0",
+            "BN          2x128                  256",
+            "Reshape     -                      0",
+            "LSTM        4x[(128+1)x128+128^2]  131584",
+            "TD(FFNN_0)  128x128+128            16512",
+            "Flatten     -                      0",
+            "FFNN_1      6x128x141+141          108429",
+            "Total                              258,061",
+        ]),
+        ("m3-van", [
+            "Network  Calculation            Trainable parameters",
+            "CNN_2D   (3x3x1+1)x128          1280",
+            "MP_2D    -                      0",
+            "BN       2x128                  256",
+            "Reshape  -                      0",
+            "LSTM     4x[(128+1)x128+128^2]  131584",
+            "FFNN_0   128x128+128            16512",
+            "Flatten  -                      0",
+            "FFNN_1   128x141+141            18189",
+            "Total                           167,821",
+        ]),
+    ])
+    def test_full_table_text(self, capsys, variant, table):
+        assert main(["audit-params", variant, "48", "141"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("resolved-config ")
+        assert lines[1:] == table
 
     def test_geometry_error_exits_nonzero(self, capsys):
         assert main(["audit-params", "m3-td", "12", "3"]) == 1
@@ -131,6 +164,22 @@ class TestTrainEvaluate:
         assert main(["evaluate", str(out_dir / "model.ckpt"), str(bad_csv)]) == 1
         err = capsys.readouterr().err
         assert "N=12" in err and "N=8" in err
+
+    def test_evaluate_reports_missing_model_config_key(self, synth_csv, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert main(train_args(synth_csv, out_dir)) == 0
+        ckpt = out_dir / "model.ckpt"
+
+        def drop_key(meta, payload):
+            del meta["model_config"]["td_units"]
+            return payload
+
+        rewrite_checkpoint(ckpt, drop_key)
+        capsys.readouterr()
+        assert main(["evaluate", str(ckpt), str(synth_csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(ckpt) in err and "'td_units'" in err
 
     def test_same_seed_runs_are_byte_identical(self, synth_csv, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]

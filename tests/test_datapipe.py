@@ -12,7 +12,6 @@ from tdntc.datapipe import (
     load_csv_dataset,
     minmax_apply,
     minmax_fit,
-    minmax_fit_transform,
     stratified_split,
 )
 
@@ -95,13 +94,18 @@ class TestEncodeLabels:
             encode_labels([])
 
 
+def minmax_fit_apply(train):
+    state = minmax_fit(train)
+    return state, minmax_apply(state, train)
+
+
 class TestMinMax:
     def test_linear_map_endpoints(self):
-        state, scaled = minmax_fit_transform(np.array([[2.0], [4.0], [6.0]]))
+        state, scaled = minmax_fit_apply(np.array([[2.0], [4.0], [6.0]]))
         assert scaled[:, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_constant_feature_maps_to_zero(self):
-        state, scaled = minmax_fit_transform(np.array([[5.0], [5.0]]))
+        state, scaled = minmax_fit_apply(np.array([[5.0], [5.0]]))
         assert scaled[:, 0].tolist() == [0.0, 0.0]
 
     def test_apply_clamps_out_of_range(self):
@@ -112,7 +116,7 @@ class TestMinMax:
     def test_training_split_spans_unit_interval(self):
         rng = np.random.default_rng(1)
         train = rng.normal(size=(40, 5)) * 7 + 3
-        state, scaled = minmax_fit_transform(train)
+        state, scaled = minmax_fit_apply(train)
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
         assert np.allclose(scaled.min(axis=0), 0.0)
         assert np.allclose(scaled.max(axis=0), 1.0)
@@ -207,6 +211,15 @@ class TestLoadCsv:
         path.write_text("f0,f1\n1,2\n")
         with pytest.raises(DataError):
             load_csv_dataset(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"f0,f1,label\n1,2,a\n3,{cell},b\n5,6,a\n")
+        with pytest.raises(DataError) as err:
+            load_csv_dataset(path)
+        assert f"{path}:3:" in str(err.value)
+        assert "'f1'" in str(err.value)
 
 
 def _stump_accuracy(ds):

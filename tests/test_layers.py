@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from tdntc import layers
 from tdntc.layers import (
     BatchNormLayer,
     Conv2DLayer,
@@ -13,16 +12,28 @@ from tdntc.layers import (
     MaxPool2x2,
     StatisticsError,
     TimeDistributed,
-    conv2d,
     conv2d_output_dims,
-    dense,
-    lstm_forward,
-    maxpool2d,
     softmax,
-    softmax_cross_entropy,
-    time_distributed,
+    softmax_cross_entropy_batch,
 )
 from tdntc.tensor import ShapeError
+
+
+def one(layer, x):
+    """Run a batched layer's forward pass on a batch of one sample."""
+    return layer.forward(x[None])[0]
+
+
+def maxpool_map(x):
+    """Pool a single (rows, cols) map."""
+    return MaxPool2x2().forward(x[None, None])[0, 0]
+
+
+def cross_entropy(logits, true_class):
+    """(probabilities, loss) of one logit vector through the batched loss."""
+    probs, losses, _ = softmax_cross_entropy_batch(
+        np.asarray(logits, dtype=np.float64)[None], np.array([true_class]))
+    return probs[0], float(losses[0])
 
 
 def brute_force_conv2d(x, kernels, biases, padding, stride_x, stride_y):
@@ -73,7 +84,7 @@ class TestConv2D:
     def test_scaling_kernel(self):
         layer = Conv2DLayer(1, kernel=(1, 1))
         layer.kernels[0, 0, 0] = 2.0
-        out = conv2d(layer, np.ones((2, 2)))
+        out = one(layer, np.ones((2, 2)))
         assert out.shape == (1, 2, 2)
         assert (out == 2.0).all()
 
@@ -81,13 +92,13 @@ class TestConv2D:
         layer = Conv2DLayer(1, kernel=(2, 2))
         layer.kernels[:] = 1.0
         x = np.arange(1.0, 10.0).reshape(3, 3)
-        out = conv2d(layer, x)
+        out = one(layer, x)
         assert out[0].tolist() == [[12.0, 16.0], [24.0, 28.0]]
 
     def test_bias_only(self):
         layer = Conv2DLayer(2, kernel=(2, 2))
         layer.biases[:] = 5.0
-        out = conv2d(layer, np.arange(16.0).reshape(4, 4))
+        out = one(layer, np.arange(16.0).reshape(4, 4))
         assert (out == 5.0).all()
 
     def test_matches_brute_force_on_random_grid(self):
@@ -105,7 +116,7 @@ class TestConv2D:
             layer = Conv2DLayer(int(rng.integers(1, 4)), kernel=(p, q),
                                 stride=(sx, sy), padding=g, rng=rng)
             x = rng.normal(size=(rows, cols))
-            got = conv2d(layer, x)
+            got = one(layer, x)
             want = brute_force_conv2d(x, layer.kernels, layer.biases, g, sx, sy)
             assert got.shape == want.shape
             dims = conv2d_output_dims(rows, cols, p, q, g, sx, sy)
@@ -121,20 +132,20 @@ class TestConv2D:
 
 class TestMaxPool:
     def test_single_window(self):
-        out = maxpool2d(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        out = maxpool_map(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert out.tolist() == [[4.0]]
 
     def test_window_maxima(self):
         x = np.arange(1.0, 17.0).reshape(4, 4)
-        assert maxpool2d(x).tolist() == [[6.0, 8.0], [14.0, 16.0]]
+        assert maxpool_map(x).tolist() == [[6.0, 8.0], [14.0, 16.0]]
 
     def test_ties_collapse(self):
-        out = maxpool2d(np.full((4, 4), 3.5))
+        out = maxpool_map(np.full((4, 4), 3.5))
         assert (out == 3.5).all()
 
     def test_odd_extent_rejected(self):
         with pytest.raises(GeometryError):
-            maxpool2d(np.zeros((3, 4)))
+            maxpool_map(np.zeros((3, 4)))
 
     def test_gradient_mass_is_conserved(self):
         rng = np.random.default_rng(4)
@@ -196,16 +207,16 @@ class TestBatchNorm:
 class TestLSTM:
     def test_zero_weights_give_zero_states(self):
         layer = LSTMLayer(2, 3)
-        out = lstm_forward(layer, np.random.default_rng(0).normal(size=(5, 2)),
-                           return_sequences=True)
+        out = one(layer, np.random.default_rng(0).normal(size=(5, 2)))
         assert (out == 0).all()
 
     def test_single_step_shapes_agree(self):
-        rng = np.random.default_rng(1)
-        layer = LSTMLayer(2, 4, rng=rng)
-        seq = rng.normal(size=(1, 2))
-        full = lstm_forward(layer, seq, return_sequences=True)
-        last = lstm_forward(layer, seq, return_sequences=False)
+        full_layer = LSTMLayer(2, 4, rng=np.random.default_rng(1))
+        last_layer = LSTMLayer(2, 4, rng=np.random.default_rng(1),
+                               return_sequences=False)
+        seq = np.random.default_rng(2).normal(size=(1, 2))
+        full = one(full_layer, seq)
+        last = one(last_layer, seq)
         assert full.shape == (1, 4)
         assert last.shape == (4,)
         assert (full[0] == last).all()
@@ -236,7 +247,7 @@ class TestLSTM:
             h = sig(zo) * math.tanh(c)
             states.append(h)
 
-        out = lstm_forward(layer, np.array([[0.7], [-0.4]]), return_sequences=True)
+        out = one(layer, np.array([[0.7], [-0.4]]))
         assert np.abs(out[:, 0] - np.array(states)).max() <= 1e-12
 
     def test_width_mismatch(self):
@@ -262,23 +273,23 @@ class TestDense:
         layer = DenseLayer(3, 3)
         layer.weights[:] = np.eye(3)
         x = np.array([1.0, -2.0, 0.5])
-        assert (dense(layer, x) == x).all()
+        assert (one(layer, x) == x).all()
 
     def test_relu_clamp(self):
         layer = DenseLayer(2, 2, activation="relu")
         layer.weights[:] = np.eye(2)
-        out = dense(layer, np.array([-1.0, 2.0]))
+        out = one(layer, np.array([-1.0, 2.0]))
         assert out.tolist() == [0.0, 2.0]
 
     def test_hand_evaluation(self):
         layer = DenseLayer(2, 1)
         layer.weights[:, 0] = [1.0, 1.0]
         layer.bias[0] = 1.0
-        assert dense(layer, np.array([2.0, 3.0])).tolist() == [6.0]
+        assert one(layer, np.array([2.0, 3.0])).tolist() == [6.0]
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            dense(DenseLayer(3, 2), np.array([1.0, 2.0]))
+            one(DenseLayer(3, 2), np.array([1.0, 2.0]))
 
 
 class TestTimeDistributed:
@@ -287,7 +298,7 @@ class TestTimeDistributed:
         inner = DenseLayer(3, 2, activation="relu", rng=rng)
         td = TimeDistributed(inner)
         x = rng.normal(size=(3,))
-        assert (time_distributed(td, x[None])[0] == dense(inner, x)).all()
+        assert (one(td, x[None]) == one(inner, x)).all()
 
     def test_degenerate_sequence_has_identical_gradients(self):
         rng = np.random.default_rng(9)
@@ -312,7 +323,7 @@ class TestTimeDistributed:
         td = TimeDistributed(DenseLayer(3, 4, rng=rng))
         row = rng.normal(size=3)
         seq = np.tile(row, (5, 1))
-        out = time_distributed(td, seq)
+        out = one(td, seq)
         assert (out == out[0]).all()
 
     def test_identity_inner(self):
@@ -320,28 +331,28 @@ class TestTimeDistributed:
         inner.weights[:] = np.eye(2)
         td = TimeDistributed(inner)
         seq = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert (time_distributed(td, seq) == seq).all()
+        assert (one(td, seq) == seq).all()
 
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        probs, loss = softmax_cross_entropy(np.zeros(4), 2)
+        probs, loss = cross_entropy(np.zeros(4), 2)
         assert np.abs(probs - 0.25).max() <= 1e-12
         assert abs(loss - math.log(4)) <= 1e-12
 
     def test_stabilized_extremes(self):
-        probs, loss = softmax_cross_entropy(np.array([1000.0, 0.0]), 0)
+        probs, loss = cross_entropy(np.array([1000.0, 0.0]), 0)
         assert np.isfinite(loss)
         assert abs(probs[0] - 1.0) <= 1e-12
         assert probs[1] <= 1e-12
 
     def test_closed_form_two_class(self):
-        _, loss = softmax_cross_entropy(np.array([1.0, 2.0]), 1)
+        _, loss = cross_entropy(np.array([1.0, 2.0]), 1)
         assert abs(loss - math.log(1 + math.exp(-1))) <= 1e-12
 
     def test_out_of_range_class(self):
         with pytest.raises(IndexError):
-            softmax_cross_entropy(np.zeros(3), 3)
+            cross_entropy(np.zeros(3), 3)
 
     def test_probabilities_sum_to_one_at_large_magnitudes(self):
         rng = np.random.default_rng(6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tdntc import models
-from tdntc.layers import softmax
+from tdntc.layers import DenseLayer, Layer, softmax, softmax_cross_entropy_batch
 from tdntc.models import BuildError, ModelConfig, build_model, count_parameters
 from tdntc.tensor import ShapeError
 
@@ -78,6 +78,60 @@ class TestGoldenParameterTables:
         assert lstm_row.count != 196608
 
 
+CONV_STATE = ["CNN_2D/kernels", "CNN_2D/biases",
+              "BN/gamma", "BN/beta", "BN/running_mean", "BN/running_var"]
+LSTM_STATE = ["LSTM/w_x", "LSTM/w_h", "LSTM/bias"]
+TD_STATE = ["TD(FFNN_0)/weights", "TD(FFNN_0)/bias"]
+VAN_STATE = ["FFNN_0/weights", "FFNN_0/bias"]
+DECISION_STATE = ["FFNN_1/weights", "FFNN_1/bias"]
+
+
+@pytest.mark.parametrize("variant, names", [
+    ("m1-td", CONV_STATE + TD_STATE + DECISION_STATE),
+    ("m1-van", CONV_STATE + VAN_STATE + DECISION_STATE),
+    ("m2-td", LSTM_STATE + TD_STATE + DECISION_STATE),
+    ("m2-van", LSTM_STATE + VAN_STATE + DECISION_STATE),
+    ("m3-td", CONV_STATE + LSTM_STATE + TD_STATE + DECISION_STATE),
+    ("m3-van", CONV_STATE + LSTM_STATE + VAN_STATE + DECISION_STATE),
+])
+def test_state_array_names_in_checkpoint_order(variant, names):
+    graph = build_model(ModelConfig(variant, 48, 5))
+    assert list(graph.state_arrays()) == names
+
+
+@pytest.mark.parametrize("variant", models.VARIANTS)
+def test_stages_share_one_layer_interface(variant):
+    graph = build_model(make_config(variant, 12, 3, units=4, td_units=4, seed=2))
+    for stage in graph.stages[:-1]:
+        assert isinstance(stage, Layer)
+        assert isinstance(stage.name, str) and stage.name
+        for method in ("forward", "backward", "params", "grads", "state",
+                       "param_count", "calc_string"):
+            assert callable(getattr(stage, method)), (stage.name, method)
+    decision = graph.stages[-1].layer
+    assert isinstance(decision, DenseLayer)
+    assert decision.name == graph.stages[-1].name == "FFNN_1"
+
+    # Replace the decision layer's two passes on the instance, the way the
+    # benchmark's tracer does, and check the graph still goes through them.
+    calls = {"forward_logits": 0, "backward": 0}
+    for attr in calls:
+        inner = getattr(decision, attr)
+
+        def counted(*args, attr=attr, inner=inner, **kwargs):
+            calls[attr] += 1
+            return inner(*args, **kwargs)
+
+        setattr(decision, attr, counted)
+    x = np.random.default_rng(3).uniform(0, 1, size=(4, 12))
+    if graph.config.frame_input:
+        x = x.reshape(4, *graph.frame_dims)
+    logits = graph.forward_logits(x, train=True)
+    graph.backward(softmax_cross_entropy_batch(logits, np.array([0, 1, 2, 0]))[2])
+    graph.predict(x)
+    assert calls == {"forward_logits": 2, "backward": 1}
+
+
 class TestBuildGeometry:
     def test_m1_td_stage_names(self):
         rows, _ = count_parameters(build_model(ModelConfig("m1-td", 48, 5)))
@@ -93,7 +147,7 @@ class TestBuildGeometry:
         graph = build_model(ModelConfig("m2-td", 48, 5))
         lstm_stage = graph.stages[0]
         assert lstm_stage.name == "LSTM"
-        assert lstm_stage.layer.input_size == 1
+        assert lstm_stage.input_size == 1
         logits = graph.forward_logits(np.random.default_rng(0).uniform(size=(2, 48)))
         assert logits.shape == (2, 5)
         flatten_width = graph.stages[-1].layer.in_size
@@ -184,14 +238,6 @@ class TestHolisticFeatures:
         a = graph.extract_holistic_features(x)
         b = graph.extract_holistic_features(x)
         assert (a == b).all()
-
-    def test_module_level_wrappers(self):
-        graph = build_model(make_config("m1-van", 12, 3, units=4, td_units=4))
-        x = np.random.default_rng(2).uniform(0, 1, size=(4, 3))
-        feats = models.extract_holistic_features(graph, x)
-        assert feats.shape == (4,)
-        probs, cls = models.predict(graph, x)
-        assert probs.shape == (3,)
 
 
 class TestSeededInitialization:

@@ -1,98 +1,7 @@
 import numpy as np
 import pytest
 
-from tdntc.tensor import (
-    NumericError,
-    ShapeError,
-    finite_diff_grad,
-    matmul,
-    relative_grad_error,
-    reshape,
-    tensor_new,
-)
-
-
-class TestTensorNew:
-    def test_zero_fill(self):
-        t = tensor_new([2, 2], 0)
-        assert t.shape == (2, 2)
-        assert t.dtype == np.float64
-        assert (t == 0).all()
-
-    def test_singleton(self):
-        assert tensor_new([1], 7.5).tolist() == [7.5]
-
-    def test_ones_row_major(self):
-        t = tensor_new([2, 3], 1)
-        assert t.shape == (2, 3)
-        assert t.flags["C_CONTIGUOUS"]
-        assert (t == 1).all()
-
-    @pytest.mark.parametrize("shape", [[0], [2, 0], [-1], [3, -2], []])
-    def test_invalid_extents(self, shape):
-        with pytest.raises(ShapeError):
-            tensor_new(shape, 0)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert (matmul(a, np.eye(2)) == a).all()
-
-    def test_hand_dot_product(self):
-        # 1*3 + 2*4 = 11
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.tolist() == [[11.0]]
-
-    def test_zero_annihilator(self):
-        z = np.zeros((2, 2))
-        b = np.arange(6.0).reshape(2, 3)
-        assert (matmul(z, b) == 0).all()
-
-    def test_inner_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_rank_check(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 1)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.normal(size=(4, 3))
-            b = rng.normal(size=(3, 5))
-            c = rng.normal(size=(5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.abs(left - right).max() <= 1e-10 * max(1.0, np.abs(left).max())
-
-
-class TestReshape:
-    def test_row_major_law(self):
-        t = np.arange(1.0, 7.0)
-        out = reshape(t, [2, 3])
-        assert out.tolist() == [[1, 2, 3], [4, 5, 6]]
-
-    def test_48_to_8x6_rows(self):
-        t = np.arange(1.0, 49.0)
-        out = reshape(t, [8, 6])
-        for j in range(8):
-            assert out[j].tolist() == list(range(6 * j + 1, 6 * j + 7))
-
-    def test_flatten_identity(self):
-        t = np.arange(6.0).reshape(3, 2, 1)
-        assert (reshape(t, [6]) == np.arange(6.0)).all()
-
-    def test_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            reshape(np.zeros(6), [4, 2])
-
-    def test_round_trip_bitwise(self):
-        rng = np.random.default_rng(11)
-        t = rng.normal(size=(3, 4, 2))
-        back = reshape(reshape(t, [24]), [3, 4, 2])
-        assert back.tobytes() == t.tobytes()
+from tdntc.tensor import NumericError, ShapeError, finite_diff_grad, relative_grad_error
 
 
 class TestFiniteDiffGrad:

@@ -217,6 +217,18 @@ class TestTrials:
                        data["train"], data["val"], data["test"])
 
 
+def rewrite_checkpoint(path, edit):
+    """Apply `edit(meta, payload) -> payload` to a checkpoint file in place."""
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))
+    start = len(CHECKPOINT_MAGIC) + 4
+    meta = json.loads(raw[start:start + meta_len])
+    payload = edit(meta, raw[start + meta_len:])
+    new_meta = json.dumps(meta, sort_keys=True).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(new_meta))
+                     + new_meta + payload)
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_round_trip_is_bit_identical(self, variant, tmp_path):
@@ -284,3 +296,38 @@ class TestCheckpoints:
                          + new_meta + raw[start + meta_len:])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_directory_missing_a_tensor_rejected(self, tmp_path):
+        cfg, _ = tiny_splits("m3-td")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(models.build_model(cfg), path)
+
+        def drop_w_x(meta, payload):
+            offset = 0
+            for i, entry in enumerate(meta["tensors"]):
+                nbytes = int(np.prod(entry["shape"])) * 8
+                if entry["name"] == "LSTM/w_x":
+                    del meta["tensors"][i]
+                    return payload[:offset] + payload[offset + nbytes:]
+                offset += nbytes
+
+        rewrite_checkpoint(path, drop_w_x)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        assert "'LSTM/w_x'" in str(err.value)
+
+    def test_directory_repeating_a_tensor_rejected(self, tmp_path):
+        cfg, _ = tiny_splits("m1-van")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(models.build_model(cfg), path)
+
+        def repeat_last(meta, payload):
+            last = meta["tensors"][-1]
+            meta["tensors"].append(last)
+            return payload + payload[-int(np.prod(last["shape"])) * 8:]
+
+        rewrite_checkpoint(path, repeat_last)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "repeats" in str(err.value)
