@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -130,7 +131,9 @@ def parse_pcap_bytes(data: bytes) -> ParsedCapture:
 
     Non-IP, IPv6, fragmented, and non-TCP/UDP packets are counted and
     skipped, as are packets whose captured slice is too short to carry the
-    headers.  A record header that runs past end-of-file is a hard error.
+    headers; an IPv4 header whose IHL is below 5 (shorter than the fixed
+    20 bytes) counts as truncated.  A record header that runs past
+    end-of-file is a hard error.
     """
     if len(data) < 24:
         raise PcapFormatError("file too short for a pcap global header")
@@ -188,6 +191,11 @@ def _decode_frame(frame: bytes, timestamp: float, skipped: Dict[str, int]
         skipped["non_ip"] += 1
         return None
     ihl = (version_ihl & 0x0F) * 4
+    if ihl < 20:
+        # IHL below 5 words cannot hold the fixed header; the "ports" would
+        # be read from inside the IP header itself.
+        skipped["truncated"] += 1
+        return None
     total_len = struct.unpack(">H", ip[2:4])[0]
     flags_frag = struct.unpack(">H", ip[6:8])[0]
     if flags_frag & 0x2000 or flags_frag & 0x1FFF:
@@ -226,17 +234,20 @@ def _grouping_key(pkt: PacketMeta) -> tuple:
 
 def assemble_flows(packets: List[PacketMeta], idle_timeout: float = 60.0
                    ) -> List[Tuple[FlowKey, List[PacketMeta]]]:
-    """Group time-ordered packets into bidirectional flows.
+    """Group packets into bidirectional flows.
 
-    Packets share a flow when their canonical 5-tuple matches and the gap
-    since the flow's previous packet does not exceed idle_timeout; a larger
-    gap closes the flow and starts a new one.  Each packet's direction is
-    set relative to the flow's first packet (the initiator).
+    Packets are taken in timestamp order.  The sort is stable, so equal
+    timestamps keep file order, and a capture written out of order gives
+    the same flows as one written in order.  Packets share a flow when
+    their canonical 5-tuple matches and the gap since the flow's previous
+    packet does not exceed idle_timeout; a larger gap closes the flow and
+    starts a new one.  Each packet's direction is set relative to the
+    flow's first packet (the initiator).
     """
     flows: List[Tuple[FlowKey, List[PacketMeta]]] = []
     open_idx: Dict[tuple, int] = {}
     last_seen: Dict[tuple, float] = {}
-    for pkt in packets:
+    for pkt in sorted(packets, key=attrgetter("timestamp")):
         gk = _grouping_key(pkt)
         idx = open_idx.get(gk)
         if idx is None or pkt.timestamp - last_seen[gk] > idle_timeout:

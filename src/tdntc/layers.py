@@ -62,16 +62,6 @@ def relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp for large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = z - z.max(axis=axis, keepdims=True)
     ez = np.exp(shifted)
@@ -445,6 +435,12 @@ class LSTMLayer(Layer):
     states the layer emits, so a rectified output does not corrupt the gates.
     The layer emits every step's state, or only the last one when
     `return_sequences` is false.
+
+    Each step activates its whole gate block with one tanh, using
+    sigmoid(v) = 0.5 * (1 + tanh(v / 2)): the v / 2 is folded into halved
+    copies of the i, f and o columns of the weights and bias, and the
+    0.5 * (1 + .) is applied in place afterwards.  The per-step caches are
+    time-major, (steps, batch, .), so every step reads and writes whole rows.
     """
 
     name = "LSTM"
@@ -492,33 +488,43 @@ class LSTMLayer(Layer):
             )
         b, t, s = x.shape
         k = self.units
-        # Input projection for all steps at once; only the recurrent matmul
-        # has to run step by step.
-        zx = (x.reshape(b * t, s) @ self.w_x).reshape(b, t, 4 * k) + self.bias
-        i_arr = np.empty((b, t, k))
-        f_arr = np.empty((b, t, k))
-        g_arr = np.empty((b, t, k))
-        o_arr = np.empty((b, t, k))
-        tanh_c = np.empty((b, t, k))
-        c_prev_arr = np.empty((b, t, k))
-        h_arr = np.empty((b, t, k))
-        h = np.zeros((b, k))
-        c = np.zeros((b, k))
+        # 0.5 on the sigmoid gates (i, f, o), 1 on the candidate g.  Halving
+        # is exact in binary, so the scaled copies give the same pre-activation
+        # bits as halving it afterwards.  The copies are made on every call
+        # because the optimizer updates the parameters in place.
+        scale = np.full(4 * k, 0.5)
+        scale[2 * k:3 * k] = 1.0
+        shift = scale.copy()
+        shift[2 * k:3 * k] = 0.0
+        w_h = self.w_h * scale
+        # The input projection of every step goes straight into the gate
+        # buffer; each step then adds its recurrent term and activates in
+        # place.  Row 0 of `cs` / `hs` is the zero initial state.
+        x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))
+        gates = np.empty((t, b, 4 * k))
+        np.matmul(x_tm.reshape(t * b, s), self.w_x * scale,
+                  out=gates.reshape(t * b, 4 * k))
+        gates += self.bias * scale
+        cs = np.zeros((t + 1, b, k))
+        hs = np.zeros((t + 1, b, k))
+        tanh_c = np.empty((t, b, k))
+        rec = np.empty((b, 4 * k))
+        ig = np.empty((b, k))
         for step in range(t):
-            z = zx[:, step] + h @ self.w_h
-            i = sigmoid(z[:, :k])
-            f = sigmoid(z[:, k:2 * k])
-            g = np.tanh(z[:, 2 * k:3 * k])
-            o = sigmoid(z[:, 3 * k:])
-            c_prev_arr[:, step] = c
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            i_arr[:, step], f_arr[:, step] = i, f
-            g_arr[:, step], o_arr[:, step] = g, o
-            tanh_c[:, step] = tc
-            h_arr[:, step] = h
-        self._cache = (x, i_arr, f_arr, g_arr, o_arr, tanh_c, c_prev_arr, h_arr)
+            z = gates[step]
+            np.matmul(hs[step], w_h, out=rec)
+            z += rec
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            c = cs[step + 1]
+            np.multiply(z[:, k:2 * k], cs[step], out=c)
+            np.multiply(z[:, :k], z[:, 2 * k:3 * k], out=ig)
+            c += ig
+            np.tanh(c, out=tanh_c[step])
+            np.multiply(z[:, 3 * k:], tanh_c[step], out=hs[step + 1])
+        self._cache = (x_tm, gates, cs, hs, tanh_c)
+        h_arr = hs[1:].transpose(1, 0, 2)
         self.last_hidden_states = h_arr
         emitted = relu(h_arr) if self.output_activation == "relu" else h_arr
         return emitted if self.return_sequences else emitted[:, -1]
@@ -526,41 +532,57 @@ class LSTMLayer(Layer):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward before forward")
-        x, i_arr, f_arr, g_arr, o_arr, tanh_c, c_prev_arr, h_arr = self._cache
-        b, t, s = x.shape
+        x_tm, gates, cs, hs, tanh_c = self._cache
+        t, b, s = x_tm.shape
         k = self.units
-        d_emit = np.zeros((b, t, k))
+        d_emit = np.zeros((t, b, k))
         if self.return_sequences:
-            d_emit[:] = dout
+            d_emit[:] = dout.transpose(1, 0, 2)
         else:
-            d_emit[:, -1] = dout
+            d_emit[-1] = dout
         if self.output_activation == "relu":
-            d_emit = d_emit * (h_arr > 0)
-        dz_all = np.empty((b, t, 4 * k))
+            d_emit *= hs[1:] > 0
+        # Gate axis split out: [:, :, 0..3] are the activated i, f, g, o.
+        gate4 = gates.reshape(t, b, 4, k)
+        dz_all = np.empty((t, b, 4, k))
+        w_h_t = self.w_h.T
         dh_next = np.zeros((b, k))
+        dc = np.empty((b, k))
         dc_next = np.zeros((b, k))
         for step in range(t - 1, -1, -1):
-            i = i_arr[:, step]
-            f = f_arr[:, step]
-            g = g_arr[:, step]
-            o = o_arr[:, step]
-            tc = tanh_c[:, step]
-            dh = d_emit[:, step] + dh_next
-            do = dh * tc * o * (1 - o)
-            dc = dh * o * (1 - tc * tc) + dc_next
-            df = dc * c_prev_arr[:, step] * f * (1 - f)
-            di = dc * g * i * (1 - i)
-            dg = dc * i * (1 - g * g)
-            dz = np.concatenate([di, df, dg, do], axis=1)
-            dz_all[:, step] = dz
-            dh_next = dz @ self.w_h.T
-            dc_next = dc * f
-        flat_dz = dz_all.reshape(b * t, 4 * k)
-        self.grad_w_x = x.reshape(b * t, s).T @ flat_dz
+            a = gate4[step]
+            dz = dz_all[step]
+            tc = tanh_c[step]
+            dh = d_emit[step]
+            dh += dh_next
+            # activation slopes: a * (1 - a) for the sigmoid gates, 1 - g^2
+            np.subtract(1.0, a, out=dz)
+            dz *= a
+            np.multiply(a[:, 2], a[:, 2], out=dz[:, 2])
+            np.subtract(1.0, dz[:, 2], out=dz[:, 2])
+            # dc = dh * o * (1 - tanh(c)^2) + dc_next
+            np.multiply(tc, tc, out=dc)
+            np.subtract(1.0, dc, out=dc)
+            dc *= a[:, 3]
+            dc *= dh
+            dc += dc_next
+            # di = dc * g, df = dc * c_prev, dg = dc * i, do = dh * tanh(c),
+            # each times its slope
+            dz[:, 3] *= tc
+            dz[:, 3] *= dh
+            dz[:, :3] *= dc[:, None]
+            dz[:, 0] *= a[:, 2]
+            dz[:, 1] *= cs[step]
+            dz[:, 2] *= a[:, 0]
+            # the scale lives in the activation, so the recurrence runs
+            # through the unscaled w_h
+            np.matmul(dz.reshape(b, 4 * k), w_h_t, out=dh_next)
+            np.multiply(dc, a[:, 1], out=dc_next)
+        flat_dz = dz_all.reshape(t * b, 4 * k)
+        self.grad_w_x = x_tm.reshape(t * b, s).T @ flat_dz
         self.grad_bias = flat_dz.sum(axis=0)
-        h_prev = np.concatenate([np.zeros((b, 1, k)), h_arr[:, :-1]], axis=1)
-        self.grad_w_h = h_prev.reshape(b * t, k).T @ flat_dz
-        return (flat_dz @ self.w_x.T).reshape(b, t, s)
+        self.grad_w_h = hs[:-1].reshape(t * b, k).T @ flat_dz
+        return (flat_dz @ self.w_x.T).reshape(t, b, s).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,16 @@ class TestParsePcap:
         assert parsed.skipped["non_tcp_udp"] == 1
         assert parsed.skipped["fragmented"] == 1
 
+    @pytest.mark.parametrize("ihl_words", [0, 4])
+    def test_ihl_below_five_counts_as_truncated(self, ihl_words):
+        short = bytearray(pb.udp("1.0.0.1", 1, "1.0.0.2", 2, payload_len=8))
+        short[14] = 0x40 | ihl_words
+        packets = [(0, 0, pb.udp("1.0.0.1", 1, "1.0.0.2", 2)), (1, 0, bytes(short))]
+        parsed = parse_pcap_bytes(pb.capture(packets))
+        assert len(parsed.packets) == 1
+        assert parsed.skipped == {"non_ip": 0, "ipv6": 0, "fragmented": 0,
+                                  "non_tcp_udp": 0, "truncated": 1}
+
     def test_parse_from_path(self, tmp_path):
         path = tmp_path / "one.pcap"
         path.write_bytes(pb.capture([(0, 0, pb.udp("9.9.9.9", 1, "8.8.8.8", 2))]))
@@ -116,6 +126,26 @@ class TestAssembleFlows:
         frame = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
         parsed = parse_pcap_bytes(pb.capture([(0, 0, frame), (60, 0, frame)]))
         assert len(assemble_flows(parsed.packets, idle_timeout=60.0)) == 1
+
+    def test_out_of_order_timestamps_are_ordered(self):
+        frame = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
+        shuffled = pb.capture([(0, 0, frame), (100, 0, frame), (50, 0, frame)])
+        ordered = pb.capture([(0, 0, frame), (50, 0, frame), (100, 0, frame)])
+        stats = [featurize_flows(assemble_flows(parse_pcap_bytes(data).packets,
+                                                idle_timeout=60.0))
+                 for data in (shuffled, ordered)]
+        assert len(stats[0]) == 1
+        assert stats[0][0].duration == 100.0
+        assert stats[0][0].iat_min >= 0.0
+        assert stats[0] == stats[1]
+
+    def test_equal_timestamps_keep_file_order(self):
+        fwd = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
+        rev = pb.udp("10.0.0.2", 2000, "10.0.0.1", 1000)
+        parsed = parse_pcap_bytes(pb.capture([(5, 0, rev), (5, 0, fwd)]))
+        key, pkts = assemble_flows(parsed.packets)[0]
+        assert (key.src_ip, key.src_port) == ("10.0.0.2", 2000)
+        assert [p.direction for p in pkts] == ["forward", "reverse"]
 
     def test_canonical_key_symmetry(self):
         rng = np.random.default_rng(0)

@@ -250,6 +250,46 @@ class TestLSTM:
         out = one(layer, np.array([[0.7], [-0.4]]))
         assert np.abs(out[:, 0] - np.array(states)).max() <= 1e-12
 
+    @pytest.mark.parametrize("s,k", [(1, 4), (3, 4)])
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    def test_forward_matches_per_step_reference(self, s, k, activation,
+                                                return_sequences):
+        rng = np.random.default_rng(11)
+        layer = LSTMLayer(s, k, output_activation=activation, rng=rng,
+                          return_sequences=return_sequences)
+        layer.bias[:] = rng.normal(scale=0.5, size=4 * k)
+        x = rng.normal(size=(3, 5, s))
+
+        def sig(v):
+            return 1.0 / (1.0 + np.exp(-v))
+
+        h = np.zeros((3, k))
+        c = np.zeros((3, k))
+        states = []
+        for step in range(5):
+            z = x[:, step] @ layer.w_x + h @ layer.w_h + layer.bias
+            i = sig(z[:, :k])
+            f = sig(z[:, k:2 * k])
+            g = np.tanh(z[:, 2 * k:3 * k])
+            o = sig(z[:, 3 * k:])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            states.append(h)
+        want_states = np.stack(states, axis=1)
+        want = np.maximum(want_states, 0.0) if activation == "relu" else want_states
+        if not return_sequences:
+            want = want[:, -1]
+
+        before = {name: p.copy() for name, p in layer.params().items()}
+        out = layer.forward(x)
+        assert out.shape == want.shape
+        assert np.abs(out - want).max() <= 1e-12
+        assert np.abs(layer.last_hidden_states - want_states).max() <= 1e-12
+        layer.backward(rng.normal(size=out.shape))
+        for name, p in layer.params().items():
+            assert p.tobytes() == before[name].tobytes(), name
+
     def test_width_mismatch(self):
         layer = LSTMLayer(3, 2)
         with pytest.raises(ShapeError):
