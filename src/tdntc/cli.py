@@ -20,6 +20,10 @@ import sys
 from pathlib import Path
 
 
+class UsageError(ValueError):
+    """Raised for an option value the command cannot use."""
+
+
 def _apply_thread_cap() -> None:
     cap = os.environ.get("TDNTC_THREADS")
     if cap:
@@ -39,7 +43,7 @@ def _parse_factor_pair(text: str | None):
     try:
         rows, cols = (int(v) for v in text.split(","))
     except ValueError:
-        raise SystemExit(f"--factor-pair expects 'R,C', got {text!r}")
+        raise UsageError(f"--factor-pair expects 'R,C', got {text!r}") from None
     return rows, cols
 
 
@@ -47,7 +51,7 @@ def _parse_kernel(text: str):
     try:
         p, q = (int(v) for v in text.split(","))
     except ValueError:
-        raise SystemExit(f"--kernel expects 'P,Q', got {text!r}")
+        raise UsageError(f"--kernel expects 'P,Q', got {text!r}") from None
     return p, q
 
 
@@ -59,6 +63,12 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     from . import flowcap
 
     _print_config(args)
+    native = len(flowcap.FEATURE_COLUMNS)
+    if args.pad_to is not None and args.pad_to < native:
+        raise UsageError(f"--pad-to must be at least the {native} native features, "
+                         f"got {args.pad_to}")
+    if not args.idle_timeout >= 0:
+        raise UsageError(f"--idle-timeout must be >= 0, got {args.idle_timeout}")
     label = args.label if args.label is not None else Path(args.pcap).stem
     capture = flowcap.parse_pcap(args.pcap)
     flows = flowcap.assemble_flows(capture.packets, idle_timeout=args.idle_timeout)
@@ -103,20 +113,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     from . import datapipe, metrics, models, trainer
 
     _print_config(args)
-    ds = datapipe.load_csv_dataset(args.csv, label_column=args.label_column)
-    split = datapipe.stratified_split(ds, seed=args.seed)
-    scaler = datapipe.minmax_fit(ds.features[split.train])
-
-    factor_pair = _parse_factor_pair(args.factor_pair)
-    model_cfg = models.ModelConfig(
-        variant=args.variant, n_features=ds.n_features, n_classes=ds.n_classes,
-        units=args.units, kernel=_parse_kernel(args.kernel),
-        td_units=args.td_units, factor_pair=factor_pair, seed=args.seed,
-    )
     train_cfg = trainer.TrainConfig(
         epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr,
         optimizer=args.optimizer, seed=args.seed, patience=args.patience,
         trials=args.trials, lr_jitter=args.lr_jitter,
+    )
+    factor_pair = _parse_factor_pair(args.factor_pair)
+    kernel = _parse_kernel(args.kernel)
+    ds = datapipe.load_csv_dataset(args.csv, label_column=args.label_column)
+    split = datapipe.stratified_split(ds, seed=args.seed)
+    scaler = datapipe.minmax_fit(ds.features[split.train])
+
+    model_cfg = models.ModelConfig(
+        variant=args.variant, n_features=ds.n_features, n_classes=ds.n_classes,
+        units=args.units, kernel=kernel,
+        td_units=args.td_units, factor_pair=factor_pair, seed=args.seed,
     )
     inputs = _prepare_inputs(ds, model_cfg.frame_input, scaler, factor_pair)
     splits = {
@@ -293,22 +304,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def mapped_errors() -> tuple:
+    """The typed errors `main` reports as `error: ...` with exit status 1."""
+    from . import datapipe, flowcap, layers, models, trainer
+    from .tensor import NumericError, ShapeError
+
+    return (
+        UsageError, datapipe.DataError, flowcap.PcapFormatError,
+        flowcap.PcapParseError, layers.GeometryError, layers.StatisticsError,
+        models.BuildError, trainer.ConfigError, trainer.DivergenceError,
+        trainer.CheckpointError, ShapeError, NumericError, OSError,
+    )
+
+
 def main(argv=None) -> int:
     _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # surface our typed errors as clean CLI failures
-        from . import datapipe, flowcap, layers, models, trainer
-        from .tensor import NumericError, ShapeError
-
-        known = (
-            datapipe.DataError, flowcap.PcapFormatError, flowcap.PcapParseError,
-            layers.GeometryError, layers.StatisticsError, models.BuildError,
-            trainer.DivergenceError, trainer.CheckpointError, ShapeError,
-            NumericError, OSError,
-        )
-        if isinstance(exc, known):
+        if isinstance(exc, mapped_errors()):
             print(f"error: {exc}", file=sys.stderr)
             return 1
         raise

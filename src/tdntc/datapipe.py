@@ -10,6 +10,7 @@ pure reshape, so flattening a frame recovers the feature vector bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,15 +200,21 @@ def load_csv_dataset(path, label_column: str = "label") -> Dataset:
     itself uses).  A numeric column may not hold nan or inf.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = rows.pop(0)
     if label_column not in header:
         raise DataError(f"{path}: no {label_column!r} column in header {header}")
+    if len(header) < 2:
+        raise DataError(f"{path}: no feature column besides {label_column!r}")
     if not rows:
         raise DataError(f"{path}: no data rows below the header")
     width = len(header)

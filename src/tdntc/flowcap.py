@@ -132,8 +132,9 @@ def parse_pcap_bytes(data: bytes) -> ParsedCapture:
     Non-IP, IPv6, fragmented, and non-TCP/UDP packets are counted and
     skipped, as are packets whose captured slice is too short to carry the
     headers; an IPv4 header whose IHL is below 5 (shorter than the fixed
-    20 bytes) counts as truncated.  A record header that runs past
-    end-of-file is a hard error.
+    20 bytes), or whose total length leaves no room for the four port
+    bytes after the header, counts as truncated.  A record header that
+    runs past end-of-file is a hard error.
     """
     if len(data) < 24:
         raise PcapFormatError("file too short for a pcap global header")
@@ -205,7 +206,9 @@ def _decode_frame(frame: bytes, timestamp: float, skipped: Dict[str, int]
     if protocol not in (6, 17):
         skipped["non_tcp_udp"] += 1
         return None
-    if len(ip) < ihl + 4:
+    if len(ip) < ihl + 4 or total_len < ihl + 4:
+        # The ports would come from beyond the captured slice or beyond the
+        # datagram's own total length.
         skipped["truncated"] += 1
         return None
     src_port, dst_port = struct.unpack(">HH", ip[ihl: ihl + 4])
@@ -216,7 +219,7 @@ def _decode_frame(frame: bytes, timestamp: float, skipped: Dict[str, int]
         src_port=src_port,
         dst_port=dst_port,
         protocol=protocol,
-        payload_len=max(0, total_len - ihl),
+        payload_len=total_len - ihl,
     )
 
 

@@ -3,10 +3,14 @@
 Every layer implements the `Layer` interface: an audit `name`,
 `forward(x, train=False)`, `backward(dout)`, `params()` / `grads()` /
 `state()` as name->array dicts, `param_count()` and the audit table's
-`calc_string()`.  Layers run batch-first on float64 numpy arrays and keep
-whatever the backward pass needs from the most recent forward call, so the
+`calc_string()`.  Layers run batch-first on float64 numpy arrays, so the
 model graph, the optimizer, the parameter audit and the checkpoint writer
 address all of them the same way.
+
+Only a train-mode forward (`train=True`) keeps what `backward` needs, and
+it keeps it through `Layer._keep`; an inference forward drops whatever an
+earlier call kept.  `backward` after an inference forward raises
+RuntimeError naming the layer.
 """
 
 from __future__ import annotations
@@ -30,6 +34,16 @@ class Layer:
     """One pipeline stage; the defaults suit a parameter-free stage."""
 
     name = ""
+    _saved = None
+
+    def _keep(self, train: bool, *state) -> None:
+        """Save `state` for backward on a train-mode forward; drop it otherwise."""
+        self._saved = state if train else None
+
+    def _kept(self) -> tuple:
+        if self._saved is None:
+            raise RuntimeError(f"{self.name}: backward requires a train-mode forward")
+        return self._saved
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -104,8 +118,6 @@ class DenseLayer(Layer):
         self.bias = np.zeros(self.out_size)
         self.grad_weights = np.zeros_like(self.weights)
         self.grad_bias = np.zeros_like(self.bias)
-        self._x = None
-        self._z = None
 
     def param_count(self) -> int:
         return self.in_size * self.out_size + self.out_size
@@ -125,22 +137,21 @@ class DenseLayer(Layer):
                 f"dense expects (batch, {self.in_size}), got {x.shape}"
             )
 
-    def forward_logits(self, x: np.ndarray) -> np.ndarray:
+    def forward_logits(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """x W + b; the decision layer pairs it with the fused softmax loss."""
         self._check_input(x)
-        self._x = x
-        self._z = x @ self.weights + self.bias
-        return self._z
+        z = x @ self.weights + self.bias
+        self._keep(train, x, z)
+        return z
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        z = self.forward_logits(x)
+        z = self.forward_logits(x, train)
         return relu(z) if self.activation == "relu" else z
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward before forward")
-        dz = dout * (self._z > 0) if self.activation == "relu" else dout
-        self.grad_weights = self._x.T @ dz
+        x, z = self._kept()
+        dz = dout * (z > 0) if self.activation == "relu" else dout
+        self.grad_weights = x.T @ dz
         self.grad_bias = dz.sum(axis=0)
         return dz @ self.weights.T
 
@@ -175,12 +186,13 @@ class TimeDistributed(Layer):
         if seq.ndim != 3:
             raise ShapeError(f"time_distributed expects (batch, steps, feat), got {seq.shape}")
         b, t, f = seq.shape
-        out = self.inner.forward(seq.reshape(b * t, f))
+        out = self.inner.forward(seq.reshape(b * t, f), train)
+        self._keep(train, b, t)
         return out.reshape(b, t, self.inner.out_size)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        b, t, u = dout.shape
-        dx = self.inner.backward(dout.reshape(b * t, u))
+        b, t = self._kept()
+        dx = self.inner.backward(dout.reshape(b * t, self.inner.out_size))
         return dx.reshape(b, t, self.inner.in_size)
 
 
@@ -239,9 +251,6 @@ class Conv2DLayer(Layer):
         self.biases = np.zeros(self.units)
         self.grad_kernels = np.zeros_like(self.kernels)
         self.grad_biases = np.zeros_like(self.biases)
-        self._x_padded = None
-        self._in_shape = None
-        self._out_dims = None
 
     def param_count(self) -> int:
         return (self.kernel_rows * self.kernel_cols * 1 + 1) * self.units
@@ -276,16 +285,12 @@ class Conv2DLayer(Layer):
                 win = self._window(xp, p, q, out_r, out_c)
                 y += self.kernels[:, p, q][None, :, None, None] * win[:, None, :, :]
         y += self.biases[None, :, None, None]
-        self._x_padded = xp
-        self._in_shape = x.shape
-        self._out_dims = (out_r, out_c)
+        self._keep(train, xp)
         return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._x_padded is None:
-            raise RuntimeError("backward before forward")
-        out_r, out_c = self._out_dims
-        xp = self._x_padded
+        (xp,) = self._kept()
+        out_r, out_c = dout.shape[2:]
         self.grad_biases = dout.sum(axis=(0, 2, 3))
         self.grad_kernels = np.zeros_like(self.kernels)
         dxp = np.zeros_like(xp)
@@ -296,10 +301,7 @@ class Conv2DLayer(Layer):
                 dwin = self._window(dxp, p, q, out_r, out_c)
                 dwin += np.einsum("buij,u->bij", dout, self.kernels[:, p, q])
         g = self.padding
-        if g:
-            _, rows, cols = self._in_shape
-            return dxp[:, g: g + rows, g: g + cols]
-        return dxp
+        return dxp[:, g:-g, g:-g] if g else dxp
 
 
 class MaxPool2x2(Layer):
@@ -311,10 +313,6 @@ class MaxPool2x2(Layer):
 
     name = "MP_2D"
 
-    def __init__(self):
-        self._argmax = None
-        self._in_shape = None
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"maxpool expects (batch, units, rows, cols), got {x.shape}")
@@ -324,17 +322,18 @@ class MaxPool2x2(Layer):
         windows = (x.reshape(b, u, h // 2, 2, w // 2, 2)
                    .transpose(0, 1, 2, 4, 3, 5)
                    .reshape(b, u, h // 2, w // 2, 4))
-        self._argmax = windows.argmax(axis=-1)
-        self._in_shape = x.shape
-        return np.take_along_axis(windows, self._argmax[..., None], axis=-1)[..., 0]
+        argmax = windows.argmax(axis=-1)
+        self._keep(train, argmax)
+        return np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        b, u, h, w = self._in_shape
-        buf = np.zeros((b, u, h // 2, w // 2, 4))
-        np.put_along_axis(buf, self._argmax[..., None], dout[..., None], axis=-1)
-        return (buf.reshape(b, u, h // 2, w // 2, 2, 2)
+        (argmax,) = self._kept()
+        b, u, h2, w2 = argmax.shape
+        buf = np.zeros((b, u, h2, w2, 4))
+        np.put_along_axis(buf, argmax[..., None], dout[..., None], axis=-1)
+        return (buf.reshape(b, u, h2, w2, 2, 2)
                 .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(b, u, h, w))
+                .reshape(b, u, 2 * h2, 2 * w2))
 
 
 class BatchNormLayer(Layer):
@@ -360,7 +359,6 @@ class BatchNormLayer(Layer):
         self.running_var = np.ones(self.channels)
         self.grad_gamma = np.zeros_like(self.gamma)
         self.grad_beta = np.zeros_like(self.beta)
-        self._cache = None
 
     def param_count(self) -> int:
         return 2 * self.channels
@@ -401,15 +399,11 @@ class BatchNormLayer(Layer):
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
         centered = x - mean.reshape(bshape)
         x_hat = centered * inv_std.reshape(bshape)
-        if train:
-            n = x.size // self.channels
-            self._cache = (x_hat, centered, inv_std, axes, bshape, n)
+        self._keep(train, x_hat, centered, inv_std, axes, bshape, x.size // self.channels)
         return self.gamma.reshape(bshape) * x_hat + self.beta.reshape(bshape)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward requires a train-mode forward")
-        x_hat, centered, inv_std, axes, bshape, n = self._cache
+        x_hat, centered, inv_std, axes, bshape, n = self._kept()
         self.grad_gamma = (dout * x_hat).sum(axis=axes)
         self.grad_beta = dout.sum(axis=axes)
         dxhat = dout * self.gamma.reshape(bshape)
@@ -464,8 +458,6 @@ class LSTMLayer(Layer):
         self.grad_w_x = np.zeros_like(self.w_x)
         self.grad_w_h = np.zeros_like(self.w_h)
         self.grad_bias = np.zeros_like(self.bias)
-        self._cache = None
-        self.last_hidden_states = None
 
     def param_count(self) -> int:
         # 4 * [(S + 1) * U + U^2]
@@ -480,6 +472,11 @@ class LSTMLayer(Layer):
     def calc_string(self) -> str:
         s, k = self.input_size, self.units
         return f"4x[({s}+1)x{k}+{k}^2]"
+
+    @property
+    def last_hidden_states(self) -> np.ndarray:
+        """(batch, steps, units) raw hidden states of the last train-mode forward."""
+        return self._kept()[3][1:].transpose(1, 0, 2)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.input_size:
@@ -523,16 +520,13 @@ class LSTMLayer(Layer):
             c += ig
             np.tanh(c, out=tanh_c[step])
             np.multiply(z[:, 3 * k:], tanh_c[step], out=hs[step + 1])
-        self._cache = (x_tm, gates, cs, hs, tanh_c)
+        self._keep(train, x_tm, gates, cs, hs, tanh_c)
         h_arr = hs[1:].transpose(1, 0, 2)
-        self.last_hidden_states = h_arr
         emitted = relu(h_arr) if self.output_activation == "relu" else h_arr
         return emitted if self.return_sequences else emitted[:, -1]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward before forward")
-        x_tm, gates, cs, hs, tanh_c = self._cache
+        x_tm, gates, cs, hs, tanh_c = self._kept()
         t, b, s = x_tm.shape
         k = self.units
         d_emit = np.zeros((t, b, k))

@@ -48,6 +48,17 @@ class BuildError(ValueError):
     """Raised when a model cannot be assembled; names the failing stage."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _int_pair(name: str, value) -> Tuple[int, int]:
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(_is_int(v) and v >= 1 for v in value)):
+        raise BuildError(f"{name} must be two integers >= 1, got {value!r}")
+    return int(value[0]), int(value[1])
+
+
 @dataclass
 class ModelConfig:
     """Architecture settings for one classifier variant."""
@@ -64,13 +75,15 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise BuildError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
-        if self.n_classes < 2:
-            raise BuildError(f"need >= 2 classes, got {self.n_classes}")
-        if self.n_features < 1:
-            raise BuildError(f"need >= 1 features, got {self.n_features}")
-        self.kernel = tuple(int(k) for k in self.kernel)
+        for name, low in (("n_features", 1), ("n_classes", 2), ("units", 1),
+                          ("td_units", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise BuildError(f"{name} must be an integer >= {low}, got {value!r}")
+            setattr(self, name, int(value))
+        self.kernel = _int_pair("kernel", self.kernel)
         if self.factor_pair is not None:
-            self.factor_pair = tuple(int(v) for v in self.factor_pair)
+            self.factor_pair = _int_pair("factor_pair", self.factor_pair)
 
     @property
     def model_number(self) -> int:
@@ -104,15 +117,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Rebuild a config from `to_dict` output; values are checked, not coerced."""
         return cls(
             variant=d["variant"],
-            n_features=int(d["n_features"]),
-            n_classes=int(d["n_classes"]),
-            units=int(d["units"]),
-            kernel=tuple(d["kernel"]),
-            td_units=int(d["td_units"]),
-            factor_pair=tuple(d["factor_pair"]) if d.get("factor_pair") else None,
-            seed=int(d["seed"]),
+            n_features=d["n_features"],
+            n_classes=d["n_classes"],
+            units=d["units"],
+            kernel=d["kernel"],
+            td_units=d["td_units"],
+            factor_pair=d.get("factor_pair"),
+            seed=d["seed"],
         )
 
 
@@ -135,18 +149,17 @@ class SequenceFold(Layer):
         if mode not in ("positions", "rows"):
             raise ValueError(f"unknown fold mode {mode!r}")
         self.mode = mode
-        self._in_shape = None
 
     def forward(self, x, train=False):
         b, u, h, w = x.shape
-        self._in_shape = x.shape
+        self._keep(train, *x.shape)
         spatial_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
         if self.mode == "positions":
             return spatial_last.reshape(b, h * w, u)
         return spatial_last.reshape(b, h, w * u)
 
     def backward(self, dout):
-        b, u, h, w = self._in_shape
+        b, u, h, w = self._kept()
         return np.ascontiguousarray(
             dout.reshape(b, h, w, u).transpose(0, 3, 1, 2)
         )
@@ -157,17 +170,15 @@ class Flatten(Layer):
 
     name = "Flatten"
 
-    def __init__(self):
-        self._in_shape = None
-
     def forward(self, x, train=False):
-        self._in_shape = x.shape
+        self._keep(train, x.shape)
         if x.ndim == 2:
             return x
         return np.ascontiguousarray(x).reshape(x.shape[0], -1)
 
     def backward(self, dout):
-        return dout.reshape(self._in_shape)
+        (shape,) = self._kept()
+        return dout.reshape(shape)
 
 
 class DecisionStage:
@@ -225,7 +236,6 @@ class ModelGraph:
         self.config = config
         self.stages = [*layers, DecisionStage(decision)]
         self.frame_dims = frame_dims
-        self._holistic = None
 
     # -- shape handling
 
@@ -250,12 +260,15 @@ class ModelGraph:
 
     # -- passes
 
-    def forward_logits(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def _features(self, x: np.ndarray, train: bool) -> np.ndarray:
+        """Run every stage but the decision layer."""
         out = self._check_batch(np.asarray(x, dtype=np.float64))
         for stage in self.stages[:-1]:
             out = stage.forward(out, train)
-        self._holistic = out
-        return self.stages[-1].layer.forward_logits(out)
+        return out
+
+    def forward_logits(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        return self.stages[-1].layer.forward_logits(self._features(x, train), train)
 
     def backward(self, dlogits: np.ndarray) -> None:
         dout = self.stages[-1].layer.backward(dlogits)
@@ -281,9 +294,7 @@ class ModelGraph:
         """Activations entering the decision layer (the learned feature vector)."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == self._sample_rank()
-        batch = x[None] if single else x
-        self.forward_logits(batch, train=False)
-        feats = self._holistic
+        feats = self._features(x[None] if single else x, False)
         return feats[0] if single else feats
 
     # -- parameter plumbing

@@ -15,6 +15,7 @@ float64 tensor payloads in directory order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field, replace
@@ -26,7 +27,7 @@ import numpy as np
 from .datapipe import ScalerState
 from .layers import softmax_cross_entropy_batch
 from .metrics import ClassReport, classification_metrics, confusion_matrix
-from .models import ModelConfig, ModelGraph, build_model
+from .models import BuildError, ModelConfig, ModelGraph, build_model
 
 CHECKPOINT_MAGIC = b"TDNTC1"
 CHECKPOINT_VERSION = 1
@@ -38,6 +39,10 @@ class DivergenceError(RuntimeError):
 
 class CheckpointError(ValueError):
     """Raised for unreadable, truncated, or incompatible checkpoint files."""
+
+
+class ConfigError(ValueError):
+    """Raised for a training setting outside its valid range."""
 
 
 @dataclass
@@ -55,13 +60,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 2:
-            raise ValueError(f"batch size must be >= 2 (batchnorm), got {self.batch_size}")
+            raise ConfigError(f"batch size must be >= 2 (batchnorm), got {self.batch_size}")
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not 0.0 <= self.lr_jitter < 1.0:
+            raise ConfigError(f"lr jitter must be in [0, 1), got {self.lr_jitter}")
 
     def to_dict(self) -> dict:
         return {
@@ -315,8 +326,6 @@ def run_trials(model_cfg: ModelConfig, cfg: TrainConfig,
     lr_jitter > 0 additionally scales the learning rate by a seeded factor
     in [1-jitter, 1+jitter].
     """
-    if cfg.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     rows: List[TrialRow] = []
     graphs: List[ModelGraph] = []
     for trial in range(1, cfg.trials + 1):
@@ -367,6 +376,35 @@ def save_checkpoint(graph: ModelGraph, path, scaler: Optional[ScalerState] = Non
             handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _tensor_directory(path, tensors) -> List[Tuple[str, Tuple[int, ...]]]:
+    """(name, shape) of every entry of the metadata's tensor directory."""
+    if not isinstance(tensors, list):
+        raise CheckpointError(f"{path}: 'tensors' is not a list")
+    directory = []
+    for i, entry in enumerate(tensors):
+        entry = entry if isinstance(entry, dict) else {}
+        name, shape = entry.get("name"), entry.get("shape")
+        if (not isinstance(name, str) or not isinstance(shape, list)
+                or not all(type(v) is int and v >= 0 for v in shape)):
+            raise CheckpointError(
+                f"{path}: tensor entry {i} needs a string 'name' and a 'shape' "
+                "list of non-negative integers")
+        directory.append((name, tuple(shape)))
+    return directory
+
+
+def _scaler_state(path, doc, n_features: int) -> Optional[ScalerState]:
+    if doc is None:
+        return None
+    if not (isinstance(doc, dict) and all(
+            isinstance(doc.get(key), list) and len(doc[key]) == n_features
+            and all(type(v) in (int, float) and math.isfinite(v) for v in doc[key])
+            for key in ("min", "max"))):
+        raise CheckpointError(
+            f"{path}: scaler needs 'min' and 'max' lists of {n_features} finite numbers")
+    return ScalerState.from_dict(doc)
+
+
 def load_checkpoint(path) -> Tuple[ModelGraph, Optional[ScalerState], Optional[List[str]]]:
     """Rebuild a graph from a checkpoint; inference is bit-identical to save time."""
     data = Path(path).read_bytes()
@@ -379,45 +417,57 @@ def load_checkpoint(path) -> Tuple[ModelGraph, Optional[ScalerState], Optional[L
         raise CheckpointError(f"{path}: truncated metadata")
     try:
         meta = json.loads(data[offset: offset + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: unreadable metadata: {exc}") from exc
     offset += meta_len
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
     version = meta.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version!r}, "
             f"expected {CHECKPOINT_VERSION}"
         )
+    directory = _tensor_directory(path, meta.get("tensors"))
+    payload = len(data) - offset
+    expected = sum(math.prod(shape) * 8 for _, shape in directory)
+    if payload != expected:
+        raise CheckpointError(
+            f"{path}: payload is {payload} bytes, directory promises {expected}"
+        )
+    model_config = meta.get("model_config")
+    if not isinstance(model_config, dict):
+        raise CheckpointError(f"{path}: model_config is not a JSON object")
     try:
-        cfg = ModelConfig.from_dict(meta.get("model_config") or {})
+        cfg = ModelConfig.from_dict(model_config)
+        graph = build_model(cfg)
     except KeyError as exc:
         raise CheckpointError(f"{path}: model_config lacks key {exc.args[0]!r}") from None
-    graph = build_model(cfg)
+    except BuildError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     live = graph.state_arrays()
-    names = [entry["name"] for entry in meta["tensors"]]
+    names = [name for name, _ in directory]
     missing = [name for name in live if name not in names]
     if missing:
         raise CheckpointError(f"{path}: tensor directory lacks {missing[0]!r}")
     if len(set(names)) != len(names):
         raise CheckpointError(f"{path}: tensor directory repeats a tensor name")
-    payload = len(data) - offset
-    expected = sum(int(np.prod(t["shape"])) * 8 for t in meta["tensors"])
-    if payload != expected:
-        raise CheckpointError(
-            f"{path}: payload is {payload} bytes, directory promises {expected}"
-        )
-    for entry in meta["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
+    for name, shape in directory:
         if name not in live:
             raise CheckpointError(f"{path}: unknown tensor {name!r} for this model")
         if live[name].shape != shape:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {shape}, model expects {live[name].shape}"
             )
-        nbytes = int(np.prod(shape)) * 8
+        nbytes = math.prod(shape) * 8
         arr = np.frombuffer(data[offset: offset + nbytes], dtype="<f8").reshape(shape)
         live[name][...] = arr
         offset += nbytes
-    scaler = ScalerState.from_dict(meta["scaler"]) if meta.get("scaler") else None
+    scaler = _scaler_state(path, meta.get("scaler"), cfg.n_features)
     class_names = meta.get("class_names")
+    if class_names is not None and not (
+            isinstance(class_names, list) and len(class_names) == cfg.n_classes
+            and all(isinstance(c, str) for c in class_names)):
+        raise CheckpointError(
+            f"{path}: class_names must be a list of {cfg.n_classes} strings")
     return graph, scaler, class_names

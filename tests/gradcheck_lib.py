@@ -22,7 +22,7 @@ def _worst_param_and_input_error(layer, x, forward, projection) -> float:
     def scalar(_ignored=None):
         return float((forward() * projection).sum())
 
-    forward()  # populate caches
+    forward()  # a train-mode forward keeps what backward needs
     dx = layer.backward(projection)
     grads = dict(layer.grads())
     worst = 0.0
@@ -55,7 +55,8 @@ def check_dense(rng: np.random.Generator) -> float:
     else:
         x = rng.normal(size=(batch, in_size))
     proj = rng.normal(size=layer.forward(x).shape)
-    return _worst_param_and_input_error(layer, x, lambda: layer.forward(x), proj)
+    return _worst_param_and_input_error(layer, x, lambda: layer.forward(x, train=True),
+                                        proj)
 
 
 def check_conv2d(rng: np.random.Generator) -> float:
@@ -71,7 +72,8 @@ def check_conv2d(rng: np.random.Generator) -> float:
                                padding=pad, rng=rng)
     x = rng.normal(size=(int(rng.integers(1, 3)), rows, cols))
     proj = rng.normal(size=layer.forward(x).shape)
-    return _worst_param_and_input_error(layer, x, lambda: layer.forward(x), proj)
+    return _worst_param_and_input_error(layer, x, lambda: layer.forward(x, train=True),
+                                        proj)
 
 
 def check_maxpool(rng: np.random.Generator) -> float:
@@ -85,7 +87,7 @@ def check_maxpool(rng: np.random.Generator) -> float:
     def scalar(_ignored=None):
         return float((layer.forward(x) * proj).sum())
 
-    layer.forward(x)
+    layer.forward(x, train=True)
     dx = layer.backward(proj)
     numeric = finite_diff_grad(scalar, x)
     return relative_grad_error(dx, numeric)
@@ -123,14 +125,15 @@ def check_lstm(rng: np.random.Generator) -> float:
     if activation == "relu":
         # hidden states must sit away from the relu corner for the oracle
         for _ in range(100):
-            layer.forward(x)
+            layer.forward(x, train=True)
             if np.abs(layer.last_hidden_states).min() > 1e-3:
                 break
             x = rng.normal(scale=2.0, size=shape)
         else:
             raise AssertionError("could not sample hidden states away from the kink")
     proj = rng.normal(size=layer.forward(x).shape)
-    return _worst_param_and_input_error(layer, x, lambda: layer.forward(x), proj)
+    return _worst_param_and_input_error(layer, x, lambda: layer.forward(x, train=True),
+                                        proj)
 
 
 def check_time_distributed(rng: np.random.Generator) -> float:
@@ -142,7 +145,8 @@ def check_time_distributed(rng: np.random.Generator) -> float:
     flat = _sample_clear_of_kink(rng, inner, b * t)
     x = flat.reshape(b, t, in_size)
     proj = rng.normal(size=layer.forward(x).shape)
-    return _worst_param_and_input_error(layer, x, lambda: layer.forward(x), proj)
+    return _worst_param_and_input_error(layer, x, lambda: layer.forward(x, train=True),
+                                        proj)
 
 
 def check_softmax_cross_entropy(rng: np.random.Generator) -> float:

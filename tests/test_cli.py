@@ -210,6 +210,40 @@ class TestTrainEvaluate:
         assert (out_dir / "model.ckpt").exists()
 
 
+class TestBadOptionValues:
+    @pytest.mark.parametrize("flag, value, words", [
+        ("--units", "0", "units must be"),
+        ("--td-units", "0", "td_units must be"),
+        ("--kernel", "0,3", "kernel must be"),
+        ("--kernel", "3", "--kernel expects"),
+        ("--epochs", "0", "epochs must be"),
+        ("--batch", "1", "batch size must be"),
+        ("--trials", "0", "trials must be"),
+        ("--lr", "-1", "learning rate must be"),
+        ("--lr-jitter", "1", "lr jitter must be"),
+        ("--seed", "-1", "seed must be"),
+    ])
+    def test_train_flag(self, synth_csv, tmp_path, capsys, flag, value, words):
+        out_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert main(train_args(synth_csv, out_dir, **{flag: value})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert words in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--pad-to", "19"),
+                                             ("--idle-timeout", "-1")])
+    def test_featurize_flag_rejected_before_parsing(self, tmp_path, capsys, flag, value):
+        # the capture does not exist: the option is rejected before it is read
+        out = tmp_path / "x.csv"
+        assert main(["featurize", str(tmp_path / "nope.pcap"), "--out", str(out),
+                     flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestThreadCap:
     def test_env_var_caps_blas_threads(self, monkeypatch):
         from tdntc.cli import _apply_thread_cap

@@ -221,6 +221,19 @@ class TestLoadCsv:
         assert f"{path}:3:" in str(err.value)
         assert "'f1'" in str(err.value)
 
+    @pytest.mark.parametrize("content, words", [
+        (b"f0,label\n1,a\n\xff,b\n", "not UTF-8 text at byte 13"),
+        (b"label\na\nb\n", "no feature column"),
+        (b"f0,label\n" + b"1" * 200_000 + b",a\n", "unreadable CSV"),
+    ], ids=["non-utf8", "label-only", "oversized-field"])
+    def test_unreadable_file_names_the_file(self, tmp_path, content, words):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataError) as err:
+            load_csv_dataset(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert words in str(err.value)
+
 
 def _stump_accuracy(ds):
     """Best depth-1 threshold classifier over all features (median split)."""

@@ -90,6 +90,14 @@ class TestParsePcap:
         assert parsed.skipped == {"non_ip": 0, "ipv6": 0, "fragmented": 0,
                                   "non_tcp_udp": 0, "truncated": 1}
 
+    @pytest.mark.parametrize("total_len, kept", [(8, False), (23, False), (24, True)])
+    def test_total_length_must_cover_the_ports(self, total_len, kept):
+        frame = bytearray(pb.udp("1.0.0.1", 1, "1.0.0.2", 2, payload_len=8))
+        frame[16:18] = total_len.to_bytes(2, "big")
+        parsed = parse_pcap_bytes(pb.capture([(0, 0, bytes(frame))]))
+        assert parsed.skipped["truncated"] == (0 if kept else 1)
+        assert [p.payload_len for p in parsed.packets] == ([4] if kept else [])
+
     def test_parse_from_path(self, tmp_path):
         path = tmp_path / "one.pcap"
         path.write_bytes(pb.capture([(0, 0, pb.udp("9.9.9.9", 1, "8.8.8.8", 2))]))

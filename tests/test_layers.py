@@ -151,7 +151,7 @@ class TestMaxPool:
         rng = np.random.default_rng(4)
         pool = MaxPool2x2()
         x = rng.normal(size=(2, 3, 4, 6))
-        out = pool.forward(x)
+        out = pool.forward(x, train=True)
         dout = rng.normal(size=out.shape)
         dx = pool.backward(dout)
         assert abs(dx.sum() - dout.sum()) <= 1e-12
@@ -159,7 +159,7 @@ class TestMaxPool:
     def test_tie_routes_to_first_in_row_major(self):
         pool = MaxPool2x2()
         x = np.zeros((1, 1, 2, 2))
-        pool.forward(x)
+        pool.forward(x, train=True)
         dx = pool.backward(np.array([[[[1.0]]]]))
         assert dx[0, 0].tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
@@ -282,7 +282,7 @@ class TestLSTM:
             want = want[:, -1]
 
         before = {name: p.copy() for name, p in layer.params().items()}
-        out = layer.forward(x)
+        out = layer.forward(x, train=True)
         assert out.shape == want.shape
         assert np.abs(out - want).max() <= 1e-12
         assert np.abs(layer.last_hidden_states - want_states).max() <= 1e-12
@@ -349,8 +349,8 @@ class TestTimeDistributed:
         td = TimeDistributed(inner_a)
         x = rng.normal(size=(4, 3))
         dout = rng.normal(size=(4, 2))
-        out_td = td.forward(x[:, None, :])
-        out_dense = inner_b.forward(x)
+        out_td = td.forward(x[:, None, :], train=True)
+        out_dense = inner_b.forward(x, train=True)
         assert (out_td[:, 0, :] == out_dense).all()
         dx_td = td.backward(dout[:, None, :])
         dx_dense = inner_b.backward(dout)

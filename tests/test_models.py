@@ -132,6 +132,40 @@ def test_stages_share_one_layer_interface(variant):
     assert calls == {"forward_logits": 2, "backward": 1}
 
 
+STAGE_KINDS = {"CNN_2D", "MP_2D", "BN", "Reshape", "LSTM", "TD(FFNN_0)", "FFNN_0",
+               "Flatten", "FFNN_1"}
+
+
+@pytest.mark.parametrize("variant", models.VARIANTS)
+def test_backward_requires_a_train_mode_forward(variant):
+    graph = build_model(make_config(variant, 12, 3, units=4, td_units=4, seed=2))
+    x = np.random.default_rng(3).uniform(0, 1, size=(4, 12))
+    if graph.config.frame_input:
+        x = x.reshape(4, *graph.frame_dims)
+    # A train-mode pass through every stage, the decision layer included,
+    # records each stage's output shape; predict then runs in inference mode.
+    passes = [*graph.stages[:-1], graph.stages[-1].layer]
+    out = x if graph.config.frame_input else x[..., None]
+    out_shapes = []
+    for stage in passes:
+        out = stage.forward(out, True)
+        out_shapes.append(out.shape)
+    graph.predict(x)
+    for stage, shape in zip(passes, out_shapes):
+        assert stage.name in STAGE_KINDS
+        with pytest.raises(RuntimeError) as err:
+            stage.backward(np.ones(shape))
+        assert str(err.value) == f"{stage.name}: backward requires a train-mode forward"
+
+
+def test_backward_guard_covers_every_stage_kind():
+    kinds = set()
+    for variant in models.VARIANTS:
+        graph = build_model(make_config(variant, 12, 3, units=4, td_units=4))
+        kinds.update(stage.name for stage in graph.stages)
+    assert kinds == STAGE_KINDS
+
+
 class TestBuildGeometry:
     def test_m1_td_stage_names(self):
         rows, _ = count_parameters(build_model(ModelConfig("m1-td", 48, 5)))
@@ -231,6 +265,14 @@ class TestHolisticFeatures:
         graph = build_model(ModelConfig("m3-van", 48, 141))
         x = np.random.default_rng(0).uniform(0, 1, size=(8, 6))
         assert graph.extract_holistic_features(x).shape == (128,)
+
+    def test_features_feed_the_decision_layer(self):
+        graph = build_model(make_config("m1-td", 12, 3, units=4, td_units=4, seed=4))
+        x = np.random.default_rng(2).uniform(0, 1, size=(3, *graph.frame_dims))
+        decision = graph.stages[-1].layer
+        feats = graph.extract_holistic_features(x)
+        want = feats @ decision.weights + decision.bias
+        assert (graph.forward_logits(x) == want).all()
 
     def test_identical_inputs_identical_features(self):
         graph = build_model(ModelConfig("m2-td", 12, 3, units=6, td_units=6))

@@ -229,6 +229,23 @@ def rewrite_checkpoint(path, edit):
                      + new_meta + payload)
 
 
+BAD_METADATA = {
+    "not-an-object": lambda meta: [meta],
+    "tensors-not-a-list": lambda meta: {
+        **meta, "tensors": {t["name"]: t["shape"] for t in meta["tensors"]}},
+    "entry-without-shape": lambda meta: {
+        **meta, "tensors": [{"name": t["name"]} for t in meta["tensors"]]},
+    "n_features-text": lambda meta: {
+        **meta, "model_config": {**meta["model_config"], "n_features": "twelve"}},
+    "n_features-fraction": lambda meta: {
+        **meta, "model_config": {**meta["model_config"], "n_features": 12.5}},
+    "scalar-kernel": lambda meta: {
+        **meta, "model_config": {**meta["model_config"], "kernel": 3}},
+    "scaler-without-max": lambda meta: {
+        **meta, "scaler": {"min": meta["scaler"]["min"]}},
+}
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_round_trip_is_bit_identical(self, variant, tmp_path):
@@ -316,6 +333,33 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert str(path) in str(err.value)
         assert "'LSTM/w_x'" in str(err.value)
+
+    @pytest.mark.parametrize("case", sorted(BAD_METADATA))
+    def test_malformed_metadata_names_the_file(self, tmp_path, case):
+        cfg, _ = tiny_splits("m1-van")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(models.build_model(cfg), path,
+                        scaler=datapipe.ScalerState(np.zeros(12), np.ones(12)),
+                        class_names=["a", "b", "c"])
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))
+        start = len(CHECKPOINT_MAGIC) + 4
+        meta = BAD_METADATA[case](json.loads(raw[start:start + meta_len]))
+        new_meta = json.dumps(meta).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(new_meta))
+                         + new_meta + raw[start + meta_len:])
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("text", [b"[" * 100_000, b"1" * 5000, b"\xff"],
+                             ids=["deep-nesting", "long-integer", "non-utf8"])
+    def test_unparseable_metadata_names_the_file(self, tmp_path, text):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: unreadable metadata")
 
     def test_directory_repeating_a_tensor_rejected(self, tmp_path):
         cfg, _ = tiny_splits("m1-van")
