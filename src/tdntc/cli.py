@@ -26,10 +26,17 @@ class UsageError(ValueError):
 
 def _apply_thread_cap() -> None:
     cap = os.environ.get("TDNTC_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+    if not cap:
+        return
+    try:
+        threads = int(cap)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"TDNTC_THREADS must be an integer >= 1, got {cap!r}")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, str(threads))
 
 
 def _print_config(args: argparse.Namespace) -> None:
@@ -318,9 +325,9 @@ def mapped_errors() -> tuple:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
+        _apply_thread_cap()
         return args.func(args)
     except Exception as exc:  # surface our typed errors as clean CLI failures
         if isinstance(exc, mapped_errors()):

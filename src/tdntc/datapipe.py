@@ -101,13 +101,11 @@ def choose_factor_pair(n: int) -> Tuple[int, int]:
     """
     if n < 1:
         raise DataError(f"feature count must be >= 1, got {n}")
-    root = math.isqrt(n)
-    if root * root < n:
-        root += 1
-    for rows in range(root, n + 1):
-        if n % rows == 0:
-            return rows, n // rows
-    return n, 1
+    # cols is the largest divisor at or below sqrt(n): a scan of sqrt(n)
+    # candidates, where scanning rows upward would take n for a prime.
+    for cols in range(math.isqrt(n), 0, -1):
+        if n % cols == 0:
+            return n // cols, cols
 
 
 def frames_from_flows(data, factor_pair: Tuple[int, int] | None = None) -> FrameStream:

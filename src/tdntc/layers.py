@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError
 
@@ -231,6 +232,14 @@ class Conv2DLayer(Layer):
 
     kernels: (units, kernel_rows, kernel_cols); biases: (units,).
     Input (batch, rows, cols) -> output (batch, units, out_rows, out_cols).
+
+    The forward pass is one GEMM (im2col): every strided kernel_rows x
+    kernel_cols window becomes a row of a (batch*out_rows*out_cols,
+    kernel_rows*kernel_cols) patch matrix, which multiplies the flattened
+    kernels.  The product is (position, unit), so the returned array is a
+    (batch, units, out_rows, out_cols) view of channel-last memory.  The
+    backward pass reuses the patch matrix for the kernel gradient and
+    scatters the patch gradient back tap by tap.
     """
 
     name = "CNN_2D"
@@ -275,31 +284,30 @@ class Conv2DLayer(Layer):
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeError(f"conv2d expects (batch, rows, cols), got {x.shape}")
-        _, rows, cols = x.shape
+        b, rows, cols = x.shape
         out_r, out_c = self.output_dims(rows, cols)
         g = self.padding
         xp = np.pad(x, ((0, 0), (g, g), (g, g))) if g else x
-        y = np.zeros((x.shape[0], self.units, out_r, out_c))
-        for p in range(self.kernel_rows):
-            for q in range(self.kernel_cols):
-                win = self._window(xp, p, q, out_r, out_c)
-                y += self.kernels[:, p, q][None, :, None, None] * win[:, None, :, :]
-        y += self.biases[None, :, None, None]
-        self._keep(train, xp)
-        return y
+        taps = self.kernel_rows * self.kernel_cols
+        windows = sliding_window_view(xp, (self.kernel_rows, self.kernel_cols), axis=(1, 2))
+        patches = windows[:, ::self.stride_x, ::self.stride_y].reshape(-1, taps)
+        y = patches @ self.kernels.reshape(self.units, taps).T
+        y += self.biases
+        self._keep(train, patches, xp.shape)
+        return y.reshape(b, out_r, out_c, self.units).transpose(0, 3, 1, 2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        (xp,) = self._kept()
-        out_r, out_c = dout.shape[2:]
-        self.grad_biases = dout.sum(axis=(0, 2, 3))
-        self.grad_kernels = np.zeros_like(self.kernels)
-        dxp = np.zeros_like(xp)
+        patches, padded_shape = self._kept()
+        b, _, out_r, out_c = dout.shape
+        d = dout.transpose(0, 2, 3, 1).reshape(-1, self.units)
+        self.grad_biases = d.sum(axis=0)
+        self.grad_kernels = (d.T @ patches).reshape(self.kernels.shape)
+        dpatches = (d @ self.kernels.reshape(self.units, -1)).reshape(
+            b, out_r, out_c, self.kernel_rows, self.kernel_cols)
+        dxp = np.zeros(padded_shape)
         for p in range(self.kernel_rows):
             for q in range(self.kernel_cols):
-                win = self._window(xp, p, q, out_r, out_c)
-                self.grad_kernels[:, p, q] = np.einsum("buij,bij->u", dout, win)
-                dwin = self._window(dxp, p, q, out_r, out_c)
-                dwin += np.einsum("buij,u->bij", dout, self.kernels[:, p, q])
+                self._window(dxp, p, q, out_r, out_c)[...] += dpatches[..., p, q]
         g = self.padding
         return dxp[:, g:-g, g:-g] if g else dxp
 
@@ -307,33 +315,44 @@ class Conv2DLayer(Layer):
 class MaxPool2x2(Layer):
     """2x2 max pooling with stride 2; requires even spatial extents.
 
-    The backward pass routes each output gradient to the first maximal cell
-    of its window in row-major order, so tie-breaking is deterministic.
+    The output is the elementwise maximum of the four strided cells
+    x[:, :, i::2, j::2], so it keeps the memory layout of its input: behind
+    the conv it is a view of channel-last memory.  A train-mode forward
+    keeps one mask per cell that marks the first maximal cell of each
+    window in row-major order, so tie-breaking is deterministic.  The
+    backward pass writes dout * mask into each cell of a gradient whose
+    memory is channel-last.
     """
 
     name = "MP_2D"
+    CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"maxpool expects (batch, units, rows, cols), got {x.shape}")
-        b, u, h, w = x.shape
+        h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise GeometryError(f"maxpool 2x2 needs even spatial extents, got {h}x{w}")
-        windows = (x.reshape(b, u, h // 2, 2, w // 2, 2)
-                   .transpose(0, 1, 2, 4, 3, 5)
-                   .reshape(b, u, h // 2, w // 2, 4))
-        argmax = windows.argmax(axis=-1)
-        self._keep(train, argmax)
-        return np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+        cells = [x[:, :, i::2, j::2] for i, j in self.CELLS]
+        out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+        masks = None
+        if train:
+            masks, free = [], np.ones_like(out, dtype=bool)
+            for cell in cells[:-1]:
+                first = (cell == out) & free
+                free &= ~first
+                masks.append(first)
+            masks.append(free)
+        self._keep(train, masks)
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        (argmax,) = self._kept()
-        b, u, h2, w2 = argmax.shape
-        buf = np.zeros((b, u, h2, w2, 4))
-        np.put_along_axis(buf, argmax[..., None], dout[..., None], axis=-1)
-        return (buf.reshape(b, u, h2, w2, 2, 2)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(b, u, 2 * h2, 2 * w2))
+        (masks,) = self._kept()
+        b, u, h2, w2 = dout.shape
+        dx = np.empty((b, 2 * h2, 2 * w2, u)).transpose(0, 3, 1, 2)
+        for (i, j), mask in zip(self.CELLS, masks):
+            np.multiply(dout, mask, out=dx[:, :, i::2, j::2])
+        return dx
 
 
 class BatchNormLayer(Layer):
@@ -343,6 +362,11 @@ class BatchNormLayer(Layer):
     spatial axes, then folds them into the running estimates:
     running = momentum * running + (1 - momentum) * batch.  Inference mode
     normalizes by the running estimates alone.
+
+    Both passes work on a (positions, channels) matrix: free for a
+    channel-last input, a copy otherwise.  Every reduction therefore sums in
+    the same order whatever the input's memory layout, and the output is a
+    view of channel-last memory.
     """
 
     name = "BN"
@@ -376,44 +400,42 @@ class BatchNormLayer(Layer):
     def calc_string(self) -> str:
         return f"2x{self.channels}"
 
-    def _broadcast_shape(self, ndim: int):
-        return (1, self.channels) + (1,) * (ndim - 2)
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise ShapeError(
                 f"batchnorm expects channel axis 1 of width {self.channels}, got {x.shape}"
             )
-        axes = (0,) + tuple(range(2, x.ndim))
-        bshape = self._broadcast_shape(x.ndim)
+        last = np.moveaxis(x, 1, -1)
+        flat = last.reshape(-1, self.channels)
         if train:
             if x.shape[0] < 2:
                 raise StatisticsError("batchnorm needs batch size >= 2 in train mode")
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            mean = flat.mean(axis=0)
+            var = flat.var(axis=0)
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        centered = x - mean.reshape(bshape)
-        x_hat = centered * inv_std.reshape(bshape)
-        self._keep(train, x_hat, centered, inv_std, axes, bshape, x.size // self.channels)
-        return self.gamma.reshape(bshape) * x_hat + self.beta.reshape(bshape)
+        centered = flat - mean
+        x_hat = centered * inv_std
+        self._keep(train, x_hat, centered, inv_std, last.shape)
+        y = self.gamma * x_hat + self.beta
+        return np.moveaxis(y.reshape(last.shape), -1, 1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x_hat, centered, inv_std, axes, bshape, n = self._kept()
-        self.grad_gamma = (dout * x_hat).sum(axis=axes)
-        self.grad_beta = dout.sum(axis=axes)
-        dxhat = dout * self.gamma.reshape(bshape)
-        inv = inv_std.reshape(bshape)
-        dvar = (dxhat * centered).sum(axis=axes) * (-0.5) * inv_std ** 3
-        dmean = (-(dxhat.sum(axis=axes)) * inv_std
-                 + dvar * (-2.0 / n) * centered.sum(axis=axes))
-        return (dxhat * inv
-                + dvar.reshape(bshape) * 2.0 * centered / n
-                + dmean.reshape(bshape) / n)
+        x_hat, centered, inv_std, shape = self._kept()
+        d = np.moveaxis(dout, 1, -1).reshape(-1, self.channels)
+        n = len(d)
+        self.grad_gamma = (d * x_hat).sum(axis=0)
+        self.grad_beta = d.sum(axis=0)
+        dxhat = d * self.gamma
+        dvar = (dxhat * centered).sum(axis=0) * (-0.5) * inv_std ** 3
+        dmean = (-(dxhat.sum(axis=0)) * inv_std
+                 + dvar * (-2.0 / n) * centered.sum(axis=0))
+        dx = dxhat * inv_std + dvar * 2.0 * centered / n + dmean / n
+        return np.moveaxis(dx.reshape(shape), -1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,12 @@ from .layers import (
     BatchNormLayer,
     Conv2DLayer,
     DenseLayer,
+    GeometryError,
     Layer,
     LSTMLayer,
     MaxPool2x2,
     TimeDistributed,
+    conv2d_output_dims,
     softmax,
 )
 from .tensor import ShapeError
@@ -93,6 +95,10 @@ class ModelConfig:
     def frame_input(self) -> bool:
         return self.model_number in (1, 3)
 
+    @property
+    def time_distributed(self) -> bool:
+        return self.variant.endswith("-td")
+
     def frame_dims(self) -> Tuple[int, int]:
         if self.factor_pair is not None:
             rows, cols = self.factor_pair
@@ -141,6 +147,9 @@ class SequenceFold(Layer):
     channel width as features (the conv->LSTM pipeline reshape).
     mode "rows": every pooled row is one step carrying cols*units features
     (the per-row sequence the conv->time-distributed pipeline uses).
+
+    The conv front hands over channel-last memory, so the forward fold is a
+    free reshape, and the backward pass returns a channel-last view.
     """
 
     name = "Reshape"
@@ -160,9 +169,7 @@ class SequenceFold(Layer):
 
     def backward(self, dout):
         b, u, h, w = self._kept()
-        return np.ascontiguousarray(
-            dout.reshape(b, h, w, u).transpose(0, 3, 1, 2)
-        )
+        return dout.reshape(b, h, w, u).transpose(0, 3, 1, 2)
 
 
 class Flatten(Layer):
@@ -339,21 +346,29 @@ class ModelGraph:
 # assembly
 
 
-def _conv_front(cfg: ModelConfig, rng: np.random.Generator
-                ) -> Tuple[List[Layer], int, int]:
-    """conv -> pool -> batchnorm prefix; returns the layers and the pooled grid."""
+def _pooled_dims(cfg: ModelConfig) -> Tuple[int, int]:
+    """The grid after conv and 2x2 pooling; BuildError if the geometry does not fit."""
     rows, cols = cfg.frame_dims()
-    conv = Conv2DLayer(cfg.units, kernel=cfg.kernel, rng=rng)
     try:
-        out_r, out_c = conv.output_dims(rows, cols)
-    except ValueError as exc:
+        out_r, out_c = conv2d_output_dims(rows, cols, *cfg.kernel)
+    except GeometryError as exc:
         raise BuildError(f"CNN_2D: {exc}") from exc
     if out_r % 2 or out_c % 2:
         raise BuildError(
             f"MP_2D: conv output {out_r}x{out_c} is not 2x2-poolable for frame "
             f"{rows}x{cols} and kernel {cfg.kernel[0]}x{cfg.kernel[1]}"
         )
-    return [conv, MaxPool2x2(), BatchNormLayer(cfg.units)], out_r // 2, out_c // 2
+    return out_r // 2, out_c // 2
+
+
+def _widths(cfg: ModelConfig, pooled: Optional[Tuple[int, int]]) -> Tuple[int, int]:
+    """(FFNN_0 input width, steps the decision layer reads: 1 for a vanilla variant)."""
+    u, td = cfg.units, cfg.time_distributed
+    if cfg.model_number == 1:
+        pooled_r, pooled_c = pooled
+        return (pooled_c * u, pooled_r) if td else (u * pooled_r * pooled_c, 1)
+    steps = cfg.n_features if cfg.model_number == 2 else pooled[0] * pooled[1]
+    return u, steps if td else 1
 
 
 def build_model(cfg: ModelConfig) -> ModelGraph:
@@ -361,49 +376,69 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
     rng = np.random.default_rng(cfg.seed)
     u, td_u, classes = cfg.units, cfg.td_units, cfg.n_classes
     stages: List[Layer] = []
-    frame_dims = None
+    frame_dims = pooled = None
 
-    if cfg.model_number in (1, 3):
+    if cfg.frame_input:
         frame_dims = cfg.frame_dims()
-        front, pooled_r, pooled_c = _conv_front(cfg, rng)
-        stages.extend(front)
+        pooled = _pooled_dims(cfg)
+        stages += [Conv2DLayer(u, kernel=cfg.kernel, rng=rng), MaxPool2x2(),
+                   BatchNormLayer(u)]
+    dense_in, steps = _widths(cfg, pooled)
 
-    def dense(in_size: int) -> DenseLayer:
-        return DenseLayer(in_size, td_u, activation="relu", rng=rng)
+    def dense() -> DenseLayer:
+        return DenseLayer(dense_in, td_u, activation="relu", rng=rng)
 
     if cfg.variant == "m1-td":
-        stages += [SequenceFold("rows"), TimeDistributed(dense(pooled_c * u)),
-                   Flatten()]
-        width_desc = f"{pooled_r}x{td_u}"
-        decision_in = pooled_r * td_u
+        stages += [SequenceFold("rows"), TimeDistributed(dense()), Flatten()]
     elif cfg.variant == "m1-van":
-        stages += [Flatten(), dense(u * pooled_r * pooled_c)]
-        width_desc, decision_in = str(td_u), td_u
+        stages += [Flatten(), dense()]
     elif cfg.variant == "m2-td":
         stages += [LSTMLayer(1, u, output_activation="relu", rng=rng),
-                   TimeDistributed(dense(u)), Flatten()]
-        width_desc = f"{cfg.n_features}x{td_u}"
-        decision_in = cfg.n_features * td_u
+                   TimeDistributed(dense()), Flatten()]
     elif cfg.variant == "m2-van":
         stages += [LSTMLayer(1, u, output_activation="relu", rng=rng,
                              return_sequences=False),
-                   dense(u)]
-        width_desc, decision_in = str(td_u), td_u
+                   dense()]
     elif cfg.variant == "m3-td":
-        steps = pooled_r * pooled_c
         stages += [SequenceFold("positions"), LSTMLayer(u, u, rng=rng),
-                   TimeDistributed(dense(u)), Flatten()]
-        width_desc = f"{steps}x{td_u}"
-        decision_in = steps * td_u
+                   TimeDistributed(dense()), Flatten()]
     else:  # m3-van
         stages += [SequenceFold("positions"),
                    LSTMLayer(u, u, rng=rng, return_sequences=False),
-                   dense(u), Flatten()]
-        width_desc, decision_in = str(td_u), td_u
+                   dense(), Flatten()]
 
-    decision = DenseLayer(decision_in, classes, rng=rng, name="FFNN_1",
+    width_desc = f"{steps}x{td_u}" if cfg.time_distributed else str(td_u)
+    decision = DenseLayer(steps * td_u, classes, rng=rng, name="FFNN_1",
                           width_desc=width_desc)
     return ModelGraph(cfg, stages, decision, frame_dims)
+
+
+def state_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
+    """Name -> shape of every tensor `build_model(cfg)` holds, allocating none.
+
+    The shapes follow the same closed forms as the audit (conv UxPxQ plus U
+    biases, batchnorm 2U parameters plus 2U running statistics, LSTM
+    Sx4U + Ux4U + 4U, dense SxU + U), so a checkpoint's tensor directory can
+    be checked before the model it describes is allocated.
+    """
+    u, td_u = cfg.units, cfg.td_units
+    pooled = _pooled_dims(cfg) if cfg.frame_input else None
+    dense_in, steps = _widths(cfg, pooled)
+    shapes: Dict[str, Tuple[int, ...]] = {}
+    if pooled:
+        shapes["CNN_2D/kernels"] = (u, *cfg.kernel)
+        shapes["CNN_2D/biases"] = (u,)
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            shapes[f"BN/{name}"] = (u,)
+    if cfg.model_number != 1:
+        lstm_in = 1 if cfg.model_number == 2 else u
+        shapes.update({"LSTM/w_x": (lstm_in, 4 * u), "LSTM/w_h": (u, 4 * u),
+                       "LSTM/bias": (4 * u,)})
+    dense = "TD(FFNN_0)" if cfg.time_distributed else "FFNN_0"
+    shapes.update({f"{dense}/weights": (dense_in, td_u), f"{dense}/bias": (td_u,),
+                   "FFNN_1/weights": (steps * td_u, cfg.n_classes),
+                   "FFNN_1/bias": (cfg.n_classes,)})
+    return shapes
 
 
 # ---------------------------------------------------------------------------

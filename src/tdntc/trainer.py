@@ -27,7 +27,7 @@ import numpy as np
 from .datapipe import ScalerState
 from .layers import softmax_cross_entropy_batch
 from .metrics import ClassReport, classification_metrics, confusion_matrix
-from .models import BuildError, ModelConfig, ModelGraph, build_model
+from .models import BuildError, ModelConfig, ModelGraph, build_model, state_shapes
 
 CHECKPOINT_MAGIC = b"TDNTC1"
 CHECKPOINT_VERSION = 1
@@ -440,25 +440,30 @@ def load_checkpoint(path) -> Tuple[ModelGraph, Optional[ScalerState], Optional[L
         raise CheckpointError(f"{path}: model_config is not a JSON object")
     try:
         cfg = ModelConfig.from_dict(model_config)
-        graph = build_model(cfg)
+        expected_shapes = state_shapes(cfg)
     except KeyError as exc:
         raise CheckpointError(f"{path}: model_config lacks key {exc.args[0]!r}") from None
     except BuildError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    live = graph.state_arrays()
+    # Every tensor is sized from the config before the model is allocated, so
+    # a config that asks for huge layers fails here rather than in build_model.
     names = [name for name, _ in directory]
-    missing = [name for name in live if name not in names]
+    missing = [name for name in expected_shapes if name not in names]
     if missing:
         raise CheckpointError(f"{path}: tensor directory lacks {missing[0]!r}")
     if len(set(names)) != len(names):
         raise CheckpointError(f"{path}: tensor directory repeats a tensor name")
     for name, shape in directory:
-        if name not in live:
+        if name not in expected_shapes:
             raise CheckpointError(f"{path}: unknown tensor {name!r} for this model")
-        if live[name].shape != shape:
+        if expected_shapes[name] != shape:
             raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {shape}, model expects {live[name].shape}"
+                f"{path}: tensor {name!r} has shape {shape}, "
+                f"model expects {expected_shapes[name]}"
             )
+    graph = build_model(cfg)
+    live = graph.state_arrays()
+    for name, shape in directory:
         nbytes = math.prod(shape) * 8
         arr = np.frombuffer(data[offset: offset + nbytes], dtype="<f8").reshape(shape)
         live[name][...] = arr

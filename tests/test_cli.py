@@ -268,6 +268,21 @@ class TestThreadCap:
 
         assert os.environ["OMP_NUM_THREADS"] == "8"
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_value_is_a_usage_error(self, monkeypatch, capsys, value):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("TDNTC_THREADS", value)
+        assert main(["audit-params", "m1-td", "48", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: TDNTC_THREADS must be an integer >= 1, got {value!r}\n")
+        import os
+
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
 
 class TestSynth:
     def test_csv_loads_back(self, synth_csv):

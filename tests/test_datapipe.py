@@ -28,6 +28,9 @@ class TestChooseFactorPair:
 
     def test_prime_degenerates(self):
         assert choose_factor_pair(13) == (13, 1)
+        # found by scanning sqrt(n) candidates, not n
+        assert choose_factor_pair(2_147_483_647) == (2_147_483_647, 1)
+        assert choose_factor_pair(1_000_003 * 999_983) == (1_000_003, 999_983)
 
     def test_divisor_properties(self):
         for n in range(1, 400):

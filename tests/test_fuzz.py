@@ -101,10 +101,10 @@ def replace_at(node, path, value):
     return node
 
 
-# Small integers only: a model_config that asks for huge layers makes
-# build_model allocate them before any size check can run.
+# Integers reach far beyond any real layer width: load_checkpoint sizes every
+# tensor from model_config before it allocates the model.
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 48)
+    st.none() | st.booleans() | st.integers(-3, 48) | st.integers(-3, 1 << 40)
     | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),

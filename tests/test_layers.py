@@ -16,6 +16,7 @@ from tdntc.layers import (
     softmax,
     softmax_cross_entropy_batch,
 )
+from tdntc.models import Flatten, SequenceFold
 from tdntc.tensor import ShapeError
 
 
@@ -55,6 +56,34 @@ def brute_force_conv2d(x, kernels, biases, padding, stride_x, stride_y):
                                                          j * stride_y + b]
                 out[u, i, j] = acc + biases[u]
     return out
+
+
+def brute_force_conv2d_backward(x, kernels, dout, padding, stride_x, stride_y):
+    """Direct-sum gradients of a batched convolution: (d kernels, d biases, dx)."""
+    batch, rows, cols = x.shape
+    units, p, q = kernels.shape
+    padded = np.zeros((batch, rows + 2 * padding, cols + 2 * padding))
+    padded[:, padding: padding + rows, padding: padding + cols] = x
+    d_padded = np.zeros_like(padded)
+    d_kernels = np.zeros_like(kernels)
+    d_biases = np.zeros(units)
+    for n in range(batch):
+        for u in range(units):
+            for i in range(dout.shape[2]):
+                for j in range(dout.shape[3]):
+                    g = dout[n, u, i, j]
+                    d_biases[u] += g
+                    for a in range(p):
+                        for b in range(q):
+                            r, c = i * stride_x + a, j * stride_y + b
+                            d_kernels[u, a, b] += g * padded[n, r, c]
+                            d_padded[n, r, c] += g * kernels[u, a, b]
+    return d_kernels, d_biases, d_padded[:, padding: padding + rows, padding: padding + cols]
+
+
+def channel_last(x):
+    """The same (batch, units, rows, cols) values held in channel-last memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 class TestConvGeometry:
@@ -124,6 +153,36 @@ class TestConv2D:
             assert np.abs(got - want).max() <= 1e-12
             checked += 1
 
+    def test_batched_passes_match_direct_sums(self):
+        rng = np.random.default_rng(23)
+        checked = 0
+        while checked < 20:
+            rows, cols = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            p = int(rng.integers(1, rows + 1))
+            q = int(rng.integers(1, cols + 1))
+            g = int(rng.integers(0, 3))
+            sx = int(rng.integers(1, 4))
+            sy = int(rng.integers(1, 4))
+            if (rows - p + 2 * g) % sx or (cols - q + 2 * g) % sy:
+                continue
+            layer = Conv2DLayer(int(rng.integers(1, 4)), kernel=(p, q),
+                                stride=(sx, sy), padding=g, rng=rng)
+            layer.biases[:] = rng.normal(size=layer.units)
+            x = rng.normal(size=(3, rows, cols))
+            got = layer.forward(x, train=True)
+            for n in range(3):
+                want = brute_force_conv2d(x[n], layer.kernels, layer.biases, g, sx, sy)
+                assert np.abs(got[n] - want).max() <= 1e-12
+            dout = rng.normal(size=got.shape)
+            dx = layer.backward(dout)
+            d_kernels, d_biases, want_dx = brute_force_conv2d_backward(
+                x, layer.kernels, dout, g, sx, sy)
+            assert np.abs(layer.grad_kernels - d_kernels).max() <= 1e-12
+            assert np.abs(layer.grad_biases - d_biases).max() <= 1e-12
+            assert dx.shape == x.shape
+            assert np.abs(dx - want_dx).max() <= 1e-12
+            checked += 1
+
     def test_geometry_error_propagates(self):
         layer = Conv2DLayer(1, kernel=(3, 3))
         with pytest.raises(GeometryError):
@@ -162,6 +221,43 @@ class TestMaxPool:
         pool.forward(x, train=True)
         dx = pool.backward(np.array([[[[1.0]]]]))
         assert dx[0, 0].tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        # Batch 2 x 3 channels of 2x2 windows on a 4x4 grid.  The window
+        # maximum fills cells first..3 in row-major order, so the gradient
+        # belongs to cell `first` alone.
+        rng = np.random.default_rng(9)
+        for first in range(4):
+            cells = np.where(np.arange(4) >= first, 5.0,
+                             rng.uniform(-1.0, 1.0, size=(2, 3, 2, 2, 4)))
+            x = cells.reshape(2, 3, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 4, 4)
+            assert (pool.forward(x, train=True) == 5.0).all()
+            dout = rng.normal(size=(2, 3, 2, 2))
+            dx = pool.backward(dout)
+            got = dx.reshape(2, 3, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 2, 2, 4)
+            want = np.zeros((2, 3, 2, 2, 4))
+            want[..., first] = dout
+            assert np.array_equal(got, want), first
+
+
+class TestConvFrontLayout:
+    """The stages after the conv see channel-last memory; results must not."""
+
+    @pytest.mark.parametrize("make", [
+        MaxPool2x2, lambda: BatchNormLayer(3), lambda: SequenceFold("rows"),
+        lambda: SequenceFold("positions"), Flatten,
+    ], ids=["maxpool", "batchnorm", "fold-rows", "fold-positions", "flatten"])
+    def test_results_are_bit_identical_for_both_layouts(self, make):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(4, 3, 4, 6))
+        assert not channel_last(x).flags.c_contiguous
+        dout = rng.normal(size=make().forward(x).shape)
+        results = []
+        for x_form in (x, channel_last(x)):
+            for dout_form in ((dout, channel_last(dout)) if dout.ndim == 4 else (dout,)):
+                layer = make()
+                out = layer.forward(x_form, train=True)
+                dx = layer.backward(dout_form)
+                results.append((out.shape, out.tobytes(), dx.shape, dx.tobytes()))
+        assert all(r == results[0] for r in results[1:])
 
 
 class TestBatchNorm:

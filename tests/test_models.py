@@ -69,6 +69,15 @@ class TestGoldenParameterTables:
                         variant, n_features, n_classes)
                     assert total == live_total
 
+    def test_state_shapes_match_the_built_graph(self):
+        for variant in models.VARIANTS:
+            for n_features, kernel in ((12, (3, 2)), (48, (3, 3)), (141, (2, 2))):
+                cfg = ModelConfig(variant, n_features, 5, units=3, kernel=kernel,
+                                  td_units=2)
+                live = build_model(cfg).state_arrays()
+                assert models.state_shapes(cfg) == {
+                    name: arr.shape for name, arr in live.items()}, (variant, n_features)
+
     def test_lstm_formula_follows_text_not_table_cell(self):
         # 4[(S+1)U+U^2] at S=U=128 is 131,584; the squared-sum misprint
         # would give 196,608 and break the 258,061 total.

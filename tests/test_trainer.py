@@ -334,6 +334,26 @@ class TestCheckpoints:
         assert str(path) in str(err.value)
         assert "'LSTM/w_x'" in str(err.value)
 
+    def test_huge_model_config_rejected_before_allocation(self, tmp_path, monkeypatch):
+        # units = td_units = 20000 would fill about 3 GB in an m1-van model
+        cfg, _ = tiny_splits("m1-van")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(models.build_model(cfg), path)
+
+        def widen(meta, payload):
+            meta["model_config"].update(units=20000, td_units=20000)
+            return payload
+
+        def no_build(cfg):
+            raise AssertionError("build_model ran before the shapes were checked")
+
+        rewrite_checkpoint(path, widen)
+        monkeypatch.setattr(trainer, "build_model", no_build)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"{path}: tensor 'CNN_2D/kernels' has shape "
+                                  "(4, 3, 2), model expects (20000, 3, 2)")
+
     @pytest.mark.parametrize("case", sorted(BAD_METADATA))
     def test_malformed_metadata_names_the_file(self, tmp_path, case):
         cfg, _ = tiny_splits("m1-van")
