@@ -81,10 +81,17 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     flows = flowcap.assemble_flows(capture.packets, idle_timeout=args.idle_timeout)
     stats = flowcap.featurize_flows(flows)
     flowcap.write_flow_csv(stats, args.out, label, pad_to=args.pad_to)
+    # Counts only, no wall times: a rerun on the same capture writes the same bytes.
+    summary = {"records": capture.records, "packets_parsed": len(capture.packets),
+               "skipped": capture.skipped, "flows": len(stats)}
+    summary_path = Path(f"{args.out}.summary.json")
+    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
+                            encoding="utf-8")
     print(f"packets parsed: {len(capture.packets)}")
     for kind, count in capture.skipped.items():
         print(f"packets skipped ({kind}): {count}")
     print(f"flows written: {len(stats)} -> {args.out}")
+    print(f"summary written: {summary_path}")
     return 0
 
 

@@ -4,6 +4,12 @@ Stands in for the external flow-metering tool in the pipeline: it reads a
 capture, groups IPv4 TCP/UDP packets into bidirectional 5-tuple flows with
 an idle timeout, and emits one CSV row of statistical features per flow.
 
+The parser is columnar: it reads each record's fields straight from the
+file bytes into one list per field (`Packets`) and builds no object per
+packet.  The module imports no numpy, because `tdntc featurize` loads only
+this module and the CLI, and importing numpy would more than double its
+start-up time.
+
 File format: classic pcap only (magic 0xA1B2C3D4, byte-swapped and
 nanosecond variants included), Ethernet link layer.  pcapng and live
 capture are out of scope.
@@ -13,16 +19,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import compress, islice
+from operator import not_, sub
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 MAGIC_USEC = 0xA1B2C3D4
 MAGIC_NSEC = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
-
-FORWARD = "forward"
-REVERSE = "reverse"
 
 # Column order of the emitted feature vector.  The label column is appended
 # by the CSV writer, and optional zero padding extends the row to a fixed
@@ -47,25 +51,6 @@ class PcapParseError(ValueError):
     """Raised when a capture is structurally damaged; carries a byte offset."""
 
 
-@dataclass
-class PacketMeta:
-    """One parsed IPv4 TCP/UDP packet.
-
-    payload_len counts transport-layer bytes (IPv4 total length minus the IP
-    header), i.e. the transport header plus application data.  direction is
-    assigned during flow assembly, relative to the flow initiator.
-    """
-
-    timestamp: float
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    protocol: int
-    payload_len: int
-    direction: Optional[str] = None
-
-
 @dataclass(frozen=True)
 class FlowKey:
     """Canonical 5-tuple oriented so the initiator side is forward."""
@@ -78,17 +63,50 @@ class FlowKey:
 
 
 @dataclass
+class Packets:
+    """Parsed IPv4 TCP/UDP packets in file order, one list per field.
+
+    Addresses are 32-bit integers; payload_len is the IPv4 total length minus
+    the IP header, i.e. the transport header plus application data.
+    """
+
+    timestamp: List[float] = field(default_factory=list)
+    src_ip: List[int] = field(default_factory=list)
+    dst_ip: List[int] = field(default_factory=list)
+    src_port: List[int] = field(default_factory=list)
+    dst_port: List[int] = field(default_factory=list)
+    protocol: List[int] = field(default_factory=list)
+    payload_len: List[int] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+
+@dataclass
 class ParsedCapture:
     """Parse result: packets in file order plus skip counters."""
 
-    packets: List[PacketMeta] = field(default_factory=list)
-    skipped: Dict[str, int] = field(default_factory=lambda: {
-        "non_ip": 0, "ipv6": 0, "fragmented": 0, "non_tcp_udp": 0, "truncated": 0,
-    })
+    packets: Packets = field(default_factory=Packets)
+    skipped: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("non_ip", "ipv6", "fragmented", "non_tcp_udp", "truncated"), 0))
 
     @property
     def skipped_total(self) -> int:
         return sum(self.skipped.values())
+
+    @property
+    def records(self) -> int:
+        """Records read: every one is either a parsed packet or a counted skip."""
+        return len(self.packets) + self.skipped_total
+
+
+class Flow:
+    """One flow's packets in time order; forward[i] is True when the initiator sent packet i."""
+
+    __slots__ = ("key", "times", "lengths", "forward")
+
+    def __init__(self, key: FlowKey) -> None:
+        self.key, self.times, self.lengths, self.forward = key, [], [], []
 
 
 @dataclass
@@ -122,12 +140,17 @@ class FlowStats:
         return [getattr(self, name) for name in FEATURE_COLUMNS]
 
 
-def _ip_str(raw: bytes) -> str:
-    return ".".join(str(b) for b in raw)
+def _dotted(ip: int) -> str:
+    return f"{ip >> 24}.{ip >> 16 & 255}.{ip >> 8 & 255}.{ip & 255}"
+
+
+# Ethertype, version/IHL, total length, flags/fragment offset, protocol,
+# addresses and ports of an Ethernet frame holding an option-free IPv4 header.
+_PLAIN_FRAME = struct.Struct(">12xHBxH2xHxB2xIIHH")
 
 
 def parse_pcap_bytes(data: bytes) -> ParsedCapture:
-    """Decode classic pcap bytes into PacketMeta records.
+    """Decode classic pcap bytes into packet columns.
 
     Non-IP, IPv6, fragmented, and non-TCP/UDP packets are counted and
     skipped, as are packets whose captured slice is too short to carry the
@@ -138,89 +161,87 @@ def parse_pcap_bytes(data: bytes) -> ParsedCapture:
     """
     if len(data) < 24:
         raise PcapFormatError("file too short for a pcap global header")
-    magic_be = struct.unpack(">I", data[:4])[0]
-    magic_le = struct.unpack("<I", data[:4])[0]
-    if magic_be in (MAGIC_USEC, MAGIC_NSEC):
-        endian = ">"
-        nanos = magic_be == MAGIC_NSEC
-    elif magic_le in (MAGIC_USEC, MAGIC_NSEC):
-        endian = "<"
-        nanos = magic_le == MAGIC_NSEC
-    else:
+    magic_be = struct.unpack_from(">I", data)[0]
+    endian = ">" if magic_be in (MAGIC_USEC, MAGIC_NSEC) else "<"
+    magic, linktype = struct.unpack_from(endian + "I16xI", data)
+    if magic not in (MAGIC_USEC, MAGIC_NSEC):
         raise PcapFormatError(f"bad pcap magic 0x{magic_be:08X}")
-    linktype = struct.unpack(endian + "I", data[20:24])[0]
     if linktype != LINKTYPE_ETHERNET:
         raise PcapFormatError(f"unsupported link type {linktype}; expected Ethernet")
-    tick = 1e-9 if nanos else 1e-6
+    tick = 1e-9 if magic == MAGIC_NSEC else 1e-6
 
     result = ParsedCapture()
+    cols, skipped = result.packets, result.skipped
+    add_time, add_src, add_dst = cols.timestamp.append, cols.src_ip.append, cols.dst_ip.append
+    add_sport, add_dport = cols.src_port.append, cols.dst_port.append
+    add_proto, add_len = cols.protocol.append, cols.payload_len.append
+    record_header = struct.Struct(endian + "IIII").unpack_from
+    plain_frame = _PLAIN_FRAME.unpack_from
+    size = len(data)
     offset = 24
-    rec_hdr = struct.Struct(endian + "IIII")
-    while offset < len(data):
-        if offset + 16 > len(data):
+    while offset < size:
+        if offset + 16 > size:
             raise PcapParseError(f"truncated record header at byte {offset}")
-        ts_sec, ts_frac, incl_len, _orig_len = rec_hdr.unpack_from(data, offset)
-        offset += 16
-        if offset + incl_len > len(data):
-            raise PcapParseError(f"truncated packet data at byte {offset}")
-        frame = data[offset: offset + incl_len]
-        offset += incl_len
-        meta = _decode_frame(frame, ts_sec + ts_frac * tick, result.skipped)
-        if meta is not None:
-            result.packets.append(meta)
+        ts_sec, ts_frac, incl_len, _orig_len = record_header(data, offset)
+        start = offset + 16
+        offset = start + incl_len
+        if offset > size:
+            raise PcapParseError(f"truncated packet data at byte {start}")
+        # One unpack accepts the common frame; _skip_kind would keep it too.
+        if incl_len >= 38:
+            (ethertype, version_ihl, total_len, flags_frag, protocol,
+             src, dst, sport, dport) = plain_frame(data, start)
+            ihl = 20
+        if not (incl_len >= 38 and ethertype == 0x0800 and version_ihl == 0x45
+                and not flags_frag & 0x3FFF and (protocol == 6 or protocol == 17)
+                and total_len >= 24):
+            kind = _skip_kind(data, start, incl_len)
+            if kind is not None:
+                skipped[kind] += 1
+                continue
+            ihl = (data[start + 14] & 0x0F) * 4
+            total_len, protocol, src, dst = struct.unpack_from(">2xH5xB2xII", data, start + 14)
+            sport, dport = struct.unpack_from(">HH", data, start + 14 + ihl)
+        add_time(ts_sec + ts_frac * tick)
+        add_src(src)
+        add_dst(dst)
+        add_sport(sport)
+        add_dport(dport)
+        add_proto(protocol)
+        add_len(total_len - ihl)
     return result
 
 
-def _decode_frame(frame: bytes, timestamp: float, skipped: Dict[str, int]
-                  ) -> Optional[PacketMeta]:
-    if len(frame) < 14:
-        skipped["truncated"] += 1
-        return None
-    ethertype = struct.unpack(">H", frame[12:14])[0]
+def _skip_kind(data: bytes, start: int, length: int) -> Optional[str]:
+    """The skip counter for the `length`-byte frame at data[start], or None to keep it.
+
+    This ladder alone decides skip kinds; its order settles a frame that fails two checks.
+    """
+    if length < 14:
+        return "truncated"
+    ethertype = data[start + 12] << 8 | data[start + 13]
     if ethertype == 0x86DD:
-        skipped["ipv6"] += 1
-        return None
+        return "ipv6"
     if ethertype != 0x0800:
-        skipped["non_ip"] += 1
-        return None
-    ip = frame[14:]
-    if len(ip) < 20:
-        skipped["truncated"] += 1
-        return None
-    version_ihl = ip[0]
+        return "non_ip"
+    if length - 14 < 20:
+        return "truncated"
+    version_ihl = data[start + 14]
     if version_ihl >> 4 != 4:
-        skipped["non_ip"] += 1
-        return None
+        return "non_ip"
     ihl = (version_ihl & 0x0F) * 4
     if ihl < 20:
-        # IHL below 5 words cannot hold the fixed header; the "ports" would
-        # be read from inside the IP header itself.
-        skipped["truncated"] += 1
-        return None
-    total_len = struct.unpack(">H", ip[2:4])[0]
-    flags_frag = struct.unpack(">H", ip[6:8])[0]
+        # Below 5 words the "ports" would be read from inside the IP header.
+        return "truncated"
+    total_len, _, flags_frag = struct.unpack_from(">HHH", data, start + 16)
     if flags_frag & 0x2000 or flags_frag & 0x1FFF:
-        skipped["fragmented"] += 1
-        return None
-    protocol = ip[9]
-    if protocol not in (6, 17):
-        skipped["non_tcp_udp"] += 1
-        return None
-    if len(ip) < ihl + 4 or total_len < ihl + 4:
-        # The ports would come from beyond the captured slice or beyond the
-        # datagram's own total length.
-        skipped["truncated"] += 1
-        return None
-    src_port, dst_port = struct.unpack(">HH", ip[ihl: ihl + 4])
-    return PacketMeta(
-        timestamp=timestamp,
-        src_ip=_ip_str(ip[12:16]),
-        dst_ip=_ip_str(ip[16:20]),
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=protocol,
-        payload_len=total_len - ihl,
-    )
+        return "fragmented"
+    if data[start + 23] not in (6, 17):
+        return "non_tcp_udp"
+    if length - 14 < ihl + 4 or total_len < ihl + 4:
+        # The ports would lie beyond the captured slice or the datagram.
+        return "truncated"
+    return None
 
 
 def parse_pcap(path) -> ParsedCapture:
@@ -228,15 +249,7 @@ def parse_pcap(path) -> ParsedCapture:
     return parse_pcap_bytes(Path(path).read_bytes())
 
 
-def _grouping_key(pkt: PacketMeta) -> tuple:
-    a = (pkt.src_ip, pkt.src_port)
-    b = (pkt.dst_ip, pkt.dst_port)
-    lo, hi = (a, b) if a <= b else (b, a)
-    return (lo, hi, pkt.protocol)
-
-
-def assemble_flows(packets: List[PacketMeta], idle_timeout: float = 60.0
-                   ) -> List[Tuple[FlowKey, List[PacketMeta]]]:
+def assemble_flows(packets: Packets, idle_timeout: float = 60.0) -> List[Flow]:
     """Group packets into bidirectional flows.
 
     Packets are taken in timestamp order.  The sort is stable, so equal
@@ -247,73 +260,61 @@ def assemble_flows(packets: List[PacketMeta], idle_timeout: float = 60.0
     starts a new one.  Each packet's direction is set relative to the
     flow's first packet (the initiator).
     """
-    flows: List[Tuple[FlowKey, List[PacketMeta]]] = []
-    open_idx: Dict[tuple, int] = {}
-    last_seen: Dict[tuple, float] = {}
-    for pkt in sorted(packets, key=attrgetter("timestamp")):
-        gk = _grouping_key(pkt)
-        idx = open_idx.get(gk)
-        if idx is None or pkt.timestamp - last_seen[gk] > idle_timeout:
-            key = FlowKey(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port,
-                          pkt.protocol)
-            flows.append((key, []))
-            idx = len(flows) - 1
-            open_idx[gk] = idx
-        key = flows[idx][0]
-        forward = (pkt.src_ip, pkt.src_port) == (key.src_ip, key.src_port)
-        pkt.direction = FORWARD if forward else REVERSE
-        flows[idx][1].append(pkt)
-        last_seen[gk] = pkt.timestamp
+    ts, src, dst, sport = packets.timestamp, packets.src_ip, packets.dst_ip, packets.src_port
+    dport, proto, plen = packets.dst_port, packets.protocol, packets.payload_len
+    flows: List[Flow] = []
+    # Canonical key -> (initiator endpoint, times, lengths, forward flags) of
+    # the open flow, where an endpoint is ip << 16 | port.
+    open_flows: Dict[tuple, tuple] = {}
+    for i in sorted(range(len(ts)), key=ts.__getitem__):
+        t = ts[i]
+        a = src[i] << 16 | sport[i]
+        b = dst[i] << 16 | dport[i]
+        gk = (a, b, proto[i]) if a <= b else (b, a, proto[i])
+        entry = open_flows.get(gk)
+        if entry is None or t - entry[1][-1] > idle_timeout:
+            flow = Flow(FlowKey(_dotted(src[i]), sport[i], _dotted(dst[i]), dport[i],
+                                proto[i]))
+            flows.append(flow)
+            entry = open_flows[gk] = (a, flow.times, flow.lengths, flow.forward)
+        initiator, times, lengths, forward = entry
+        times.append(t)
+        lengths.append(plen[i])
+        forward.append(a == initiator)
     return flows
 
 
 def _iat_stats(timestamps: List[float]) -> Tuple[float, float, float]:
     if len(timestamps) < 2:
         return 0.0, 0.0, 0.0
-    gaps = [b - a for a, b in zip(timestamps, timestamps[1:])]
+    gaps = list(map(sub, islice(timestamps, 1, None), timestamps))
     return min(gaps), sum(gaps) / len(gaps), max(gaps)
 
 
-def featurize_flows(flows: List[Tuple[FlowKey, List[PacketMeta]]]) -> List[FlowStats]:
+def featurize_flows(flows: List[Flow]) -> List[FlowStats]:
     """Compute the 20-feature statistics row for every assembled flow."""
     stats = []
-    for key, pkts in flows:
-        if not pkts:
-            continue
-        times = [p.timestamp for p in pkts]
-        fwd = [p for p in pkts if p.direction == FORWARD]
-        rev = [p for p in pkts if p.direction == REVERSE]
-        lens = [p.payload_len for p in pkts]
+    for flow in flows:
+        key, times, lens, forward = flow.key, flow.times, flow.lengths, flow.forward
+        fwd_packets = sum(forward)
+        fwd_bytes = sum(compress(lens, forward))
+        total_bytes = sum(lens)
         iat = _iat_stats(times)
-        fwd_iat = _iat_stats([p.timestamp for p in fwd])
-        rev_iat = _iat_stats([p.timestamp for p in rev])
+        fwd_iat = _iat_stats(list(compress(times, forward)))
+        rev_iat = _iat_stats(list(compress(times, map(not_, forward))))
         stats.append(FlowStats(
-            key=key,
-            first_seen=times[0],
-            src_port=key.src_port,
-            dst_port=key.dst_port,
-            protocol=key.protocol,
+            key=key, first_seen=times[0],
+            src_port=key.src_port, dst_port=key.dst_port, protocol=key.protocol,
             duration=times[-1] - times[0],
-            fwd_packets=len(fwd),
-            rev_packets=len(rev),
-            fwd_bytes=sum(p.payload_len for p in fwd),
-            rev_bytes=sum(p.payload_len for p in rev),
+            fwd_packets=fwd_packets, rev_packets=len(times) - fwd_packets,
+            fwd_bytes=fwd_bytes, rev_bytes=total_bytes - fwd_bytes,
             iat_min=iat[0], iat_mean=iat[1], iat_max=iat[2],
             fwd_iat_min=fwd_iat[0], fwd_iat_mean=fwd_iat[1], fwd_iat_max=fwd_iat[2],
             rev_iat_min=rev_iat[0], rev_iat_mean=rev_iat[1], rev_iat_max=rev_iat[2],
-            pkt_len_min=min(lens),
-            pkt_len_mean=sum(lens) / len(lens),
+            pkt_len_min=min(lens), pkt_len_mean=total_bytes / len(lens),
             pkt_len_max=max(lens),
         ))
     return stats
-
-
-def _format_cell(value) -> str:
-    # repr() of a float is the shortest round-trip form, so identical inputs
-    # always serialize to identical bytes.
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def flow_csv_lines(stats: List[FlowStats], label: str, pad_to: int | None = None
@@ -323,16 +324,14 @@ def flow_csv_lines(stats: List[FlowStats], label: str, pad_to: int | None = None
     if pad_to is not None:
         if pad_to < len(FEATURE_COLUMNS):
             raise ValueError(
-                f"pad_to={pad_to} below the {len(FEATURE_COLUMNS)} native features"
-            )
+                f"pad_to={pad_to} below the {len(FEATURE_COLUMNS)} native features")
         n_pad = pad_to - len(FEATURE_COLUMNS)
     header = FEATURE_COLUMNS + [f"pad_{i:02d}" for i in range(n_pad)] + ["label"]
     lines = [",".join(header)]
-    for s in stats:
-        cells = [_format_cell(v) for v in s.feature_values()]
-        cells += ["0"] * n_pad
-        cells.append(label)
-        lines.append(",".join(cells))
+    # repr() gives an int's decimal form and a float's shortest round-trip
+    # form, so identical inputs always serialize to identical bytes.
+    tail = ",".join([""] + ["0"] * n_pad + [label])
+    lines += [",".join(map(repr, s.feature_values())) + tail for s in stats]
     return lines
 
 

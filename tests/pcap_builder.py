@@ -22,8 +22,13 @@ def global_header(endian: str = "<", nanos: bool = False, linktype: int = 1) -> 
 
 
 def ethernet_ipv4(src: str, dst: str, protocol: int, sport: int, dport: int,
-                  payload: bytes = b"", frag: int = 0, ttl: int = 64) -> bytes:
-    """An Ethernet frame around an IPv4 TCP/UDP packet (checksums left zero)."""
+                  payload: bytes = b"", frag: int = 0, ttl: int = 64,
+                  options: bytes = b"") -> bytes:
+    """An Ethernet frame around an IPv4 TCP/UDP packet (checksums left zero).
+
+    options, a multiple of 4 bytes, follows the fixed 20-byte IP header and
+    raises the IHL to match.
+    """
     eth = b"\xaa" * 6 + b"\xbb" * 6 + struct.pack(">H", 0x0800)
     if protocol == 17:
         transport = struct.pack(">HHHH", sport, dport, 8 + len(payload), 0) + payload
@@ -32,9 +37,10 @@ def ethernet_ipv4(src: str, dst: str, protocol: int, sport: int, dport: int,
                                 5 << 4, 0, 0, 0, 0) + payload
     else:
         transport = payload
-    total_len = 20 + len(transport)
-    ip_hdr = struct.pack(">BBHHHBBH4s4s", 0x45, 0, total_len, 0, frag,
-                         ttl, protocol, 0, ip4(src), ip4(dst))
+    ihl_words = 5 + len(options) // 4
+    total_len = 4 * ihl_words + len(transport)
+    ip_hdr = struct.pack(">BBHHHBBH4s4s", 0x40 | ihl_words, 0, total_len, 0, frag,
+                         ttl, protocol, 0, ip4(src), ip4(dst)) + options
     return eth + ip_hdr + transport
 
 
@@ -54,9 +60,13 @@ def capture(packets, endian: str = "<", nanos: bool = False, linktype: int = 1) 
     return b"".join(out)
 
 
-def udp(src: str, sport: int, dst: str, dport: int, payload_len: int = 0) -> bytes:
-    return ethernet_ipv4(src, dst, 17, sport, dport, b"\x00" * payload_len)
+def udp(src: str, sport: int, dst: str, dport: int, payload_len: int = 0,
+        options: bytes = b"") -> bytes:
+    return ethernet_ipv4(src, dst, 17, sport, dport, b"\x00" * payload_len,
+                         options=options)
 
 
-def tcp(src: str, sport: int, dst: str, dport: int, payload_len: int = 0) -> bytes:
-    return ethernet_ipv4(src, dst, 6, sport, dport, b"\x00" * payload_len)
+def tcp(src: str, sport: int, dst: str, dport: int, payload_len: int = 0,
+        options: bytes = b"") -> bytes:
+    return ethernet_ipv4(src, dst, 6, sport, dport, b"\x00" * payload_len,
+                         options=options)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +109,29 @@ class TestFeaturize:
         assert "packets parsed: 2" in printed
         assert "flows written: 1" in printed
 
+    def test_summary_counts_records_skips_and_flows(self, tmp_path, capsys):
+        pcap = tmp_path / "mixed.pcap"
+        fwd = pb.udp("10.0.0.1", 1000, "10.0.0.2", 53, payload_len=4)
+        rev = pb.udp("10.0.0.2", 53, "10.0.0.1", 1000, payload_len=4)
+        pcap.write_bytes(pb.capture([
+            (0, 0, fwd), (0, 10, rev), (1, 0, pb.tcp("10.0.0.3", 9, "10.0.0.4", 80)),
+            (2, 0, pb.raw_ethernet(0x0806, b"\x00" * 28)),
+            (3, 0, pb.raw_ethernet(0x86DD, b"\x60" + b"\x00" * 39)),
+            (4, 0, pb.ethernet_ipv4("10.0.0.1", "10.0.0.2", 1, 0, 0, b"\x08" * 8)),
+            (5, 0, fwd[:30]),
+        ]))
+        out = tmp_path / "mixed.csv"
+        assert main(["featurize", str(pcap), "--out", str(out)]) == 0
+        summary_path = tmp_path / "mixed.csv.summary.json"
+        assert json.loads(summary_path.read_text()) == {
+            "records": 7, "packets_parsed": 3, "flows": 2,
+            "skipped": {"fragmented": 0, "ipv6": 1, "non_ip": 1, "non_tcp_udp": 1,
+                        "truncated": 1},
+        }
+        text = summary_path.read_text()
+        assert text.index('"flows"') < text.index('"packets_parsed"') < text.index('"records"')
+        assert str(summary_path) in capsys.readouterr().out
+
     def test_empty_capture_gives_header_only(self, tmp_path):
         pcap = tmp_path / "empty.pcap"
         pcap.write_bytes(pb.capture([]))
@@ -131,6 +158,15 @@ class TestFeaturize:
         assert main(["featurize", str(pcap), "--out", str(out),
                      "--pad-to", "48", "--label", "x"]) == 0
         assert len(out.read_text().splitlines()[0].split(",")) == 49
+
+
+def test_featurize_imports_no_numpy():
+    # `tdntc featurize` imports only these two modules before it parses, so
+    # numpy here would add its import time to every featurize run.
+    code = "import tdntc.cli, tdntc.flowcap, sys; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH="src")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   cwd=Path(__file__).resolve().parent.parent)
 
 
 class TestTrainEvaluate:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,18 +23,19 @@ class TestParsePcap:
         parsed = parse_pcap_bytes(data)
         assert len(parsed.packets) == 2
         assert parsed.skipped_total == 0
-        first, second = parsed.packets
-        assert first.timestamp == 100 + 250000 * 1e-6
-        assert second.timestamp == 100 + 750000 * 1e-6
-        assert first.src_ip == "10.0.0.1"
-        assert first.dst_ip == "10.0.0.2"
-        assert (first.src_port, first.dst_port, first.protocol) == (1234, 53, 17)
+        cols = parsed.packets
+        assert cols.timestamp == [100 + 250000 * 1e-6, 100 + 750000 * 1e-6]
+        assert cols.src_ip == [0x0A000001] * 2
+        assert cols.dst_ip == [0x0A000002] * 2
+        assert (cols.src_port, cols.dst_port, cols.protocol) == ([1234] * 2, [53] * 2, [17] * 2)
         # IPv4 total length 20+8+4; payload_len excludes the IP header
-        assert first.payload_len == 12
+        assert cols.payload_len == [12, 12]
+        assert parsed.records == 2
 
     def test_empty_capture(self):
         parsed = parse_pcap_bytes(pb.capture([]))
-        assert parsed.packets == []
+        assert len(parsed.packets) == 0
+        assert parsed.records == 0
 
     def test_endianness_equivalence(self):
         frame = pb.tcp("192.168.1.5", 40000, "192.168.1.9", 443, payload_len=10)
@@ -43,7 +46,7 @@ class TestParsePcap:
     def test_nanosecond_magic(self):
         frame = pb.udp("1.2.3.4", 10, "5.6.7.8", 20)
         parsed = parse_pcap_bytes(pb.capture([(3, 500_000_000, frame)], nanos=True))
-        assert parsed.packets[0].timestamp == 3.5
+        assert parsed.packets.timestamp == [3.5]
 
     def test_bad_magic(self):
         with pytest.raises(PcapFormatError):
@@ -75,6 +78,7 @@ class TestParsePcap:
         ]
         parsed = parse_pcap_bytes(pb.capture(packets))
         assert len(parsed.packets) == 1
+        assert parsed.records == len(packets)
         assert parsed.skipped["non_ip"] == 1
         assert parsed.skipped["ipv6"] == 1
         assert parsed.skipped["non_tcp_udp"] == 1
@@ -96,7 +100,19 @@ class TestParsePcap:
         frame[16:18] = total_len.to_bytes(2, "big")
         parsed = parse_pcap_bytes(pb.capture([(0, 0, bytes(frame))]))
         assert parsed.skipped["truncated"] == (0 if kept else 1)
-        assert [p.payload_len for p in parsed.packets] == ([4] if kept else [])
+        assert parsed.packets.payload_len == ([4] if kept else [])
+
+    @pytest.mark.parametrize("ihl_words", [6, 15])
+    def test_ip_options_shift_the_ports(self, ihl_words):
+        options = b"\x01" * (4 * ihl_words - 20)
+        frame = pb.tcp("10.0.0.1", 1234, "10.0.0.2", 80, payload_len=7, options=options)
+        assert frame[14] == 0x40 | ihl_words
+        parsed = parse_pcap_bytes(pb.capture([(0, 0, frame)]))
+        assert len(parsed.packets) == 1
+        stats = featurize_flows(assemble_flows(parsed.packets))[0]
+        assert (stats.src_port, stats.dst_port, stats.protocol) == (1234, 80, 6)
+        # total length 4*IHL + 20 (TCP) + 7, minus the 4*IHL-byte header
+        assert stats.pkt_len_min == 27
 
     def test_parse_from_path(self, tmp_path):
         path = tmp_path / "one.pcap"
@@ -110,7 +126,7 @@ class TestAssembleFlows:
         parsed = parse_pcap_bytes(pb.capture([(i, 0, frame) for i in range(3)]))
         flows = assemble_flows(parsed.packets, idle_timeout=60.0)
         assert len(flows) == 1
-        assert len(flows[0][1]) == 3
+        assert flows[0].times == [0.0, 1.0, 2.0]
 
     def test_bidirectional_directions(self):
         fwd = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
@@ -119,16 +135,17 @@ class TestAssembleFlows:
                                               (0, 200, fwd)]))
         flows = assemble_flows(parsed.packets)
         assert len(flows) == 1
-        key, pkts = flows[0]
+        key = flows[0].key
         assert (key.src_ip, key.src_port) == ("10.0.0.1", 1000)
-        assert [p.direction for p in pkts] == ["forward", "reverse", "forward"]
+        assert (key.dst_ip, key.dst_port, key.protocol) == ("10.0.0.2", 2000, 17)
+        assert flows[0].forward == [True, False, True]
 
     def test_idle_timeout_splits(self):
         frame = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
         parsed = parse_pcap_bytes(pb.capture([
             (0, 0, frame), (10, 0, frame), (10 + 61, 0, frame)]))
         flows = assemble_flows(parsed.packets, idle_timeout=60.0)
-        assert [len(pkts) for _, pkts in flows] == [2, 1]
+        assert [len(flow.times) for flow in flows] == [2, 1]
 
     def test_boundary_gap_exactly_timeout_keeps_flow(self):
         frame = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
@@ -151,9 +168,9 @@ class TestAssembleFlows:
         fwd = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
         rev = pb.udp("10.0.0.2", 2000, "10.0.0.1", 1000)
         parsed = parse_pcap_bytes(pb.capture([(5, 0, rev), (5, 0, fwd)]))
-        key, pkts = assemble_flows(parsed.packets)[0]
-        assert (key.src_ip, key.src_port) == ("10.0.0.2", 2000)
-        assert [p.direction for p in pkts] == ["forward", "reverse"]
+        flow = assemble_flows(parsed.packets)[0]
+        assert (flow.key.src_ip, flow.key.src_port) == ("10.0.0.2", 2000)
+        assert flow.forward == [True, False]
 
     def test_canonical_key_symmetry(self):
         rng = np.random.default_rng(0)
@@ -169,7 +186,7 @@ class TestAssembleFlows:
                    for i, (a, b) in enumerate(endpoints)]
         flows_a = assemble_flows(parse_pcap_bytes(pb.capture(straight)).packets)
         flows_b = assemble_flows(parse_pcap_bytes(pb.capture(flipped)).packets)
-        assert [len(p) for _, p in flows_a] == [len(p) for _, p in flows_b] == [40]
+        assert [len(f.times) for f in flows_a] == [len(f.times) for f in flows_b] == [40]
 
 
 class TestFeaturize:
@@ -265,7 +282,8 @@ class TestFeaturize:
         ]
         parsed = parse_pcap_bytes(pb.capture(packets))
         flows = assemble_flows(parsed.packets)
-        assert sum(len(p) for _, p in flows) == len(packets) - parsed.skipped_total
+        assert sum(len(f.times) for f in flows) == len(packets) - parsed.skipped_total
+        assert parsed.records == len(packets)
 
     def test_triples_ordered_on_random_captures(self):
         rng = np.random.default_rng(9)
@@ -291,3 +309,76 @@ class TestFeaturize:
                     assert lo <= mid <= hi
                 assert s.duration >= 0
                 assert s.fwd_packets >= 1
+
+
+def golden_capture(endian: str, nanos: bool) -> bytes:
+    """A seeded capture that exercises every branch of the parser and assembler.
+
+    It mixes TCP and UDP between hosts whose dotted and numeric orders differ
+    (10.0.0.2 against 10.0.0.10), long and one-packet flows, IHL-6 and
+    IHL-15 frames, equal and out-of-order timestamps, gaps beyond the 60 s
+    idle timeout, and frames of every skip kind.
+    """
+    rng = np.random.default_rng(6)
+    hosts = ["10.0.0.2", "10.0.0.10", "192.168.1.7", "172.16.0.1"]
+    ports = [53, 443, 1000, 40000]
+    bad_ip = bytearray(pb.udp("10.0.0.2", 1, "10.0.0.10", 2, payload_len=8))
+    skipped_frames = [
+        pb.raw_ethernet(0x0806, b"\x00" * 28),                            # non_ip
+        pb.raw_ethernet(0x0800, b"\x60" + b"\x00" * 39),                  # non_ip: version 6
+        pb.raw_ethernet(0x86DD, b"\x60" + b"\x00" * 39),                  # ipv6
+        pb.ethernet_ipv4("10.0.0.2", "10.0.0.10", 17, 5, 6, frag=0x2000),  # fragmented
+        pb.ethernet_ipv4("10.0.0.2", "10.0.0.10", 6, 5, 6, frag=0x0010),   # fragmented
+        pb.ethernet_ipv4("10.0.0.2", "10.0.0.10", 1, 0, 0, b"\x08" * 8),   # non_tcp_udp
+        b"\xaa" * 10,                                                      # truncated: no Ethernet
+        pb.raw_ethernet(0x0800, b"\x45" + b"\x00" * 10),                  # truncated: short IP
+        bytes(bad_ip[:14]) + bytes([0x44]) + bytes(bad_ip[15:]),          # truncated: IHL 4
+        bytes(bad_ip[:16]) + (22).to_bytes(2, "big") + bytes(bad_ip[18:]),  # truncated: total length
+        pb.udp("10.0.0.2", 1, "10.0.0.10", 2, options=b"\x01" * 4)[:38],  # truncated: ports cut off
+    ]
+    records = []
+    t = 2_000_000
+    for i in range(600):
+        step = int(rng.choice([0, 0, 1, 900, 250_000, 3_000_000, 70_000_000],
+                              p=[0.1, 0.05, 0.05, 0.3, 0.3, 0.18, 0.02]))
+        t += step
+        if rng.random() < 0.08:
+            frame = skipped_frames[int(rng.integers(len(skipped_frames)))]
+        elif rng.random() < 0.3:
+            # One chatty pair gives long flows, whose float sums depend on order.
+            a, b = ("10.0.0.2", 40000), ("192.168.1.7", 443)
+            if rng.random() < 0.5:
+                a, b = b, a
+            frame = pb.tcp(a[0], a[1], b[0], b[1], payload_len=int(rng.integers(0, 300)))
+        else:
+            a = (hosts[int(rng.integers(2))], ports[2 + int(rng.integers(2))])
+            b = (hosts[2 + int(rng.integers(2))], ports[int(rng.integers(2))])
+            if rng.random() < 0.4:
+                a, b = b, a
+            options = [b"", b"", b"", b"\x01" * 4, b"\x01" * 40][int(rng.integers(5))]
+            make = pb.udp if rng.random() < 0.5 else pb.tcp
+            frame = make(a[0], a[1], b[0], b[1], payload_len=int(rng.integers(0, 300)),
+                         options=options)
+        stamp = t - int(rng.integers(0, 2_000_000)) if rng.random() < 0.1 else t
+        sec, usec = divmod(stamp, 1_000_000)
+        records.append((sec, usec * 1000 if nanos else usec, frame))
+    return pb.capture(records, endian=endian, nanos=nanos)
+
+
+# Computed with the per-packet parser this columnar one replaced.  Little-
+# and big-endian captures carry the same timestamps; nanosecond ticks give
+# other float bits.
+GOLDEN_SHA256 = {
+    ("<", False): "b970f20b2c269e262039a467f321c07c15a04a7b332a30e9a86f2c4d4d893666",
+    (">", False): "b970f20b2c269e262039a467f321c07c15a04a7b332a30e9a86f2c4d4d893666",
+    ("<", True): "f544d5c23c6e71e8949e9eb18243a1794c485a3d896a811616cacf223992b89b",
+}
+
+
+@pytest.mark.parametrize("endian, nanos", list(GOLDEN_SHA256))
+def test_golden_csv_bytes(endian, nanos):
+    parsed = parse_pcap_bytes(golden_capture(endian, nanos))
+    assert all(count > 0 for count in parsed.skipped.values())
+    stats = featurize_flows(assemble_flows(parsed.packets, idle_timeout=60.0))
+    text = "\n".join(flow_csv_lines(stats, "golden", pad_to=48))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[endian, nanos]

@@ -44,6 +44,7 @@ CAPTURE = pb.capture([
     (1, 0, pb.raw_ethernet(0x86DD, b"\x60" + b"\x00" * 39)),
     (1, 5, pb.ethernet_ipv4("10.0.0.3", "10.0.0.4", 17, 7, 8, frag=0x2000)),
     (2, 0, pb.ethernet_ipv4("10.0.0.3", "10.0.0.4", 1, 0, 0, b"\x08" * 8)),
+    (2, 9, pb.udp("10.0.0.1", 1000, "10.0.0.2", 53, payload_len=2, options=b"\x01" * 4)),
 ])
 
 
@@ -57,7 +58,8 @@ def test_parse_pcap_bytes_on_damaged_capture(edits, cut):
     except MAPPED:
         return
     # An accepted packet's ports lie inside its datagram.
-    assert all(p.payload_len >= 4 for p in parsed.packets)
+    if len(parsed.packets):
+        assert min(parsed.packets.payload_len) >= 4
     assert all(count >= 0 for count in parsed.skipped.values())
 
 
