@@ -111,10 +111,9 @@ class Flow:
 
 @dataclass
 class FlowStats:
-    """The 20 statistical features of one flow, plus first-seen metadata."""
+    """The 20 statistical features of one flow."""
 
     key: FlowKey
-    first_seen: float
     src_port: int
     dst_port: int
     protocol: int
@@ -303,7 +302,7 @@ def featurize_flows(flows: List[Flow]) -> List[FlowStats]:
         fwd_iat = _iat_stats(list(compress(times, forward)))
         rev_iat = _iat_stats(list(compress(times, map(not_, forward))))
         stats.append(FlowStats(
-            key=key, first_seen=times[0],
+            key=key,
             src_port=key.src_port, dst_port=key.dst_port, protocol=key.protocol,
             duration=times[-1] - times[0],
             fwd_packets=fwd_packets, rev_packets=len(times) - fwd_packets,

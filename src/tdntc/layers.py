@@ -452,11 +452,24 @@ class LSTMLayer(Layer):
     The layer emits every step's state, or only the last one when
     `return_sequences` is false.
 
-    Each step activates its whole gate block with one tanh, using
+    Each step is one GEMM: the (batch, U + S + 1) operand [h_{t-1} | x_t | 1]
+    times the stacked weight [w_h; w_x; bias], so the recurrent, input and
+    bias terms arrive together.  The state comes first so that step 0,
+    whose state is zero, multiplies only the [x_0 | 1] tail; likewise
+    `backward` sends no gradient into the zero initial state.  The step
+    then activates its whole gate block with one tanh, using
     sigmoid(v) = 0.5 * (1 + tanh(v / 2)): the v / 2 is folded into halved
-    copies of the i, f and o columns of the weights and bias, and the
-    0.5 * (1 + .) is applied in place afterwards.  The per-step caches are
-    time-major, (steps, batch, .), so every step reads and writes whole rows.
+    copies of the i, f and o columns of the stacked weight, and the
+    0.5 * (1 + .) is applied in place afterwards.
+
+    The operand, gate, cell and tanh(c) buffers are time-major, (slots,
+    batch, .), and `train` sets only how many slots they have.  A train-mode
+    forward keeps one slot per step, which `backward` and
+    `last_hidden_states` read.  An inference forward reuses a single slot,
+    so it allocates no per-step cache.  The emitted states are written
+    batch-major as each step ends, so a following `TimeDistributed`
+    reshapes them for free; the output activation is applied to them once
+    after the loop.
     """
 
     name = "LSTM"
@@ -498,7 +511,7 @@ class LSTMLayer(Layer):
     @property
     def last_hidden_states(self) -> np.ndarray:
         """(batch, steps, units) raw hidden states of the last train-mode forward."""
-        return self._kept()[3][1:].transpose(1, 0, 2)
+        return self._kept()[0][1:, :, :self.units].transpose(1, 0, 2)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.input_size:
@@ -508,69 +521,86 @@ class LSTMLayer(Layer):
         b, t, s = x.shape
         k = self.units
         # 0.5 on the sigmoid gates (i, f, o), 1 on the candidate g.  Halving
-        # is exact in binary, so the scaled copies give the same pre-activation
-        # bits as halving it afterwards.  The copies are made on every call
-        # because the optimizer updates the parameters in place.
+        # is exact in binary, so the scaled weights give the same
+        # pre-activation bits as halving it afterwards.  The stacked copy is
+        # made on every call because the optimizer updates the parameters in
+        # place.
         scale = np.full(4 * k, 0.5)
         scale[2 * k:3 * k] = 1.0
         shift = scale.copy()
         shift[2 * k:3 * k] = 0.0
-        w_h = self.w_h * scale
-        # The input projection of every step goes straight into the gate
-        # buffer; each step then adds its recurrent term and activates in
-        # place.  Row 0 of `cs` / `hs` is the zero initial state.
-        x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))
-        gates = np.empty((t, b, 4 * k))
-        np.matmul(x_tm.reshape(t * b, s), self.w_x * scale,
-                  out=gates.reshape(t * b, 4 * k))
-        gates += self.bias * scale
-        cs = np.zeros((t + 1, b, k))
-        hs = np.zeros((t + 1, b, k))
-        tanh_c = np.empty((t, b, k))
-        rec = np.empty((b, 4 * k))
+        w = np.concatenate((self.w_h, self.w_x, self.bias[None]))
+        w *= scale
+        # Step i reads operand slot i and writes h_i into the h columns of
+        # slot i + 1; c_i goes to cell slot i + 1 over c_{i-1} in slot i.
+        # Train mode keeps a slot per step for backward; inference wraps
+        # every index onto slot 0, which is safe because each step's GEMM
+        # has read h_{i-1} before h_i is written.  Step 0 multiplies only
+        # the [x_0 | 1] tail; the zero state in slot 0 is there for the
+        # weight-gradient GEMM in backward.
+        n = t + 1 if train else 1
+        m = t if train else 1
+        ops = np.empty((n, b, k + s + 1))
+        ops[..., k + s] = 1.0
+        ops[0, :, :k] = 0.0
+        cs = np.empty((n, b, k))
+        cs[0] = 0.0
+        gates = np.empty((m, b, 4 * k))
+        tanh_c = np.empty((m, b, k))
         ig = np.empty((b, k))
+        out = np.empty((b, t, k) if self.return_sequences else (b, k))
         for step in range(t):
-            z = gates[step]
-            np.matmul(hs[step], w_h, out=rec)
-            z += rec
+            op = ops[step % n]
+            nxt = ops[(step + 1) % n]
+            z = gates[step % m]
+            tc = tanh_c[step % m]
+            op[:, k:k + s] = x[:, step]
+            lo = k if step == 0 else 0
+            np.matmul(op[:, lo:], w[lo:], out=z)
             np.tanh(z, out=z)
             z *= scale
             z += shift
-            c = cs[step + 1]
-            np.multiply(z[:, k:2 * k], cs[step], out=c)
+            c = cs[(step + 1) % n]
+            np.multiply(z[:, k:2 * k], cs[step % n], out=c)
             np.multiply(z[:, :k], z[:, 2 * k:3 * k], out=ig)
             c += ig
-            np.tanh(c, out=tanh_c[step])
-            np.multiply(z[:, 3 * k:], tanh_c[step], out=hs[step + 1])
-        self._keep(train, x_tm, gates, cs, hs, tanh_c)
-        h_arr = hs[1:].transpose(1, 0, 2)
-        emitted = relu(h_arr) if self.output_activation == "relu" else h_arr
-        return emitted if self.return_sequences else emitted[:, -1]
+            np.tanh(c, out=tc)
+            h = nxt[:, :k]
+            np.multiply(z[:, 3 * k:], tc, out=h)
+            if self.return_sequences:
+                out[:, step] = h
+        if not self.return_sequences:
+            out[:] = ops[t % n, :, :k]
+        if self.output_activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        self._keep(train, ops, gates, cs, tanh_c)
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x_tm, gates, cs, hs, tanh_c = self._kept()
-        t, b, s = x_tm.shape
-        k = self.units
-        d_emit = np.zeros((t, b, k))
-        if self.return_sequences:
-            d_emit[:] = dout.transpose(1, 0, 2)
-        else:
-            d_emit[-1] = dout
+        ops, gates, cs, tanh_c = self._kept()
+        t, b = gates.shape[:2]
+        s, k = self.input_size, self.units
+        hs = ops[1:, :, :k]
         if self.output_activation == "relu":
-            d_emit *= hs[1:] > 0
+            dout = dout * (hs.transpose(1, 0, 2) > 0 if self.return_sequences
+                           else hs[-1] > 0)
+        # dh carries d(loss)/dh_step: the emitted gradient, read batch-major,
+        # plus what the recurrence sends back from step + 1.
+        dh = np.zeros((b, k))
+        if not self.return_sequences:
+            dh += dout
         # Gate axis split out: [:, :, 0..3] are the activated i, f, g, o.
         gate4 = gates.reshape(t, b, 4, k)
         dz_all = np.empty((t, b, 4, k))
         w_h_t = self.w_h.T
-        dh_next = np.zeros((b, k))
         dc = np.empty((b, k))
         dc_next = np.zeros((b, k))
         for step in range(t - 1, -1, -1):
             a = gate4[step]
             dz = dz_all[step]
             tc = tanh_c[step]
-            dh = d_emit[step]
-            dh += dh_next
+            if self.return_sequences:
+                dh += dout[:, step]
             # activation slopes: a * (1 - a) for the sigmoid gates, 1 - g^2
             np.subtract(1.0, a, out=dz)
             dz *= a
@@ -591,13 +621,17 @@ class LSTMLayer(Layer):
             dz[:, 1] *= cs[step]
             dz[:, 2] *= a[:, 0]
             # the scale lives in the activation, so the recurrence runs
-            # through the unscaled w_h
-            np.matmul(dz.reshape(b, 4 * k), w_h_t, out=dh_next)
-            np.multiply(dc, a[:, 1], out=dc_next)
+            # through the unscaled w_h; nothing reads the gradient of the
+            # zero initial state
+            if step:
+                np.matmul(dz.reshape(b, 4 * k), w_h_t, out=dh)
+                np.multiply(dc, a[:, 1], out=dc_next)
         flat_dz = dz_all.reshape(t * b, 4 * k)
-        self.grad_w_x = x_tm.reshape(t * b, s).T @ flat_dz
-        self.grad_bias = flat_dz.sum(axis=0)
-        self.grad_w_h = hs[:-1].reshape(t * b, k).T @ flat_dz
+        # one GEMM over the kept [h_{t-1} | x_t | 1] operands gives all three
+        grad_w = ops[:t].reshape(t * b, k + s + 1).T @ flat_dz
+        self.grad_w_h = grad_w[:k]
+        self.grad_w_x = grad_w[k:k + s]
+        self.grad_bias = grad_w[k + s]
         return (flat_dz @ self.w_x.T).reshape(t, b, s).transpose(1, 0, 2)
 
 

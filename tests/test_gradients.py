@@ -11,6 +11,7 @@ import pytest
 from gradcheck_lib import LAYER_CHECKS
 from tdntc import models
 from tdntc.layers import softmax_cross_entropy_batch
+from tdntc.tensor import finite_diff_grad, relative_grad_error
 
 TOLERANCE = 1e-4
 
@@ -43,3 +44,64 @@ def test_full_graph_backward_produces_gradients_for_every_parameter(variant):
     for name, arr in params.items():
         assert grads[name].shape == arr.shape
         assert np.isfinite(grads[name]).all(), name
+
+
+def _sampled_numeric_grad(loss, arr, idx):
+    """Central differences of `loss()` in the flat entries `idx` of `arr`."""
+    flat = arr.reshape(-1)
+    assert np.shares_memory(flat, arr)
+    saved = flat[idx].copy()
+
+    def at(values):
+        flat[idx] = values
+        return loss()
+
+    try:
+        return finite_diff_grad(at, saved.copy())
+    finally:
+        flat[idx] = saved
+
+
+@pytest.mark.parametrize("variant", models.VARIANTS)
+def test_whole_graph_backward_matches_finite_differences(variant):
+    # Tiny configs: 12 features on a 6x2 frame, a 1x1 kernel, so m1-td folds
+    # three pooled rows and m3's LSTM runs over three pooled positions.
+    units = 3 if variant.endswith("-td") else 4
+    cfg = models.ModelConfig(variant, 12, 3, units=units, kernel=(1, 1), td_units=units,
+                             factor_pair=(6, 2), seed=21)
+    graph = models.build_model(cfg)
+    rng = np.random.default_rng(22)
+    batch = 5
+    shape = (batch, *graph.frame_dims) if cfg.frame_input else (batch, 12)
+    x = rng.normal(size=shape)
+    y = np.array([0, 1, 2, 0, 1])
+
+    def loss():
+        logits = graph.forward_logits(x, train=True)
+        return float(softmax_cross_entropy_batch(logits, y)[1].mean())
+
+    logits = graph.forward_logits(x, train=True)
+    _, _, dlogits = softmax_cross_entropy_batch(logits, y)
+    graph.backward(dlogits / batch)
+    grads = {name: g.copy() for name, g in graph.grads().items()}
+    # ModelGraph.backward drops the first stage's input gradient, so the
+    # input check walks the same stage chain once more.
+    dout = graph.stages[-1].layer.backward(dlogits / batch)
+    for stage in reversed(graph.stages[:-1]):
+        dout = stage.backward(dout)
+    dx = dout.reshape(shape)
+
+    checked = dict(graph.params(), input=x)
+    analytic = dict(grads, input=dx)
+    for name, arr in checked.items():
+        idx = rng.choice(arr.size, size=min(arr.size, 12), replace=False)
+        numeric = _sampled_numeric_grad(loss, arr, idx)
+        want = analytic[name].reshape(-1)[idx]
+        if name == "CNN_2D/biases":
+            # Pooling commutes with a per-unit constant and train-mode BN
+            # subtracts the batch mean, so the loss ignores the conv bias.
+            assert np.abs(want).max() < 1e-12 and np.abs(numeric).max() < 1e-8
+            continue
+        assert np.abs(numeric).max() > 1e-6, f"{variant} {name}: no signal sampled"
+        err = relative_grad_error(want, numeric)
+        assert err < TOLERANCE, f"{variant} {name}: rel err {err:.3e}"

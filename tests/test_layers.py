@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,9 +349,11 @@ class TestLSTM:
 
     @pytest.mark.parametrize("s,k", [(1, 4), (3, 4)])
     @pytest.mark.parametrize("activation", ["identity", "relu"])
-    @pytest.mark.parametrize("return_sequences", [True, False])
+    @pytest.mark.parametrize("return_sequences,train", [
+        (True, True), (False, True), (True, False), (False, False)],
+        ids=["True", "False", "True-inference", "False-inference"])
     def test_forward_matches_per_step_reference(self, s, k, activation,
-                                                return_sequences):
+                                                return_sequences, train):
         rng = np.random.default_rng(11)
         layer = LSTMLayer(s, k, output_activation=activation, rng=rng,
                           return_sequences=return_sequences)
@@ -378,13 +381,42 @@ class TestLSTM:
             want = want[:, -1]
 
         before = {name: p.copy() for name, p in layer.params().items()}
-        out = layer.forward(x, train=True)
+        out = layer.forward(x, train=train)
         assert out.shape == want.shape
+        assert out.flags.c_contiguous
         assert np.abs(out - want).max() <= 1e-12
-        assert np.abs(layer.last_hidden_states - want_states).max() <= 1e-12
-        layer.backward(rng.normal(size=out.shape))
-        for name, p in layer.params().items():
-            assert p.tobytes() == before[name].tobytes(), name
+        if train:
+            assert np.abs(layer.last_hidden_states - want_states).max() <= 1e-12
+            layer.backward(rng.normal(size=out.shape))
+            for name, p in layer.params().items():
+                assert p.tobytes() == before[name].tobytes(), name
+        else:
+            # the inference forward keeps nothing for backward and runs the
+            # same arithmetic as a train-mode forward
+            with pytest.raises(RuntimeError, match="train-mode forward"):
+                layer.backward(np.ones(out.shape))
+            assert out.tobytes() == layer.forward(x, train=True).tobytes()
+
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    def test_inference_forward_allocates_no_per_step_cache(self, return_sequences):
+        # One (steps, batch, 4 * units) float64 buffer, the size of the gate
+        # cache a train-mode forward keeps: m2's 48 scalar steps, batch 64.
+        batch, steps, units = 64, 48, 32
+        gate_cache_bytes = steps * batch * 4 * units * 8
+        assert gate_cache_bytes == 3_145_728
+        layer = LSTMLayer(1, units, output_activation="relu",
+                          rng=np.random.default_rng(4),
+                          return_sequences=return_sequences)
+        x = np.random.default_rng(5).normal(size=(batch, steps, 1))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = layer.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape[0] == batch
+        assert peak < gate_cache_bytes
 
     def test_width_mismatch(self):
         layer = LSTMLayer(3, 2)
