@@ -136,6 +136,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     kernel = _parse_kernel(args.kernel)
     ds = datapipe.load_csv_dataset(args.csv, label_column=args.label_column)
     split = datapipe.stratified_split(ds, seed=args.seed)
+    sizes = f"train={split.train.size} val={split.val.size} test={split.test.size}"
+    if split.test.size == 0:
+        # Checked before training: the report needs at least one test row.
+        raise datapipe.StratificationError(
+            f"{args.csv}: the test split is empty ({sizes}); "
+            "no class has the 5 rows one test row needs")
     scaler = datapipe.minmax_fit(ds.features[split.train])
 
     model_cfg = models.ModelConfig(
@@ -149,8 +155,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "val": (inputs[split.val], ds.labels[split.val]),
         "test": (inputs[split.test], ds.labels[split.test]),
     }
-    print(f"split sizes: train={split.train.size} val={split.val.size} "
-          f"test={split.test.size}")
+    print(f"split sizes: {sizes}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -10,6 +10,11 @@ packet.  The module imports no numpy, because `tdntc featurize` loads only
 this module and the CLI, and importing numpy would more than double its
 start-up time.
 
+The capture is read sequentially through one reused buffer of
+`_BUFFER_BYTES`, never whole and never with a seek, so memory follows the
+packets kept rather than the size of the file, and a pipe such as
+/dev/stdin works as the input.
+
 File format: classic pcap only (magic 0xA1B2C3D4, byte-swapped and
 nanosecond variants included), Ethernet link layer.  pcapng and live
 capture are out of scope.
@@ -17,12 +22,13 @@ capture are out of scope.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import not_, sub
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
 MAGIC_USEC = 0xA1B2C3D4
 MAGIC_NSEC = 0xA1B23C4D
@@ -147,6 +153,12 @@ def _dotted(ip: int) -> str:
 # addresses and ports of an Ethernet frame holding an option-free IPv4 header.
 _PLAIN_FRAME = struct.Struct(">12xHBxH2xHxB2xIIHH")
 
+# A record header plus every frame byte a check reads: 14 Ethernet, up to
+# 60 IPv4 with options, and the 4 port bytes.
+_RECORD_HEAD = 16 + 78
+# Size of the one buffer a capture is read through; at least _RECORD_HEAD.
+_BUFFER_BYTES = 1 << 20
+
 
 def parse_pcap_bytes(data: bytes) -> ParsedCapture:
     """Decode classic pcap bytes into packet columns.
@@ -158,11 +170,26 @@ def parse_pcap_bytes(data: bytes) -> ParsedCapture:
     bytes after the header, counts as truncated.  A record header that
     runs past end-of-file is a hard error.
     """
-    if len(data) < 24:
+    return _parse_stream(io.BytesIO(data))
+
+
+def _parse_stream(stream: BinaryIO) -> ParsedCapture:
+    """The one decode loop behind `parse_pcap` and `parse_pcap_bytes`.
+
+    It reads the stream front to back with `readinto` through one reused
+    buffer and never seeks, so its memory does not grow with the capture
+    and pipes work.  A read that returns no bytes is end-of-file; an error
+    names the absolute byte offset of the record it cuts.
+    """
+    readinto = stream.readinto
+    buf = bytearray(_BUFFER_BYTES)
+    view = memoryview(buf)
+    filled = _fill(readinto, view)
+    if filled < 24:
         raise PcapFormatError("file too short for a pcap global header")
-    magic_be = struct.unpack_from(">I", data)[0]
+    magic_be = struct.unpack_from(">I", buf)[0]
     endian = ">" if magic_be in (MAGIC_USEC, MAGIC_NSEC) else "<"
-    magic, linktype = struct.unpack_from(endian + "I16xI", data)
+    magic, linktype = struct.unpack_from(endian + "I16xI", buf)
     if magic not in (MAGIC_USEC, MAGIC_NSEC):
         raise PcapFormatError(f"bad pcap magic 0x{magic_be:08X}")
     if linktype != LINKTYPE_ETHERNET:
@@ -176,31 +203,54 @@ def parse_pcap_bytes(data: bytes) -> ParsedCapture:
     add_proto, add_len = cols.protocol.append, cols.payload_len.append
     record_header = struct.Struct(endian + "IIII").unpack_from
     plain_frame = _PLAIN_FRAME.unpack_from
-    size = len(data)
-    offset = 24
-    while offset < size:
-        if offset + 16 > size:
-            raise PcapParseError(f"truncated record header at byte {offset}")
-        ts_sec, ts_frac, incl_len, _orig_len = record_header(data, offset)
+    # buf[:filled] holds the file's bytes from offset `base` on.  Before
+    # end-of-file a record is decoded only when its header and the frame
+    # bytes any check reads lie in the buffer; at end-of-file the buffer
+    # holds the rest of the file, and the record header alone must fit.
+    eof = filled < len(buf)
+    base, offset = 0, 24
+    limit = filled - (16 if eof else _RECORD_HEAD)
+    while True:
+        if offset > limit:
+            if eof:
+                if offset == filled:
+                    break
+                raise PcapParseError(f"truncated record header at byte {base + offset}")
+            if offset > filled:
+                # The last record ran past the buffer: read past its tail.
+                rest = offset - filled
+                while rest:
+                    got = readinto(view[:min(rest, len(buf))])
+                    if not got:
+                        raise PcapParseError(f"truncated packet data at byte {base + start}")
+                    rest -= got
+                filled = offset
+            buf[:filled - offset] = buf[offset:filled]
+            base, filled, offset = base + offset, filled - offset, 0
+            filled += _fill(readinto, view[filled:])
+            eof = filled < len(buf)
+            limit = filled - (16 if eof else _RECORD_HEAD)
+            continue
+        ts_sec, ts_frac, incl_len, _orig_len = record_header(buf, offset)
         start = offset + 16
         offset = start + incl_len
-        if offset > size:
-            raise PcapParseError(f"truncated packet data at byte {start}")
+        if offset > filled and eof:
+            raise PcapParseError(f"truncated packet data at byte {base + start}")
         # One unpack accepts the common frame; _skip_kind would keep it too.
         if incl_len >= 38:
             (ethertype, version_ihl, total_len, flags_frag, protocol,
-             src, dst, sport, dport) = plain_frame(data, start)
+             src, dst, sport, dport) = plain_frame(buf, start)
             ihl = 20
         if not (incl_len >= 38 and ethertype == 0x0800 and version_ihl == 0x45
                 and not flags_frag & 0x3FFF and (protocol == 6 or protocol == 17)
                 and total_len >= 24):
-            kind = _skip_kind(data, start, incl_len)
+            kind = _skip_kind(buf, start, incl_len)
             if kind is not None:
                 skipped[kind] += 1
                 continue
-            ihl = (data[start + 14] & 0x0F) * 4
-            total_len, protocol, src, dst = struct.unpack_from(">2xH5xB2xII", data, start + 14)
-            sport, dport = struct.unpack_from(">HH", data, start + 14 + ihl)
+            ihl = (buf[start + 14] & 0x0F) * 4
+            total_len, protocol, src, dst = struct.unpack_from(">2xH5xB2xII", buf, start + 14)
+            sport, dport = struct.unpack_from(">HH", buf, start + 14 + ihl)
         add_time(ts_sec + ts_frac * tick)
         add_src(src)
         add_dst(dst)
@@ -209,6 +259,17 @@ def parse_pcap_bytes(data: bytes) -> ParsedCapture:
         add_proto(protocol)
         add_len(total_len - ihl)
     return result
+
+
+def _fill(readinto, view: memoryview) -> int:
+    """Read into `view` until it is full or a read returns no bytes; the count read."""
+    filled = 0
+    while filled < len(view):
+        got = readinto(view[filled:])
+        if not got:
+            break
+        filled += got
+    return filled
 
 
 def _skip_kind(data: bytes, start: int, length: int) -> Optional[str]:
@@ -244,8 +305,9 @@ def _skip_kind(data: bytes, start: int, length: int) -> Optional[str]:
 
 
 def parse_pcap(path) -> ParsedCapture:
-    """Parse a classic pcap file from disk."""
-    return parse_pcap_bytes(Path(path).read_bytes())
+    """Parse the classic pcap at `path`, a file or a pipe such as /dev/stdin."""
+    with open(path, "rb", buffering=0) as stream:
+        return _parse_stream(stream)
 
 
 def assemble_flows(packets: Packets, idle_timeout: float = 60.0) -> List[Flow]:

@@ -69,6 +69,8 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 <= self.lr_jitter < 1.0:

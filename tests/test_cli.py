@@ -151,6 +151,23 @@ class TestFeaturize:
         assert main(["featurize", str(tmp_path / "nope.pcap"),
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_capture_read_from_a_pipe(self, tmp_path):
+        # A pipe cannot seek or report its size; its reads come in pieces
+        # smaller than the 200 kB capture.
+        frames = [pb.udp("10.0.0.1", 1000 + i % 7, "10.0.0.2", 53, payload_len=900)
+                  for i in range(200)]
+        data = pb.capture([(i, 0, frame) for i, frame in enumerate(frames)])
+        pcap = tmp_path / "piped.pcap"
+        pcap.write_bytes(data)
+        assert main(["featurize", str(pcap), "--out", str(tmp_path / "file.csv"),
+                     "--label", "x"]) == 0
+        env = dict(os.environ, PYTHONPATH="src")
+        subprocess.run([sys.executable, "-m", "tdntc.cli", "featurize", "/dev/stdin",
+                        "--out", str(tmp_path / "pipe.csv"), "--label", "x"],
+                       input=data, check=True, env=env, capture_output=True,
+                       cwd=Path(__file__).resolve().parent.parent)
+        assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
     def test_pad_to_width(self, tmp_path):
         pcap = tmp_path / "p.pcap"
         pcap.write_bytes(pb.capture([(0, 0, pb.udp("1.1.1.1", 1, "2.2.2.2", 2))]))
@@ -258,6 +275,8 @@ class TestBadOptionValues:
         ("--lr", "-1", "learning rate must be"),
         ("--lr-jitter", "1", "lr jitter must be"),
         ("--seed", "-1", "seed must be"),
+        ("--patience", "0", "patience must be"),
+        ("--patience", "-5", "patience must be"),
     ])
     def test_train_flag(self, synth_csv, tmp_path, capsys, flag, value, words):
         out_dir = tmp_path / "run"
@@ -267,6 +286,20 @@ class TestBadOptionValues:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert words in err
         assert not out_dir.exists()
+
+    def test_train_rejects_an_empty_test_split_before_training(self, tmp_path, capsys):
+        # 4 rows per class give floor(0.2 * 4) = 0 test rows.
+        csv_path = tmp_path / "tiny.csv"
+        assert main(["synth", "--classes", "2", "--per-class", "4", "--features", "12",
+                     "--out", str(csv_path)]) == 0
+        out_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert main(train_args(csv_path, out_dir)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(csv_path) in captured.err and "train=8 val=0 test=0" in captured.err
+        assert "trained" not in captured.out
+        assert not (out_dir / "model.ckpt").exists()
 
     @pytest.mark.parametrize("flag, value", [("--pad-to", "19"),
                                              ("--idle-timeout", "-1")])

@@ -1,9 +1,12 @@
 import hashlib
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pcap_builder as pb
+from tdntc import flowcap
 from tdntc.flowcap import (
     FEATURE_COLUMNS,
     PcapFormatError,
@@ -118,6 +121,83 @@ class TestParsePcap:
         path = tmp_path / "one.pcap"
         path.write_bytes(pb.capture([(0, 0, pb.udp("9.9.9.9", 1, "8.8.8.8", 2))]))
         assert len(parse_pcap(path).packets) == 1
+
+
+class TestStreaming:
+    """The parser reads a capture through one reused buffer, never the whole file."""
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        frame = pb.udp("10.0.0.1", 1000, "10.0.0.2", 53, payload_len=1400)
+        path = tmp_path / "big.pcap"
+        path.write_bytes(pb.capture([(i, 0, frame) for i in range(6000)]))
+        assert path.stat().st_size > 8_000_000
+        tracemalloc.start()
+        try:
+            parsed = parse_pcap(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(parsed.packets) == 6000
+        assert peak < 4 << 20
+
+    def test_records_longer_than_the_buffer(self, monkeypatch):
+        small = pb.udp("10.0.0.1", 1, "10.0.0.2", 2)
+        long = pb.tcp("10.0.0.3", 3, "10.0.0.4", 4, payload_len=1400,
+                      options=b"\x01" * 40)
+        data = pb.capture([(0, 0, small), (1, 0, long), (2, 0, small), (3, 0, long)])
+        expected = parse_pcap_bytes(data)
+        monkeypatch.setattr(flowcap, "_BUFFER_BYTES", 128)
+        parsed = parse_pcap_bytes(data)
+        assert parsed == expected
+        assert parsed.packets.payload_len == [8, 1420, 8, 1420]
+
+    @pytest.mark.parametrize("buffer_bytes", [None, 128, 94])
+    def test_cut_capture_reports_the_absolute_offset(self, monkeypatch, buffer_bytes):
+        if buffer_bytes is not None:
+            monkeypatch.setattr(flowcap, "_BUFFER_BYTES", buffer_bytes)
+        frames = [pb.udp("1.1.1.1", 1, "2.2.2.2", 2, payload_len=n) for n in (4, 300, 8)]
+        data = pb.capture([(i, 0, frame) for i, frame in enumerate(frames)])
+        third = len(data) - 16 - len(frames[2])
+        second_data = third - len(frames[1])
+        assert len(parse_pcap_bytes(data[:third]).packets) == 2
+        for cut, message in [
+            (third + 15, f"truncated record header at byte {third}"),
+            (second_data + 200, f"truncated packet data at byte {second_data}"),
+            (second_data + 10, f"truncated packet data at byte {second_data}"),
+            (len(data) - 1, f"truncated packet data at byte {third + 16}"),
+        ]:
+            with pytest.raises(PcapParseError) as err:
+                parse_pcap_bytes(data[:cut])
+            assert str(err.value) == message
+
+    def test_a_read_of_no_bytes_ends_the_stream(self):
+        frame = pb.udp("1.1.1.1", 1, "2.2.2.2", 2, payload_len=100)
+        data = pb.capture([(0, 0, frame), (1, 0, frame)])
+        second = 24 + 16 + len(frame)
+
+        class Stalling(io.RawIOBase):
+            """Returns no bytes once, inside the second record, then the rest."""
+
+            def __init__(self):
+                self.pos, self.stalled = 0, False
+
+            def readable(self):
+                return True
+
+            def readinto(self, b):
+                end = min(len(data), self.pos + len(b))
+                if not self.stalled and end > second + 20:
+                    if self.pos == second + 20:
+                        self.stalled = True
+                        return 0
+                    end = second + 20
+                b[:end - self.pos] = data[self.pos:end]
+                count, self.pos = end - self.pos, end
+                return count
+
+        with pytest.raises(PcapParseError) as err:
+            flowcap._parse_stream(Stalling())
+        assert str(err.value) == f"truncated packet data at byte {second + 16}"
 
 
 class TestAssembleFlows:
@@ -375,10 +455,22 @@ GOLDEN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("endian, nanos", list(GOLDEN_SHA256))
-def test_golden_csv_bytes(endian, nanos):
+def golden_digest(endian: str, nanos: bool) -> str:
     parsed = parse_pcap_bytes(golden_capture(endian, nanos))
     assert all(count > 0 for count in parsed.skipped.values())
     stats = featurize_flows(assemble_flows(parsed.packets, idle_timeout=60.0))
     text = "\n".join(flow_csv_lines(stats, "golden", pad_to=48))
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[endian, nanos]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("endian, nanos", list(GOLDEN_SHA256))
+def test_golden_csv_bytes(endian, nanos):
+    assert golden_digest(endian, nanos) == GOLDEN_SHA256[endian, nanos]
+
+
+@pytest.mark.parametrize("endian, nanos", list(GOLDEN_SHA256))
+def test_golden_csv_bytes_through_a_small_buffer(endian, nanos, monkeypatch):
+    # A 128-byte buffer refills at almost every record and is shorter than
+    # many of them.
+    monkeypatch.setattr(flowcap, "_BUFFER_BYTES", 128)
+    assert golden_digest(endian, nanos) == GOLDEN_SHA256[endian, nanos]
