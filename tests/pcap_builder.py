@@ -44,6 +44,11 @@ def ethernet_ipv4(src: str, dst: str, protocol: int, sport: int, dport: int,
     return eth + ip_hdr + transport
 
 
+def with_total_length(frame: bytes, total_len: int) -> bytes:
+    """The frame with its IPv4 total length field (bytes 16-17) overwritten."""
+    return frame[:16] + total_len.to_bytes(2, "big") + frame[18:]
+
+
 def raw_ethernet(ethertype: int, body: bytes = b"") -> bytes:
     return b"\xaa" * 6 + b"\xbb" * 6 + struct.pack(">H", ethertype) + body
 

@@ -9,6 +9,7 @@ import pcap_builder as pb
 from tdntc import flowcap
 from tdntc.flowcap import (
     FEATURE_COLUMNS,
+    FlowKey,
     PcapFormatError,
     PcapParseError,
     assemble_flows,
@@ -27,12 +28,14 @@ class TestParsePcap:
         assert len(parsed.packets) == 2
         assert parsed.skipped_total == 0
         cols = parsed.packets
-        assert cols.timestamp == [100 + 250000 * 1e-6, 100 + 750000 * 1e-6]
-        assert cols.src_ip == [0x0A000001] * 2
-        assert cols.dst_ip == [0x0A000002] * 2
-        assert (cols.src_port, cols.dst_port, cols.protocol) == ([1234] * 2, [53] * 2, [17] * 2)
+        assert list(cols.timestamp) == [100 + 250000 * 1e-6, 100 + 750000 * 1e-6]
+        assert list(cols.src_ip) == [0x0A000001] * 2
+        assert list(cols.dst_ip) == [0x0A000002] * 2
+        assert list(cols.src_port) == [1234] * 2
+        assert list(cols.dst_port) == [53] * 2
+        assert list(cols.protocol) == [17] * 2
         # IPv4 total length 20+8+4; payload_len excludes the IP header
-        assert cols.payload_len == [12, 12]
+        assert list(cols.payload_len) == [12, 12]
         assert parsed.records == 2
 
     def test_empty_capture(self):
@@ -49,7 +52,7 @@ class TestParsePcap:
     def test_nanosecond_magic(self):
         frame = pb.udp("1.2.3.4", 10, "5.6.7.8", 20)
         parsed = parse_pcap_bytes(pb.capture([(3, 500_000_000, frame)], nanos=True))
-        assert parsed.packets.timestamp == [3.5]
+        assert list(parsed.packets.timestamp) == [3.5]
 
     def test_bad_magic(self):
         with pytest.raises(PcapFormatError):
@@ -99,11 +102,11 @@ class TestParsePcap:
 
     @pytest.mark.parametrize("total_len, kept", [(8, False), (23, False), (24, True)])
     def test_total_length_must_cover_the_ports(self, total_len, kept):
-        frame = bytearray(pb.udp("1.0.0.1", 1, "1.0.0.2", 2, payload_len=8))
-        frame[16:18] = total_len.to_bytes(2, "big")
-        parsed = parse_pcap_bytes(pb.capture([(0, 0, bytes(frame))]))
+        frame = pb.udp("1.0.0.1", 1, "1.0.0.2", 2, payload_len=8)
+        frame = pb.with_total_length(frame, total_len)
+        parsed = parse_pcap_bytes(pb.capture([(0, 0, frame)]))
         assert parsed.skipped["truncated"] == (0 if kept else 1)
-        assert parsed.packets.payload_len == ([4] if kept else [])
+        assert list(parsed.packets.payload_len) == ([4] if kept else [])
 
     @pytest.mark.parametrize("ihl_words", [6, 15])
     def test_ip_options_shift_the_ports(self, ihl_words):
@@ -149,7 +152,7 @@ class TestStreaming:
         monkeypatch.setattr(flowcap, "_BUFFER_BYTES", 128)
         parsed = parse_pcap_bytes(data)
         assert parsed == expected
-        assert parsed.packets.payload_len == [8, 1420, 8, 1420]
+        assert list(parsed.packets.payload_len) == [8, 1420, 8, 1420]
 
     @pytest.mark.parametrize("buffer_bytes", [None, 128, 94])
     def test_cut_capture_reports_the_absolute_offset(self, monkeypatch, buffer_bytes):
@@ -198,6 +201,62 @@ class TestStreaming:
         with pytest.raises(PcapParseError) as err:
             flowcap._parse_stream(Stalling())
         assert str(err.value) == f"truncated packet data at byte {second + 16}"
+
+
+class TestTypedColumns:
+    """Values at the edges of each column's type survive parse, assembly and the CSV."""
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_edge_values_round_trip(self, endian):
+        top, high = "255.255.255.255", "128.0.0.1"
+        packets = [
+            # The plain path, then the IP-options path, at the largest total length.
+            (1, 0, pb.with_total_length(pb.udp(top, 65535, high, 32768), 65535)),
+            (2, 0, pb.with_total_length(pb.udp(high, 32768, top, 65535, options=b"\x01" * 4),
+                                        65535)),
+            # The smallest total lengths each path keeps.
+            (3, 0, pb.with_total_length(pb.tcp("0.0.0.0", 0, "0.0.0.1", 1), 24)),
+            (4, 0, pb.with_total_length(pb.tcp("0.0.0.1", 1, "0.0.0.0", 0,
+                                               options=b"\x01" * 4), 28)),
+        ]
+        cols = parse_pcap_bytes(pb.capture(packets, endian=endian)).packets
+        assert [getattr(cols, name).typecode for name in (
+            "timestamp", "src_ip", "dst_ip", "src_port", "dst_port", "protocol", "payload_len",
+        )] == ["d", "I", "I", "H", "H", "B", "H"]
+        assert list(cols.timestamp) == [1.0, 2.0, 3.0, 4.0]
+        assert list(cols.src_ip) == [0xFFFFFFFF, 0x80000001, 0, 1]
+        assert list(cols.dst_ip) == [0x80000001, 0xFFFFFFFF, 1, 0]
+        assert list(cols.src_port) == [65535, 32768, 0, 1]
+        assert list(cols.dst_port) == [32768, 65535, 1, 0]
+        assert list(cols.protocol) == [17, 17, 6, 6]
+        assert list(cols.payload_len) == [65515, 65511, 4, 4]
+
+        flows = assemble_flows(cols)
+        assert [flow.key for flow in flows] == [
+            FlowKey(top, 65535, high, 32768, 17), FlowKey("0.0.0.0", 0, "0.0.0.1", 1, 6)]
+        rows = [line.split(",") for line in flow_csv_lines(featurize_flows(flows), "x")[1:]]
+        columns = [dict(zip(FEATURE_COLUMNS, row)) for row in rows]
+        assert [(c["src_port"], c["dst_port"], c["protocol"]) for c in columns] == [
+            ("65535", "32768", "17"), ("0", "1", "6")]
+        assert [(c["fwd_bytes"], c["rev_bytes"], c["pkt_len_max"]) for c in columns] == [
+            ("65515", "65511", "65515"), ("4", "4", "4")]
+
+    def test_a_parsed_packet_keeps_under_48_bytes(self):
+        # Varied values, so that no column is made of small cached ints.
+        records = [(1_000_000 + i, i * 7, pb.udp(f"10.{i % 200}.{i // 200}.1", 1024 + i,
+                                                 "192.168.0.9", 40000 + i % 97,
+                                                 payload_len=300 + i % 700))
+                   for i in range(6000)]
+        data = pb.capture(records)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            parsed = parse_pcap_bytes(data)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(parsed.packets) == 6000
+        assert retained < 48 * 6000
 
 
 class TestAssembleFlows:

@@ -3,11 +3,14 @@
 Each test starts from a valid input, damages it at random and feeds it to
 the loader.  The loader may accept the input or raise one of the errors
 `tdntc.cli.main` reports as `error: ...`; any other exception is a bug.
+The pcap parser must also agree with a naive per-record decoder written
+here, column for column and error for error.
 Examples are drawn deterministically, so the suite stays reproducible.
 """
 
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pcap_builder as pb
-from tdntc import datapipe, models, trainer
+from tdntc import datapipe, flowcap, models, trainer
 from tdntc.cli import mapped_errors
-from tdntc.flowcap import parse_pcap_bytes
+from tdntc.flowcap import PcapFormatError, PcapParseError, parse_pcap_bytes
 
 MAPPED = mapped_errors()
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -61,6 +64,123 @@ def test_parse_pcap_bytes_on_damaged_capture(edits, cut):
     if len(parsed.packets):
         assert min(parsed.packets.payload_len) >= 4
     assert all(count >= 0 for count in parsed.skipped.values())
+
+
+PACKET_COLUMNS = ("timestamp", "src_ip", "dst_ip", "src_port", "dst_port", "protocol",
+                  "payload_len")
+
+
+def reference_frame(frame: bytes):
+    """A skip kind, or the (src, dst, sport, dport, protocol, payload_len) of a kept frame."""
+    if len(frame) < 14:
+        return "truncated"
+    ethertype = int.from_bytes(frame[12:14], "big")
+    if ethertype == 0x86DD:
+        return "ipv6"
+    if ethertype != 0x0800:
+        return "non_ip"
+    ip = frame[14:]
+    if len(ip) < 20:
+        return "truncated"
+    if ip[0] >> 4 != 4:
+        return "non_ip"
+    ihl = (ip[0] & 0x0F) * 4
+    if ihl < 20:
+        return "truncated"
+    total_len = int.from_bytes(ip[2:4], "big")
+    if int.from_bytes(ip[6:8], "big") & 0x3FFF:
+        return "fragmented"
+    if ip[9] not in (6, 17):
+        return "non_tcp_udp"
+    if len(ip) < ihl + 4 or total_len < ihl + 4:
+        return "truncated"
+    return (int.from_bytes(ip[12:16], "big"), int.from_bytes(ip[16:20], "big"),
+            int.from_bytes(ip[ihl:ihl + 2], "big"), int.from_bytes(ip[ihl + 2:ihl + 4], "big"),
+            ip[9], total_len - ihl)
+
+
+def reference_parse(data: bytes):
+    """Decode a whole capture one record at a time by slicing: (columns, skipped).
+
+    Raises the parser's errors with its messages and absolute byte offsets.
+    """
+    if len(data) < 24:
+        raise PcapFormatError("file too short for a pcap global header")
+    endian = ">" if data[:4] in (b"\xa1\xb2\xc3\xd4", b"\xa1\xb2\x3c\x4d") else "<"
+    magic, linktype = struct.unpack(endian + "I16xI", data[:24])
+    if magic not in (pb.MAGIC_USEC, pb.MAGIC_NSEC):
+        raise PcapFormatError(f"bad pcap magic 0x{int.from_bytes(data[:4], 'big'):08X}")
+    if linktype != 1:
+        raise PcapFormatError(f"unsupported link type {linktype}; expected Ethernet")
+    tick = 1e-9 if magic == pb.MAGIC_NSEC else 1e-6
+    columns = {name: [] for name in PACKET_COLUMNS}
+    skipped = dict.fromkeys(("non_ip", "ipv6", "fragmented", "non_tcp_udp", "truncated"), 0)
+    pos = 24
+    while pos < len(data):
+        if pos + 16 > len(data):
+            raise PcapParseError(f"truncated record header at byte {pos}")
+        sec, frac, incl_len, _ = struct.unpack(endian + "IIII", data[pos:pos + 16])
+        frame = data[pos + 16:pos + 16 + incl_len]
+        if len(frame) < incl_len:
+            raise PcapParseError(f"truncated packet data at byte {pos + 16}")
+        pos += 16 + incl_len
+        kept = reference_frame(frame)
+        if isinstance(kept, str):
+            skipped[kept] += 1
+            continue
+        for name, value in zip(PACKET_COLUMNS, (sec + frac * tick, *kept)):
+            columns[name].append(value)
+    return columns, skipped
+
+
+def tcp_udp_frame(make, src, sport, dst, dport, size, words, total_len):
+    """A TCP or UDP frame; a total_len other than None overwrites the IPv4 total length."""
+    frame = make(src, sport, dst, dport, payload_len=size, options=b"\x01" * 4 * words)
+    return frame if total_len is None else pb.with_total_length(frame, total_len)
+
+
+# Frames of every kind the parser meets, with values up to each field's limit.
+addresses = st.one_of(st.sampled_from([0, 1 << 31, (1 << 31) + 1, (1 << 32) - 1]),
+                      st.integers(0, (1 << 32) - 1)).map(
+    lambda n: ".".join(str(n >> shift & 255) for shift in (24, 16, 8, 0)))
+ports = st.integers(0, 65535)
+frames = st.one_of(
+    st.builds(tcp_udp_frame, st.sampled_from([pb.udp, pb.tcp]), addresses, ports, addresses,
+              ports, st.integers(0, 1600), st.sampled_from([0, 0, 1, 10]),
+              st.one_of(st.none(), st.sampled_from([23, 24, 27, 28, 65535]),
+                        st.integers(0, 65535))),
+    st.builds(pb.ethernet_ipv4, addresses, addresses, st.sampled_from([1, 6, 17, 47]),
+              ports, ports, frag=st.sampled_from([0, 0x2000, 0x4000, 0x0010])),
+    st.builds(pb.raw_ethernet, st.sampled_from([0x0800, 0x0806, 0x86DD]),
+              st.binary(max_size=64)),
+    st.binary(max_size=40),
+)
+records = st.lists(st.tuples(st.integers(0, 1 << 31), st.integers(0, 999_999), frames),
+                   min_size=1, max_size=16)
+
+
+@FUZZ
+@given(packets=records, endian=st.sampled_from("<>"), nanos=st.booleans(),
+       edits=st.one_of(st.just([]), byte_edits), cut=st.one_of(st.just(0), st.integers(1, 64)),
+       buffer_bytes=st.sampled_from([94, 95, 128, 1 << 20]))
+def test_parse_pcap_bytes_matches_a_per_record_reference(packets, endian, nanos, edits, cut,
+                                                         buffer_bytes):
+    data = overwrite(pb.capture(packets, endian=endian, nanos=nanos), edits)
+    data = data[:len(data) - cut]
+    try:
+        expected = reference_parse(data)
+    except MAPPED as err:
+        expected = err
+    with mock.patch.object(flowcap, "_BUFFER_BYTES", buffer_bytes):
+        try:
+            parsed = parse_pcap_bytes(data)
+        except MAPPED as err:
+            assert (type(err), str(err)) == (type(expected), str(expected))
+            return
+    assert not isinstance(expected, Exception), f"expected {expected!r}"
+    columns, skipped = expected
+    assert {name: list(getattr(parsed.packets, name)) for name in PACKET_COLUMNS} == columns
+    assert parsed.skipped == skipped
 
 
 # ---------------------------------------------------------------------------

@@ -62,17 +62,23 @@ def _sampled_numeric_grad(loss, arr, idx):
         flat[idx] = saved
 
 
-@pytest.mark.parametrize("variant", models.VARIANTS)
-def test_whole_graph_backward_matches_finite_differences(variant):
-    # Tiny configs: 12 features on a 6x2 frame, a 1x1 kernel, so m1-td folds
-    # three pooled rows and m3's LSTM runs over three pooled positions.
+# Tiny configs with a 1x1 kernel.  12 features on a 6x2 frame pool to a 3x1
+# grid, so m1-td folds three pooled rows and m3's LSTM runs over three pooled
+# positions.  24 features on a 6x4 frame pool to 3x2, where a swap of the
+# pooled rows and columns changes the result.
+@pytest.mark.parametrize("variant, factor_pair", [
+    *(pytest.param(variant, (6, 2), id=variant) for variant in models.VARIANTS),
+    *(pytest.param(variant, (6, 4), id=f"{variant}-6x4") for variant in models.VARIANTS),
+])
+def test_whole_graph_backward_matches_finite_differences(variant, factor_pair):
+    features = factor_pair[0] * factor_pair[1]
     units = 3 if variant.endswith("-td") else 4
-    cfg = models.ModelConfig(variant, 12, 3, units=units, kernel=(1, 1), td_units=units,
-                             factor_pair=(6, 2), seed=21)
+    cfg = models.ModelConfig(variant, features, 3, units=units, kernel=(1, 1), td_units=units,
+                             factor_pair=factor_pair, seed=21)
     graph = models.build_model(cfg)
     rng = np.random.default_rng(22)
     batch = 5
-    shape = (batch, *graph.frame_dims) if cfg.frame_input else (batch, 12)
+    shape = (batch, *graph.frame_dims) if cfg.frame_input else (batch, features)
     x = rng.normal(size=shape)
     y = np.array([0, 1, 2, 0, 1])
 
