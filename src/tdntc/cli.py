@@ -161,29 +161,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     config_header = {"model": model_cfg.to_dict(), "training": train_cfg.to_dict()}
 
+    # A single run is trial 1 of the protocol, so it honours --lr-jitter too.
+    table = trainer.run_trials(model_cfg, train_cfg,
+                               splits["train"], splits["val"], splits["test"])
+    graph, result, report = table.graph, table.result, table.report
     if args.trials > 1:
-        table = trainer.run_trials(model_cfg, train_cfg,
-                                   splits["train"], splits["val"], splits["test"])
         trial_text = trainer.format_trial_table(table)
         print(trial_text)
         (out_dir / "trials.txt").write_text(trial_text + "\n", encoding="utf-8")
-        graph = table.best_graph()
-        history_text = None
     else:
-        graph = models.build_model(model_cfg)
-        result = trainer.train(graph, splits["train"], splits["val"], train_cfg)
-        history_text = trainer.history_csv(result.history)
+        (out_dir / "history.csv").write_text(trainer.history_csv(result.history),
+                                             encoding="utf-8")
         print(f"trained {len(result.history)} epochs "
               f"(best val loss {result.best_val_loss:.6f} at epoch {result.best_epoch})")
 
-    report = trainer.evaluate(graph, *splits["test"])
     report_text = metrics.per_class_report(report, ds.class_names)
     print(report_text)
 
     trainer.save_checkpoint(graph, out_dir / "model.ckpt", scaler=scaler,
                             class_names=ds.class_names)
-    if history_text is not None:
-        (out_dir / "history.csv").write_text(history_text, encoding="utf-8")
     (out_dir / "report.txt").write_text(
         f"# config: {json.dumps(config_header, sort_keys=True)}\n{report_text}\n",
         encoding="utf-8")

@@ -28,8 +28,9 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, islice
-from operator import not_, sub
+from operator import add, not_, sub
 from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 MAGIC_USEC = 0xA1B2C3D4
@@ -384,7 +385,9 @@ def _iat_stats(timestamps: List[float]) -> Tuple[float, float, float]:
     if len(timestamps) < 2:
         return 0.0, 0.0, 0.0
     gaps = list(map(sub, islice(timestamps, 1, None), timestamps))
-    return min(gaps), sum(gaps) / len(gaps), max(gaps)
+    # Left to right from 0.0, not sum(): float sum() is compensated from
+    # CPython 3.12 on, so the CSV bytes would depend on the interpreter.
+    return min(gaps), reduce(add, gaps, 0.0) / len(gaps), max(gaps)
 
 
 def featurize_flows(flows: List[Flow]) -> List[FlowStats]:

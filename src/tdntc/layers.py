@@ -7,6 +7,14 @@ Every layer implements the `Layer` interface: an audit `name`,
 model graph, the optimizer, the parameter audit and the checkpoint writer
 address all of them the same way.
 
+A layer names its tensors once.  `PARAMS` lists its trainable attributes
+in checkpoint order; the gradient of attribute `x` lives in `grad_x`.
+`BUFFERS` lists the further attributes a checkpoint persists (batchnorm's
+running statistics).  `params()`, `grads()` and `state()` are derived from
+these two tuples, and `_zero_grads()` gives every parameter its zero
+gradient.  A `DenseStage` (the time-distributed wrapper, the decision
+stage) forwards all of them to the dense layer it holds.
+
 Only a train-mode forward (`train=True`) keeps what `backward` needs, and
 it keeps it through `Layer._keep`; an inference forward drops whatever an
 earlier call kept.  `backward` after an inference forward raises
@@ -35,6 +43,8 @@ class Layer:
     """One pipeline stage; the defaults suit a parameter-free stage."""
 
     name = ""
+    PARAMS: Tuple[str, ...] = ()
+    BUFFERS: Tuple[str, ...] = ()
     _saved = None
 
     def _keep(self, train: bool, *state) -> None:
@@ -52,15 +62,19 @@ class Layer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _zero_grads(self) -> None:
+        for name in self.PARAMS:
+            setattr(self, "grad_" + name, np.zeros_like(getattr(self, name)))
+
     def params(self) -> Dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, name) for name in self.PARAMS}
 
     def grads(self) -> Dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, "grad_" + name) for name in self.PARAMS}
 
     def state(self) -> Dict[str, np.ndarray]:
-        """Arrays a checkpoint must persist (parameters plus any running stats)."""
-        return self.params()
+        """Arrays a checkpoint must persist: the parameters, then the buffers."""
+        return {**self.params(), **{name: getattr(self, name) for name in self.BUFFERS}}
 
     def param_count(self) -> int:
         return 0
@@ -100,6 +114,7 @@ class DenseLayer(Layer):
     """
 
     ACTIVATIONS = ("identity", "relu")
+    PARAMS = ("weights", "bias")
 
     def __init__(self, in_size: int, out_size: int, activation: str = "identity",
                  rng: np.random.Generator | None = None, name: str = "FFNN_0",
@@ -117,20 +132,13 @@ class DenseLayer(Layer):
             self.weights = glorot_uniform(rng, (self.in_size, self.out_size),
                                           self.in_size, self.out_size)
         self.bias = np.zeros(self.out_size)
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
+        self._zero_grads()
 
     def param_count(self) -> int:
         return self.in_size * self.out_size + self.out_size
 
     def calc_string(self) -> str:
         return f"{self.width_desc}x{self.out_size}+{self.out_size}"
-
-    def params(self) -> Dict[str, np.ndarray]:
-        return {"weights": self.weights, "bias": self.bias}
-
-    def grads(self) -> Dict[str, np.ndarray]:
-        return {"weights": self.grad_weights, "bias": self.grad_bias}
 
     def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.in_size:
@@ -157,7 +165,26 @@ class DenseLayer(Layer):
         return dz @ self.weights.T
 
 
-class TimeDistributed(Layer):
+class DenseStage(Layer):
+    """A stage whose tensors and audit row are those of the dense `layer` it holds."""
+
+    def __init__(self, layer: DenseLayer):
+        self.layer = layer
+
+    def params(self) -> Dict[str, np.ndarray]:
+        return self.layer.params()
+
+    def grads(self) -> Dict[str, np.ndarray]:
+        return self.layer.grads()
+
+    def param_count(self) -> int:
+        return self.layer.param_count()
+
+    def calc_string(self) -> str:
+        return self.layer.calc_string()
+
+
+class TimeDistributed(DenseStage):
     """Shared dense layer applied at every step of the leading sequence axis.
 
     Parameter gradients accumulate over all steps, which is exactly the
@@ -167,34 +194,18 @@ class TimeDistributed(Layer):
 
     name = "TD(FFNN_0)"
 
-    def __init__(self, inner: DenseLayer):
-        self.inner = inner
-
-    def param_count(self) -> int:
-        return self.inner.param_count()
-
-    def params(self) -> Dict[str, np.ndarray]:
-        return self.inner.params()
-
-    def grads(self) -> Dict[str, np.ndarray]:
-        return self.inner.grads()
-
-    def calc_string(self) -> str:
-        inner = self.inner
-        return f"{inner.in_size}x{inner.out_size}+{inner.out_size}"
-
     def forward(self, seq: np.ndarray, train: bool = False) -> np.ndarray:
         if seq.ndim != 3:
             raise ShapeError(f"time_distributed expects (batch, steps, feat), got {seq.shape}")
         b, t, f = seq.shape
-        out = self.inner.forward(seq.reshape(b * t, f), train)
+        out = self.layer.forward(seq.reshape(b * t, f), train)
         self._keep(train, b, t)
-        return out.reshape(b, t, self.inner.out_size)
+        return out.reshape(b, t, self.layer.out_size)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         b, t = self._kept()
-        dx = self.inner.backward(dout.reshape(b * t, self.inner.out_size))
-        return dx.reshape(b, t, self.inner.in_size)
+        dx = self.layer.backward(dout.reshape(b * t, self.layer.out_size))
+        return dx.reshape(b, t, self.layer.in_size)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +254,7 @@ class Conv2DLayer(Layer):
     """
 
     name = "CNN_2D"
+    PARAMS = ("kernels", "biases")
 
     def __init__(self, units: int, kernel: Tuple[int, int] = (3, 3),
                  stride: Tuple[int, int] = (1, 1), padding: int = 0,
@@ -258,17 +270,10 @@ class Conv2DLayer(Layer):
             fan = self.kernel_rows * self.kernel_cols
             self.kernels = glorot_uniform(rng, shape, fan, fan * self.units)
         self.biases = np.zeros(self.units)
-        self.grad_kernels = np.zeros_like(self.kernels)
-        self.grad_biases = np.zeros_like(self.biases)
+        self._zero_grads()
 
     def param_count(self) -> int:
         return (self.kernel_rows * self.kernel_cols * 1 + 1) * self.units
-
-    def params(self) -> Dict[str, np.ndarray]:
-        return {"kernels": self.kernels, "biases": self.biases}
-
-    def grads(self) -> Dict[str, np.ndarray]:
-        return {"kernels": self.grad_kernels, "biases": self.grad_biases}
 
     def calc_string(self) -> str:
         return f"({self.kernel_rows}x{self.kernel_cols}x1+1)x{self.units}"
@@ -370,6 +375,8 @@ class BatchNormLayer(Layer):
     """
 
     name = "BN"
+    PARAMS = ("gamma", "beta")
+    BUFFERS = ("running_mean", "running_var")
 
     def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.9):
         if not 0.0 < momentum < 1.0:
@@ -381,21 +388,10 @@ class BatchNormLayer(Layer):
         self.beta = np.zeros(self.channels)
         self.running_mean = np.zeros(self.channels)
         self.running_var = np.ones(self.channels)
-        self.grad_gamma = np.zeros_like(self.gamma)
-        self.grad_beta = np.zeros_like(self.beta)
+        self._zero_grads()
 
     def param_count(self) -> int:
         return 2 * self.channels
-
-    def params(self) -> Dict[str, np.ndarray]:
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self) -> Dict[str, np.ndarray]:
-        return {"gamma": self.grad_gamma, "beta": self.grad_beta}
-
-    def state(self) -> Dict[str, np.ndarray]:
-        return {**self.params(), "running_mean": self.running_mean,
-                "running_var": self.running_var}
 
     def calc_string(self) -> str:
         return f"2x{self.channels}"
@@ -473,6 +469,7 @@ class LSTMLayer(Layer):
     """
 
     name = "LSTM"
+    PARAMS = ("w_x", "w_h", "bias")
 
     def __init__(self, input_size: int, units: int, output_activation: str = "identity",
                  rng: np.random.Generator | None = None, return_sequences: bool = True):
@@ -490,19 +487,11 @@ class LSTMLayer(Layer):
             self.w_x = glorot_uniform(rng, (s, 4 * k), s, 4 * k)
             self.w_h = glorot_uniform(rng, (k, 4 * k), k, 4 * k)
         self.bias = np.zeros(4 * k)
-        self.grad_w_x = np.zeros_like(self.w_x)
-        self.grad_w_h = np.zeros_like(self.w_h)
-        self.grad_bias = np.zeros_like(self.bias)
+        self._zero_grads()
 
     def param_count(self) -> int:
         # 4 * [(S + 1) * U + U^2]
         return 4 * ((self.input_size + 1) * self.units + self.units ** 2)
-
-    def params(self) -> Dict[str, np.ndarray]:
-        return {"w_x": self.w_x, "w_h": self.w_h, "bias": self.bias}
-
-    def grads(self) -> Dict[str, np.ndarray]:
-        return {"w_x": self.grad_w_x, "w_h": self.grad_w_h, "bias": self.grad_bias}
 
     def calc_string(self) -> str:
         s, k = self.input_size, self.units

@@ -33,6 +33,7 @@ from .layers import (
     BatchNormLayer,
     Conv2DLayer,
     DenseLayer,
+    DenseStage,
     GeometryError,
     Layer,
     LSTMLayer,
@@ -188,33 +189,18 @@ class Flatten(Layer):
         return dout.reshape(shape)
 
 
-class DecisionStage:
+class DecisionStage(DenseStage):
     """The last stage: holds the FFNN_1 dense layer as `layer`.
 
     ModelGraph calls `layer.forward_logits` and `layer.backward` itself, so
-    the stage has no pass of its own, only the audit and state view.  The
+    the stage has no pass of its own, only the audit and tensor view.  The
     benchmark's tracer (perfbench) times the decision layer by wrapping
     `graph.stages[-1].layer`, so the graph must keep reaching it that way.
     """
 
     def __init__(self, layer: DenseLayer):
-        self.layer = layer
+        super().__init__(layer)
         self.name = layer.name
-
-    def params(self) -> Dict[str, np.ndarray]:
-        return self.layer.params()
-
-    def grads(self) -> Dict[str, np.ndarray]:
-        return self.layer.grads()
-
-    def state(self) -> Dict[str, np.ndarray]:
-        return self.layer.state()
-
-    def param_count(self) -> int:
-        return self.layer.param_count()
-
-    def calc_string(self) -> str:
-        return self.layer.calc_string()
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +292,19 @@ class ModelGraph:
 
     # -- parameter plumbing
 
+    def _walk(self, tensors: str) -> Dict[str, np.ndarray]:
+        """`stage/name` -> array of every stage's `tensors()` dict, in stage order."""
+        return {f"{stage.name}/{name}": arr for stage in self.stages
+                for name, arr in getattr(stage, tensors)().items()}
+
     def params(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for stage in self.stages:
-            for pname, arr in stage.params().items():
-                out[f"{stage.name}/{pname}"] = arr
-        return out
+        return self._walk("params")
 
     def grads(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for stage in self.stages:
-            for pname, arr in stage.grads().items():
-                out[f"{stage.name}/{pname}"] = arr
-        return out
+        return self._walk("grads")
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for stage in self.stages:
-            for pname, arr in stage.state().items():
-                out[f"{stage.name}/{pname}"] = arr
-        return out
+        return self._walk("state")
 
     def get_state(self) -> Dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.state_arrays().items()}

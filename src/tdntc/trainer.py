@@ -18,7 +18,9 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -136,8 +138,8 @@ class _SGD:
             p -= self.lr * grads[name]
 
 
-def _make_optimizer(cfg: TrainConfig, lr: float):
-    return _Adam(lr) if cfg.optimizer == "adam" else _SGD(lr)
+def _make_optimizer(cfg: TrainConfig):
+    return (_Adam if cfg.optimizer == "adam" else _SGD)(cfg.learning_rate)
 
 
 def _batch_indices(n: int, batch_size: int, rng: np.random.Generator) -> List[np.ndarray]:
@@ -170,8 +172,7 @@ def _dataset_loss_acc(graph: ModelGraph, x: np.ndarray, y: np.ndarray,
 
 
 def train(graph: ModelGraph, train_data: Tuple[np.ndarray, np.ndarray],
-          val_data: Tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
-          learning_rate: Optional[float] = None) -> TrainResult:
+          val_data: Tuple[np.ndarray, np.ndarray], cfg: TrainConfig) -> TrainResult:
     """Train `graph` in place; returns the per-epoch history.
 
     Mini-batch order is drawn from a generator seeded with cfg.seed, so a
@@ -184,8 +185,7 @@ def train(graph: ModelGraph, train_data: Tuple[np.ndarray, np.ndarray],
     # An empty validation split (legal for tiny classes under the floor
     # split rule) disables early stopping; every epoch counts as the best.
     has_val = x_val.shape[0] > 0
-    lr = cfg.learning_rate if learning_rate is None else learning_rate
-    optimizer = _make_optimizer(cfg, lr)
+    optimizer = _make_optimizer(cfg)
     rng = np.random.default_rng(cfg.seed)
     started = time.perf_counter()
 
@@ -285,23 +285,23 @@ class TrialRow:
 
 @dataclass
 class TrialTable:
+    """Every trial's row, plus the graph, result and test report of the best trial.
+
+    The best trial is the first one with the highest test accuracy.
+    """
+
     rows: List[TrialRow]
-    graphs: List[ModelGraph] = field(default_factory=list)
+    graph: ModelGraph
+    result: TrainResult
+    report: ClassReport
 
     def averages(self) -> TrialRow:
+        # Left to right from 0.0: float sum() is compensated from CPython
+        # 3.12 on, which would change the bits of trials.txt.
         n = len(self.rows)
-        return TrialRow(
-            trial=0,
-            accuracy=sum(r.accuracy for r in self.rows) / n,
-            precision=sum(r.precision for r in self.rows) / n,
-            recall=sum(r.recall for r in self.rows) / n,
-            f1=sum(r.f1 for r in self.rows) / n,
-            minutes=sum(r.minutes for r in self.rows) / n,
-        )
-
-    def best_graph(self) -> ModelGraph:
-        best = max(range(len(self.rows)), key=lambda i: self.rows[i].accuracy)
-        return self.graphs[best]
+        means = {col: reduce(add, (getattr(r, col) for r in self.rows), 0.0) / n
+                 for col in ("accuracy", "precision", "recall", "f1", "minutes")}
+        return TrialRow(trial=0, **means)
 
 
 def format_trial_table(table: TrialTable) -> str:
@@ -329,16 +329,16 @@ def run_trials(model_cfg: ModelConfig, cfg: TrainConfig,
     in [1-jitter, 1+jitter].
     """
     rows: List[TrialRow] = []
-    graphs: List[ModelGraph] = []
+    best = None
     for trial in range(1, cfg.trials + 1):
         trial_seed = cfg.seed + trial - 1
         graph = build_model(replace(model_cfg, seed=trial_seed))
-        trial_cfg = replace(cfg, seed=trial_seed)
         lr = cfg.learning_rate
         if cfg.lr_jitter > 0:
             jrng = np.random.default_rng(trial_seed)
             lr *= 1.0 + cfg.lr_jitter * jrng.uniform(-1.0, 1.0)
-        result = train(graph, train_data, val_data, trial_cfg, learning_rate=lr)
+        trial_cfg = replace(cfg, seed=trial_seed, learning_rate=lr)
+        result = train(graph, train_data, val_data, trial_cfg)
         report = evaluate(graph, *test_data)
         rows.append(TrialRow(
             trial=trial,
@@ -348,8 +348,9 @@ def run_trials(model_cfg: ModelConfig, cfg: TrainConfig,
             f1=report.weighted_f1,
             minutes=result.wall_seconds / 60.0,
         ))
-        graphs.append(graph)
-    return TrialTable(rows=rows, graphs=graphs)
+        if best is None or report.accuracy > best[2].accuracy:
+            best = graph, result, report
+    return TrialTable(rows, *best)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,26 @@ class TestTrainEvaluate:
         assert len(table) == 5
         assert table[-1].startswith("Avg.")
 
+    def test_single_run_is_trial_one_of_the_protocol(self, synth_csv, tmp_path):
+        # A single run honours --lr-jitter: its checkpoint is trial 1's.
+        from tdntc import datapipe, models, trainer
+
+        out_dir = tmp_path / "run"
+        assert main(train_args(synth_csv, out_dir, **{"--variant": "m2-van",
+                                                      "--lr-jitter": "0.5"})) == 0
+        ds = datapipe.load_csv_dataset(synth_csv)
+        split = datapipe.stratified_split(ds, seed=0)
+        scaler = datapipe.minmax_fit(ds.features[split.train])
+        x, y = datapipe.minmax_apply(scaler, ds.features), ds.labels
+        table = trainer.run_trials(
+            models.ModelConfig("m2-van", 12, 3, units=4, kernel=(3, 2), td_units=4),
+            trainer.TrainConfig(epochs=2, batch_size=8, trials=1, lr_jitter=0.5),
+            *((x[idx], y[idx]) for idx in (split.train, split.val, split.test)))
+        trainer.save_checkpoint(table.graph, tmp_path / "trial1.ckpt", scaler=scaler,
+                                class_names=ds.class_names)
+        assert ((out_dir / "model.ckpt").read_bytes()
+                == (tmp_path / "trial1.ckpt").read_bytes())
+
     def test_m3_variant_smoke(self, tmp_path):
         csv_path = tmp_path / "wide.csv"
         assert main(["synth", "--classes", "2", "--per-class", "10",

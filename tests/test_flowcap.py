@@ -1,6 +1,8 @@
 import hashlib
 import io
+import math
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -533,3 +535,23 @@ def test_golden_csv_bytes_through_a_small_buffer(endian, nanos, monkeypatch):
     # many of them.
     monkeypatch.setattr(flowcap, "_BUFFER_BYTES", 128)
     assert golden_digest(endian, nanos) == GOLDEN_SHA256[endian, nanos]
+
+
+# One flow whose gaps mix tens of seconds with a few microseconds.  Adding
+# a microsecond gap to a running sum of tens of seconds drops low bits, so a
+# compensated sum (float sum() from CPython 3.12 on) gives other bits.
+MIXED_GAPS_US = [16_063_297, 3, 39_671_595, 1, 3, 1, 51_748_323, 27_034_327,
+                 1, 2, 3, 13, 2]
+
+
+def test_gap_means_accumulate_left_to_right():
+    frame = pb.udp("10.0.0.1", 5000, "10.0.0.2", 53, payload_len=4)
+    stamps = accumulate(MIXED_GAPS_US, initial=2_000_000)
+    parsed = parse_pcap_bytes(pb.capture([(*divmod(t, 1_000_000), frame) for t in stamps]))
+    (stats,) = featurize_flows(assemble_flows(parsed.packets))
+    assert repr(stats.iat_mean) == repr(stats.fwd_iat_mean) == "10.347505461538459"
+    assert stats.rev_iat_mean == 0.0
+    # The case tells the two apart: the correctly rounded mean differs.
+    times = parsed.packets.timestamp
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    assert math.fsum(gaps) / len(gaps) != stats.iat_mean

@@ -192,6 +192,10 @@ class TestTrials:
         assert lines[-1].startswith("Avg.")
         for i in range(1, 6):
             assert lines[i].startswith(str(i))
+        # The table keeps the first trial with the highest test accuracy.
+        best = max(table.rows, key=lambda r: r.accuracy)
+        assert table.result.wall_seconds / 60.0 == best.minutes
+        assert table.report.accuracy == best.accuracy
 
     def test_single_trial_average_equals_row(self):
         cfg, data = tiny_splits("m2-van", per_class=10)
