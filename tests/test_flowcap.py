@@ -260,33 +260,63 @@ class TestTypedColumns:
         assert len(parsed.packets) == 6000
         assert retained < 48 * 6000
 
+    def test_an_assembled_flow_keeps_no_bytes_per_packet(self):
+        forward = ("10.0.0.1", 1024, "10.0.0.2", 53)
+        reverse = ("10.0.0.2", 53, "10.0.0.1", 1024)
+
+        def retained_by_one_flow(count):
+            # Both directions, varied times and lengths: no small cached ints.
+            packets = [(1_000_000 + i, i * 7, pb.udp(*(reverse if i % 3 == 2 else forward),
+                                                     payload_len=300 + i % 700))
+                       for i in range(count)]
+            parsed = parse_pcap_bytes(pb.capture(packets))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                flows = assemble_flows(parsed.packets)
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(flows) == 1
+            return retained
+
+        # Per-packet lists keep about 80 bytes a packet, over 400,000 more here.
+        assert retained_by_one_flow(6000) - retained_by_one_flow(600) < 4096
+
 
 class TestAssembleFlows:
     def test_same_tuple_single_flow(self):
         frame = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
         parsed = parse_pcap_bytes(pb.capture([(i, 0, frame) for i in range(3)]))
-        flows = assemble_flows(parsed.packets, idle_timeout=60.0)
-        assert len(flows) == 1
-        assert flows[0].times == [0.0, 1.0, 2.0]
+        (stats,) = featurize_flows(assemble_flows(parsed.packets, idle_timeout=60.0))
+        assert stats.fwd_packets + stats.rev_packets == 3
+        assert stats.duration == 2.0
+        assert stats.iat_min == stats.iat_mean == stats.iat_max == 1.0
 
     def test_bidirectional_directions(self):
         fwd = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
         rev = pb.udp("10.0.0.2", 2000, "10.0.0.1", 1000)
         parsed = parse_pcap_bytes(pb.capture([(0, 0, fwd), (0, 100, rev),
                                               (0, 200, fwd)]))
-        flows = assemble_flows(parsed.packets)
-        assert len(flows) == 1
-        key = flows[0].key
+        (stats,) = featurize_flows(assemble_flows(parsed.packets))
+        key = stats.key
         assert (key.src_ip, key.src_port) == ("10.0.0.1", 1000)
         assert (key.dst_ip, key.dst_port, key.protocol) == ("10.0.0.2", 2000, 17)
-        assert flows[0].forward == [True, False, True]
+        # Directions forward, reverse, forward: the one forward gap spans
+        # the first and third packets, and one reverse packet has no gap.
+        assert (stats.fwd_packets, stats.rev_packets) == (2, 1)
+        third = 200 * 1e-6
+        assert (stats.fwd_iat_min, stats.fwd_iat_mean, stats.fwd_iat_max) == (third,) * 3
+        assert (stats.rev_iat_min, stats.rev_iat_mean, stats.rev_iat_max) == (0.0,) * 3
 
     def test_idle_timeout_splits(self):
         frame = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
         parsed = parse_pcap_bytes(pb.capture([
             (0, 0, frame), (10, 0, frame), (10 + 61, 0, frame)]))
-        flows = assemble_flows(parsed.packets, idle_timeout=60.0)
-        assert [len(flow.times) for flow in flows] == [2, 1]
+        stats = featurize_flows(assemble_flows(parsed.packets, idle_timeout=60.0))
+        assert [s.fwd_packets + s.rev_packets for s in stats] == [2, 1]
+        assert [s.duration for s in stats] == [10.0, 0.0]
+        assert [s.iat_max for s in stats] == [10.0, 0.0]
 
     def test_boundary_gap_exactly_timeout_keeps_flow(self):
         frame = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
@@ -309,9 +339,10 @@ class TestAssembleFlows:
         fwd = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
         rev = pb.udp("10.0.0.2", 2000, "10.0.0.1", 1000)
         parsed = parse_pcap_bytes(pb.capture([(5, 0, rev), (5, 0, fwd)]))
-        flow = assemble_flows(parsed.packets)[0]
-        assert (flow.key.src_ip, flow.key.src_port) == ("10.0.0.2", 2000)
-        assert flow.forward == [True, False]
+        (stats,) = featurize_flows(assemble_flows(parsed.packets))
+        assert (stats.key.src_ip, stats.key.src_port) == ("10.0.0.2", 2000)
+        # The first packet is the initiator's, so directions forward, reverse.
+        assert (stats.fwd_packets, stats.rev_packets) == (1, 1)
 
     def test_canonical_key_symmetry(self):
         rng = np.random.default_rng(0)
@@ -325,9 +356,10 @@ class TestAssembleFlows:
                     for i, (a, b) in enumerate(endpoints)]
         flipped = [(i, 0, pb.udp(b[0], b[1], a[0], a[1]))
                    for i, (a, b) in enumerate(endpoints)]
-        flows_a = assemble_flows(parse_pcap_bytes(pb.capture(straight)).packets)
-        flows_b = assemble_flows(parse_pcap_bytes(pb.capture(flipped)).packets)
-        assert [len(f.times) for f in flows_a] == [len(f.times) for f in flows_b] == [40]
+        stats_a, stats_b = (featurize_flows(assemble_flows(parse_pcap_bytes(data).packets))
+                            for data in (pb.capture(straight), pb.capture(flipped)))
+        assert ([s.fwd_packets + s.rev_packets for s in stats_a]
+                == [s.fwd_packets + s.rev_packets for s in stats_b] == [40])
 
 
 class TestFeaturize:
@@ -422,8 +454,9 @@ class TestFeaturize:
             (3, 0, pb.udp("1.0.0.1", 1, "1.0.0.2", 2)),
         ]
         parsed = parse_pcap_bytes(pb.capture(packets))
-        flows = assemble_flows(parsed.packets)
-        assert sum(len(f.times) for f in flows) == len(packets) - parsed.skipped_total
+        stats = featurize_flows(assemble_flows(parsed.packets))
+        assert (sum(s.fwd_packets + s.rev_packets for s in stats)
+                == len(packets) - parsed.skipped_total)
         assert parsed.records == len(packets)
 
     def test_triples_ordered_on_random_captures(self):

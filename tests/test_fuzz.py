@@ -4,12 +4,15 @@ Each test starts from a valid input, damages it at random and feeds it to
 the loader.  The loader may accept the input or raise one of the errors
 `tdntc.cli.main` reports as `error: ...`; any other exception is a bug.
 The pcap parser must also agree with a naive per-record decoder written
-here, column for column and error for error.
+here, column for column and error for error, and flow assembly plus
+featurizing with a naive featurizer over per-flow lists, value for value.
 Examples are drawn deterministically, so the suite stays reproducible.
 """
 
 import json
 import struct
+from array import array
+from ipaddress import IPv4Address
 from unittest import mock
 
 import numpy as np
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 import pcap_builder as pb
 from tdntc import datapipe, flowcap, models, trainer
 from tdntc.cli import mapped_errors
-from tdntc.flowcap import PcapFormatError, PcapParseError, parse_pcap_bytes
+from tdntc.flowcap import FlowKey, FlowStats, PcapFormatError, PcapParseError, parse_pcap_bytes
 
 MAPPED = mapped_errors()
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -181,6 +184,90 @@ def test_parse_pcap_bytes_matches_a_per_record_reference(packets, endian, nanos,
     columns, skipped = expected
     assert {name: list(getattr(parsed.packets, name)) for name in PACKET_COLUMNS} == columns
     assert parsed.skipped == skipped
+
+
+# ---------------------------------------------------------------------------
+# flow statistics
+
+def reference_gaps(times):
+    """Shortest, mean and longest gap between consecutive times, summed left to right."""
+    gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+    if not gaps:
+        return 0.0, 0.0, 0.0
+    total = 0.0
+    for gap in gaps:
+        total += gap
+    return min(gaps), total / len(gaps), max(gaps)
+
+
+def reference_flow_stats(packets, idle_timeout):
+    """Flow statistics from a stable sort by time, per-flow packet lists and plain sums."""
+    flows, open_flows = [], {}
+    for i in sorted(range(len(packets)), key=lambda i: packets.timestamp[i]):
+        t = packets.timestamp[i]
+        a = (packets.src_ip[i], packets.src_port[i])
+        b = (packets.dst_ip[i], packets.dst_port[i])
+        canonical = (min(a, b), max(a, b), packets.protocol[i])
+        flow = open_flows.get(canonical)
+        if flow is None or t - flow[-1][0] > idle_timeout:
+            flow = open_flows[canonical] = []
+            flows.append(flow)
+        flow.append((t, packets.payload_len[i], a, i))
+    stats = []
+    for flow in flows:
+        first, initiator = flow[0][3], flow[0][2]
+        times = [t for t, _, _, _ in flow]
+        lengths = [n for _, n, _, _ in flow]
+        fwd = [(t, n) for t, n, end, _ in flow if end == initiator]
+        rev = [(t, n) for t, n, end, _ in flow if end != initiator]
+        iat = reference_gaps(times)
+        fwd_iat, rev_iat = (reference_gaps([t for t, _ in side]) for side in (fwd, rev))
+        key = FlowKey(str(IPv4Address(packets.src_ip[first])), packets.src_port[first],
+                      str(IPv4Address(packets.dst_ip[first])), packets.dst_port[first],
+                      packets.protocol[first])
+        stats.append(FlowStats(
+            key=key, src_port=key.src_port, dst_port=key.dst_port, protocol=key.protocol,
+            duration=times[-1] - times[0],
+            fwd_packets=len(fwd), rev_packets=len(rev),
+            fwd_bytes=sum(n for _, n in fwd), rev_bytes=sum(n for _, n in rev),
+            iat_min=iat[0], iat_mean=iat[1], iat_max=iat[2],
+            fwd_iat_min=fwd_iat[0], fwd_iat_mean=fwd_iat[1], fwd_iat_max=fwd_iat[2],
+            rev_iat_min=rev_iat[0], rev_iat_mean=rev_iat[1], rev_iat_max=rev_iat[2],
+            pkt_len_min=min(lengths), pkt_len_mean=sum(lengths) / len(lengths),
+            pkt_len_max=max(lengths)))
+    return stats
+
+
+# Three hosts whose dotted and numeric orders differ and two ports give
+# endpoints that meet in both directions.  Gaps in microseconds fall on
+# both sides of a 1 s or 2 s idle timeout, and a packet written up to 3 s
+# early lands out of time order or on another packet's timestamp.
+endpoints = st.tuples(st.sampled_from([0x0A000002, 0x0A00000A, 0xC0A80107]),
+                      st.sampled_from([53, 1000]))
+gaps_us = st.one_of(st.sampled_from([0, 0, 1, 999_999, 1_000_000, 1_000_001, 2_000_000,
+                                     2_000_001]),
+                    st.integers(0, 3_000_000))
+flow_rows = st.lists(st.tuples(gaps_us, st.one_of(st.just(0), st.integers(0, 3_000_000)),
+                               endpoints, endpoints, st.sampled_from([6, 17]),
+                               st.integers(4, 65535)),
+                     min_size=1, max_size=40)
+
+
+@FUZZ
+@given(rows=flow_rows, idle_timeout=st.sampled_from([0.0, 1.0, 2.0, 60.0]))
+def test_flow_stats_match_a_per_flow_list_reference(rows, idle_timeout):
+    columns = {name: [] for name in PACKET_COLUMNS}
+    t = 5_000_000
+    for gap, early, (src, sport), (dst, dport), protocol, size in rows:
+        t += gap
+        sec, usec = divmod(t - early, 1_000_000)
+        for name, value in zip(PACKET_COLUMNS,
+                               (sec + usec * 1e-6, src, dst, sport, dport, protocol, size)):
+            columns[name].append(value)
+    packets = flowcap.Packets(**{name: array(typecode, columns[name])
+                                 for name, typecode in zip(PACKET_COLUMNS, "dIIHHBH")})
+    stats = flowcap.featurize_flows(flowcap.assemble_flows(packets, idle_timeout=idle_timeout))
+    assert list(map(repr, stats)) == list(map(repr, reference_flow_stats(packets, idle_timeout)))
 
 
 # ---------------------------------------------------------------------------
