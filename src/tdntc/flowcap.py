@@ -428,16 +428,12 @@ def _csv_rows(stats: List[FlowStats], tail: str) -> Iterator[str]:
     return (",".join(map(repr, s.feature_values())) + tail for s in stats)
 
 
-def flow_csv_lines(stats: List[FlowStats], label: str, pad_to: int | None = None
-                   ) -> List[str]:
-    """Render header + one CSV line per flow, optionally zero-padded to pad_to columns."""
-    header, tail = _csv_layout(label, pad_to)
-    return [header, *_csv_rows(stats, tail)]
-
-
 def write_flow_csv(stats: List[FlowStats], path, label: str,
                    pad_to: int | None = None) -> None:
-    """Write `flow_csv_lines` to `path` one line at a time, each ended by a newline."""
+    """Write the header and one CSV line per flow to `path`, each ended by a newline.
+
+    The columns are zero-padded to pad_to when it is given.
+    """
     header, tail = _csv_layout(label, pad_to)
     with open(path, "w", encoding="utf-8") as out:
         out.write(header + "\n")

@@ -1,11 +1,12 @@
 """Layer zoo for the traffic classifiers: forward and backward rules.
 
 Every layer implements the `Layer` interface: an audit `name`,
-`forward(x, train=False)`, `backward(dout)`, `params()` / `grads()` /
-`state()` as name->array dicts, `param_count()` and the audit table's
-`calc_string()`.  Layers run batch-first on float64 numpy arrays, so the
-model graph, the optimizer, the parameter audit and the checkpoint writer
-address all of them the same way.
+`forward(x, train=False)`, `backward(dout)` and `params()` / `grads()` /
+`state()` as name->array dicts.  Layers run batch-first on float64 numpy
+arrays, so the model graph, the optimizer, the parameter audit and the
+checkpoint writer address all of them the same way.  A layer keeps only
+its math: the audit's closed-form counts and Calculation text live in
+`models`.
 
 A layer names its tensors once.  `PARAMS` lists its trainable attributes
 in checkpoint order; the gradient of attribute `x` lives in `grad_x`.
@@ -76,12 +77,6 @@ class Layer:
         """Arrays a checkpoint must persist: the parameters, then the buffers."""
         return {**self.params(), **{name: getattr(self, name) for name in self.BUFFERS}}
 
-    def param_count(self) -> int:
-        return 0
-
-    def calc_string(self) -> str:
-        return "-"
-
 
 # ---------------------------------------------------------------------------
 # activations
@@ -109,23 +104,20 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 class DenseLayer(Layer):
     """Fully connected layer y = act(x W + b), weights shaped (in, out).
 
-    `name` is the audit name (FFNN_0 hidden, FFNN_1 decision) and
-    `width_desc` the input-width text of its Calculation cell.
+    `name` is the audit name: FFNN_0 hidden, FFNN_1 decision.
     """
 
     ACTIVATIONS = ("identity", "relu")
     PARAMS = ("weights", "bias")
 
     def __init__(self, in_size: int, out_size: int, activation: str = "identity",
-                 rng: np.random.Generator | None = None, name: str = "FFNN_0",
-                 width_desc: str | None = None):
+                 rng: np.random.Generator | None = None, name: str = "FFNN_0"):
         if activation not in self.ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.in_size = int(in_size)
         self.out_size = int(out_size)
         self.activation = activation
         self.name = name
-        self.width_desc = width_desc or str(self.in_size)
         if rng is None:
             self.weights = np.zeros((self.in_size, self.out_size))
         else:
@@ -133,12 +125,6 @@ class DenseLayer(Layer):
                                           self.in_size, self.out_size)
         self.bias = np.zeros(self.out_size)
         self._zero_grads()
-
-    def param_count(self) -> int:
-        return self.in_size * self.out_size + self.out_size
-
-    def calc_string(self) -> str:
-        return f"{self.width_desc}x{self.out_size}+{self.out_size}"
 
     def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.in_size:
@@ -166,7 +152,7 @@ class DenseLayer(Layer):
 
 
 class DenseStage(Layer):
-    """A stage whose tensors and audit row are those of the dense `layer` it holds."""
+    """A stage whose tensors are those of the dense `layer` it holds."""
 
     def __init__(self, layer: DenseLayer):
         self.layer = layer
@@ -176,12 +162,6 @@ class DenseStage(Layer):
 
     def grads(self) -> Dict[str, np.ndarray]:
         return self.layer.grads()
-
-    def param_count(self) -> int:
-        return self.layer.param_count()
-
-    def calc_string(self) -> str:
-        return self.layer.calc_string()
 
 
 class TimeDistributed(DenseStage):
@@ -271,12 +251,6 @@ class Conv2DLayer(Layer):
             self.kernels = glorot_uniform(rng, shape, fan, fan * self.units)
         self.biases = np.zeros(self.units)
         self._zero_grads()
-
-    def param_count(self) -> int:
-        return (self.kernel_rows * self.kernel_cols * 1 + 1) * self.units
-
-    def calc_string(self) -> str:
-        return f"({self.kernel_rows}x{self.kernel_cols}x1+1)x{self.units}"
 
     def output_dims(self, rows: int, cols: int) -> Tuple[int, int]:
         return conv2d_output_dims(rows, cols, self.kernel_rows, self.kernel_cols,
@@ -390,12 +364,6 @@ class BatchNormLayer(Layer):
         self.running_var = np.ones(self.channels)
         self._zero_grads()
 
-    def param_count(self) -> int:
-        return 2 * self.channels
-
-    def calc_string(self) -> str:
-        return f"2x{self.channels}"
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise ShapeError(
@@ -488,14 +456,6 @@ class LSTMLayer(Layer):
             self.w_h = glorot_uniform(rng, (k, 4 * k), k, 4 * k)
         self.bias = np.zeros(4 * k)
         self._zero_grads()
-
-    def param_count(self) -> int:
-        # 4 * [(S + 1) * U + U^2]
-        return 4 * ((self.input_size + 1) * self.units + self.units ** 2)
-
-    def calc_string(self) -> str:
-        s, k = self.input_size, self.units
-        return f"4x[({s}+1)x{k}+{k}^2]"
 
     @property
     def last_hidden_states(self) -> np.ndarray:

@@ -16,14 +16,17 @@ applied only by `predict` and the fused training loss.  Vanilla and
 time-distributed twins share every stage except the ones named above, so
 their parameter tables differ only where the architecture differs.
 
-Every stage is a `layers.Layer`; its name and "Calculation" string mirror
-the audit table the CLI prints (`tdntc audit-params`): Network /
-Calculation / Trainable parameters.
+Every stage is a `layers.Layer` whose name is its row in the audit table
+the CLI prints (`tdntc audit-params`): Network / Calculation / Trainable
+parameters.  This module is the one home of the closed forms behind that
+table: `state_shapes` gives every tensor's shape and `_calculations` the
+Calculation text, so `count_parameters` never reads an allocated array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -111,30 +114,17 @@ class ModelConfig:
         return choose_factor_pair(self.n_features)
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "n_features": self.n_features,
-            "n_classes": self.n_classes,
-            "units": self.units,
-            "kernel": list(self.kernel),
-            "td_units": self.td_units,
-            "factor_pair": list(self.factor_pair) if self.factor_pair else None,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Rebuild a config from `to_dict` output; values are checked, not coerced."""
-        return cls(
-            variant=d["variant"],
-            n_features=d["n_features"],
-            n_classes=d["n_classes"],
-            units=d["units"],
-            kernel=d["kernel"],
-            td_units=d["td_units"],
-            factor_pair=d.get("factor_pair"),
-            seed=d["seed"],
-        )
+        """Rebuild a config from `to_dict` output; values are checked, not coerced.
+
+        Every field but the optional `factor_pair` is required: a missing one
+        raises KeyError naming it.
+        """
+        return cls(**{f.name: d.get(f.name) if f.name == "factor_pair" else d[f.name]
+                      for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +183,7 @@ class DecisionStage(DenseStage):
     """The last stage: holds the FFNN_1 dense layer as `layer`.
 
     ModelGraph calls `layer.forward_logits` and `layer.backward` itself, so
-    the stage has no pass of its own, only the audit and tensor view.  The
+    the stage has no pass of its own, only the audit name and tensor view.  The
     benchmark's tracer (perfbench) times the decision layer by wrapping
     `graph.stages[-1].layer`, so the graph must keep reaching it that way.
     """
@@ -340,29 +330,30 @@ def _pooled_dims(cfg: ModelConfig) -> Tuple[int, int]:
     return out_r // 2, out_c // 2
 
 
-def _widths(cfg: ModelConfig, pooled: Optional[Tuple[int, int]]) -> Tuple[int, int]:
-    """(FFNN_0 input width, steps the decision layer reads: 1 for a vanilla variant)."""
+def _widths(cfg: ModelConfig) -> Tuple[int, int]:
+    """(FFNN_0 input width, steps the decision layer reads: 1 for a vanilla variant).
+
+    BuildError if a frame variant's geometry does not fit.
+    """
     u, td = cfg.units, cfg.time_distributed
+    if cfg.model_number == 2:
+        return u, cfg.n_features if td else 1
+    pooled_r, pooled_c = _pooled_dims(cfg)
     if cfg.model_number == 1:
-        pooled_r, pooled_c = pooled
         return (pooled_c * u, pooled_r) if td else (u * pooled_r * pooled_c, 1)
-    steps = cfg.n_features if cfg.model_number == 2 else pooled[0] * pooled[1]
-    return u, steps if td else 1
+    return u, pooled_r * pooled_c if td else 1
 
 
 def build_model(cfg: ModelConfig) -> ModelGraph:
     """Assemble the layer pipeline for `cfg`, seeded and geometry-checked."""
     rng = np.random.default_rng(cfg.seed)
     u, td_u, classes = cfg.units, cfg.td_units, cfg.n_classes
+    frame_dims = cfg.frame_dims() if cfg.frame_input else None
+    dense_in, steps = _widths(cfg)
     stages: List[Layer] = []
-    frame_dims = pooled = None
-
     if cfg.frame_input:
-        frame_dims = cfg.frame_dims()
-        pooled = _pooled_dims(cfg)
         stages += [Conv2DLayer(u, kernel=cfg.kernel, rng=rng), MaxPool2x2(),
                    BatchNormLayer(u)]
-    dense_in, steps = _widths(cfg, pooled)
 
     def dense() -> DenseLayer:
         return DenseLayer(dense_in, td_u, activation="relu", rng=rng)
@@ -386,25 +377,23 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
                    LSTMLayer(u, u, rng=rng, return_sequences=False),
                    dense(), Flatten()]
 
-    width_desc = f"{steps}x{td_u}" if cfg.time_distributed else str(td_u)
-    decision = DenseLayer(steps * td_u, classes, rng=rng, name="FFNN_1",
-                          width_desc=width_desc)
+    decision = DenseLayer(steps * td_u, classes, rng=rng, name="FFNN_1")
     return ModelGraph(cfg, stages, decision, frame_dims)
 
 
 def state_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
     """Name -> shape of every tensor `build_model(cfg)` holds, allocating none.
 
-    The shapes follow the same closed forms as the audit (conv UxPxQ plus U
-    biases, batchnorm 2U parameters plus 2U running statistics, LSTM
-    Sx4U + Ux4U + 4U, dense SxU + U), so a checkpoint's tensor directory can
-    be checked before the model it describes is allocated.
+    These are the closed forms behind the audit (conv UxPxQ plus U biases,
+    batchnorm 2U parameters plus 2U running statistics, LSTM Sx4U + Ux4U +
+    4U, dense SxU + U): `count_parameters` sums them, and a checkpoint's
+    tensor directory is checked against them before the model it describes
+    is allocated.
     """
     u, td_u = cfg.units, cfg.td_units
-    pooled = _pooled_dims(cfg) if cfg.frame_input else None
-    dense_in, steps = _widths(cfg, pooled)
+    dense_in, steps = _widths(cfg)
     shapes: Dict[str, Tuple[int, ...]] = {}
-    if pooled:
+    if cfg.frame_input:
         shapes["CNN_2D/kernels"] = (u, *cfg.kernel)
         shapes["CNN_2D/biases"] = (u,)
         for name in ("gamma", "beta", "running_mean", "running_var"):
@@ -424,14 +413,36 @@ def state_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
 # audit
 
 
+def _calculations(cfg: ModelConfig) -> Dict[str, str]:
+    """Stage name -> Calculation cell of every stage that holds parameters."""
+    u, td_u, classes = cfg.units, cfg.td_units, cfg.n_classes
+    dense_in, steps = _widths(cfg)
+    lstm_in = 1 if cfg.model_number == 2 else u
+    dense = f"{dense_in}x{td_u}+{td_u}"
+    decision_in = f"{steps}x{td_u}" if cfg.time_distributed else str(td_u)
+    return {
+        "CNN_2D": f"({cfg.kernel[0]}x{cfg.kernel[1]}x1+1)x{u}",
+        "BN": f"2x{u}",
+        "LSTM": f"4x[({lstm_in}+1)x{u}+{u}^2]",
+        "FFNN_0": dense,
+        "TD(FFNN_0)": dense,
+        "FFNN_1": f"{decision_in}x{classes}+{classes}",
+    }
+
+
 def count_parameters(graph: ModelGraph) -> Tuple[List[StageCount], int]:
     """Per-stage trainable-parameter table and its total.
 
-    Counts come from the closed-form stage formulas (conv (PxQxS+1)xU,
-    batchnorm 2U, LSTM 4[(S+1)U+U^2], dense SxU+U), not from enumerating
-    the allocated arrays, so tests can cross-check one against the other.
+    Each stage's count sums the shapes `state_shapes` gives its trainable
+    tensors (conv (PxQxS+1)xU, batchnorm 2U, LSTM 4[(S+1)U+U^2], dense
+    SxU+U); only the tensor names come from the stage.  No allocated array
+    is read, so tests can cross-check the audit against the built graph.
     """
-    rows = [StageCount(s.name, s.calc_string(), s.param_count()) for s in graph.stages]
+    shapes = state_shapes(graph.config)
+    calcs = _calculations(graph.config)
+    rows = [StageCount(s.name, calcs.get(s.name, "-"),
+                       sum(math.prod(shapes[f"{s.name}/{name}"]) for name in s.params()))
+            for s in graph.stages]
     return rows, sum(r.count for r in rows)
 
 

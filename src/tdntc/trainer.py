@@ -18,7 +18,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -79,12 +79,7 @@ class TrainConfig:
             raise ConfigError(f"lr jitter must be in [0, 1), got {self.lr_jitter}")
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate, "optimizer": self.optimizer,
-            "seed": self.seed, "patience": self.patience, "trials": self.trials,
-            "lr_jitter": self.lr_jitter,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -51,37 +51,149 @@ class TestAuditParams:
         assert main(["audit-params", "m3-td", "48", "24"]) == 0
         assert "18456" in capsys.readouterr().out
 
+    # `table` maps each argument tail to the table `tdntc audit-params`
+    # printed for it, so every Calculation cell of every variant is pinned at
+    # the paper's 48x141 and at a small frame.
     @pytest.mark.parametrize("variant, table", [
-        ("m3-td", [
-            "Network     Calculation            Trainable parameters",
-            "CNN_2D      (3x3x1+1)x128          1280",
-            "MP_2D       -                      0",
-            "BN          2x128                  256",
-            "Reshape     -                      0",
-            "LSTM        4x[(128+1)x128+128^2]  131584",
-            "TD(FFNN_0)  128x128+128            16512",
-            "Flatten     -                      0",
-            "FFNN_1      6x128x141+141          108429",
-            "Total                              258,061",
-        ]),
-        ("m3-van", [
-            "Network  Calculation            Trainable parameters",
-            "CNN_2D   (3x3x1+1)x128          1280",
-            "MP_2D    -                      0",
-            "BN       2x128                  256",
-            "Reshape  -                      0",
-            "LSTM     4x[(128+1)x128+128^2]  131584",
-            "FFNN_0   128x128+128            16512",
-            "Flatten  -                      0",
-            "FFNN_1   128x141+141            18189",
-            "Total                           167,821",
-        ]),
+        ("m3-td", {
+            "48 141": [
+                "Network     Calculation            Trainable parameters",
+                "CNN_2D      (3x3x1+1)x128          1280",
+                "MP_2D       -                      0",
+                "BN          2x128                  256",
+                "Reshape     -                      0",
+                "LSTM        4x[(128+1)x128+128^2]  131584",
+                "TD(FFNN_0)  128x128+128            16512",
+                "Flatten     -                      0",
+                "FFNN_1      6x128x141+141          108429",
+                "Total                              258,061",
+            ],
+            "12 3 --kernel 3,2": [
+                "Network     Calculation            Trainable parameters",
+                "CNN_2D      (3x2x1+1)x128          896",
+                "MP_2D       -                      0",
+                "BN          2x128                  256",
+                "Reshape     -                      0",
+                "LSTM        4x[(128+1)x128+128^2]  131584",
+                "TD(FFNN_0)  128x128+128            16512",
+                "Flatten     -                      0",
+                "FFNN_1      1x128x3+3              387",
+                "Total                              149,635",
+            ],
+        }),
+        ("m3-van", {
+            "48 141": [
+                "Network  Calculation            Trainable parameters",
+                "CNN_2D   (3x3x1+1)x128          1280",
+                "MP_2D    -                      0",
+                "BN       2x128                  256",
+                "Reshape  -                      0",
+                "LSTM     4x[(128+1)x128+128^2]  131584",
+                "FFNN_0   128x128+128            16512",
+                "Flatten  -                      0",
+                "FFNN_1   128x141+141            18189",
+                "Total                           167,821",
+            ],
+            "12 3 --kernel 3,2": [
+                "Network  Calculation            Trainable parameters",
+                "CNN_2D   (3x2x1+1)x128          896",
+                "MP_2D    -                      0",
+                "BN       2x128                  256",
+                "Reshape  -                      0",
+                "LSTM     4x[(128+1)x128+128^2]  131584",
+                "FFNN_0   128x128+128            16512",
+                "Flatten  -                      0",
+                "FFNN_1   128x3+3                387",
+                "Total                           149,635",
+            ],
+        }),
+        ("m1-td", {
+            "48 141": [
+                "Network     Calculation    Trainable parameters",
+                "CNN_2D      (3x3x1+1)x128  1280",
+                "MP_2D       -              0",
+                "BN          2x128          256",
+                "Reshape     -              0",
+                "TD(FFNN_0)  256x128+128    32896",
+                "Flatten     -              0",
+                "FFNN_1      3x128x141+141  54285",
+                "Total                      88,717",
+            ],
+            "12 3 --kernel 3,2": [
+                "Network     Calculation    Trainable parameters",
+                "CNN_2D      (3x2x1+1)x128  896",
+                "MP_2D       -              0",
+                "BN          2x128          256",
+                "Reshape     -              0",
+                "TD(FFNN_0)  128x128+128    16512",
+                "Flatten     -              0",
+                "FFNN_1      1x128x3+3      387",
+                "Total                      18,051",
+            ],
+        }),
+        ("m1-van", {
+            "48 141": [
+                "Network  Calculation    Trainable parameters",
+                "CNN_2D   (3x3x1+1)x128  1280",
+                "MP_2D    -              0",
+                "BN       2x128          256",
+                "Flatten  -              0",
+                "FFNN_0   768x128+128    98432",
+                "FFNN_1   128x141+141    18189",
+                "Total                   118,157",
+            ],
+            "12 3 --kernel 3,2": [
+                "Network  Calculation    Trainable parameters",
+                "CNN_2D   (3x2x1+1)x128  896",
+                "MP_2D    -              0",
+                "BN       2x128          256",
+                "Flatten  -              0",
+                "FFNN_0   128x128+128    16512",
+                "FFNN_1   128x3+3        387",
+                "Total                   18,051",
+            ],
+        }),
+        ("m2-td", {
+            "48 141": [
+                "Network     Calculation          Trainable parameters",
+                "LSTM        4x[(1+1)x128+128^2]  66560",
+                "TD(FFNN_0)  128x128+128          16512",
+                "Flatten     -                    0",
+                "FFNN_1      48x128x141+141       866445",
+                "Total                            949,517",
+            ],
+            "12 3 --kernel 3,2": [
+                "Network     Calculation          Trainable parameters",
+                "LSTM        4x[(1+1)x128+128^2]  66560",
+                "TD(FFNN_0)  128x128+128          16512",
+                "Flatten     -                    0",
+                "FFNN_1      12x128x3+3           4611",
+                "Total                            87,683",
+            ],
+        }),
+        ("m2-van", {
+            "48 141": [
+                "Network  Calculation          Trainable parameters",
+                "LSTM     4x[(1+1)x128+128^2]  66560",
+                "FFNN_0   128x128+128          16512",
+                "FFNN_1   128x141+141          18189",
+                "Total                         101,261",
+            ],
+            "12 3 --kernel 3,2": [
+                "Network  Calculation          Trainable parameters",
+                "LSTM     4x[(1+1)x128+128^2]  66560",
+                "FFNN_0   128x128+128          16512",
+                "FFNN_1   128x3+3              387",
+                "Total                         83,459",
+            ],
+        }),
     ])
     def test_full_table_text(self, capsys, variant, table):
-        assert main(["audit-params", variant, "48", "141"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("resolved-config ")
-        assert lines[1:] == table
+        for tail, lines in table.items():
+            assert main(["audit-params", variant, *tail.split()]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[0].startswith("resolved-config ")
+            assert out[1:] == lines, tail
 
     def test_geometry_error_exits_nonzero(self, capsys):
         assert main(["audit-params", "m3-td", "12", "3"]) == 1
@@ -271,6 +383,31 @@ class TestTrainEvaluate:
                                 class_names=ds.class_names)
         assert ((out_dir / "model.ckpt").read_bytes()
                 == (tmp_path / "trial1.ckpt").read_bytes())
+
+    def test_sgd_run_writes_artifacts_and_lowers_the_loss(self, synth_csv, tmp_path,
+                                                          monkeypatch):
+        from tdntc import trainer
+
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(real_train(*args, **kwargs))
+            return results[-1]
+
+        real_train = trainer.train
+        monkeypatch.setattr(trainer, "train", recorded)
+        out_dir = tmp_path / "run"
+        assert main(train_args(synth_csv, out_dir, **{
+            "--variant": "m1-td", "--optimizer": "sgd", "--lr": "0.1",
+            "--epochs": "3"})) == 0
+        for name in ("model.ckpt", "history.csv", "report.txt", "report.json"):
+            assert (out_dir / name).exists(), name
+        doc = json.loads((out_dir / "report.json").read_text())
+        assert doc["config"]["training"]["optimizer"] == "sgd"
+        (result,) = results
+        last = (out_dir / "history.csv").read_text().splitlines()[-1].split(",")
+        assert last[0] == "3"
+        assert float(last[1]) == result.history[-1].train_loss < result.initial_train_loss
 
     def test_m3_variant_smoke(self, tmp_path):
         csv_path = tmp_path / "wide.csv"

@@ -16,10 +16,16 @@ from tdntc.flowcap import (
     PcapParseError,
     assemble_flows,
     featurize_flows,
-    flow_csv_lines,
     parse_pcap,
     parse_pcap_bytes,
+    write_flow_csv,
 )
+
+
+def csv_lines(stats, path, label, pad_to=None):
+    """The lines `write_flow_csv` writes to `path`, as `tdntc featurize` writes them."""
+    write_flow_csv(stats, path, label, pad_to=pad_to)
+    return path.read_text(encoding="utf-8").splitlines()
 
 
 class TestParsePcap:
@@ -209,7 +215,7 @@ class TestTypedColumns:
     """Values at the edges of each column's type survive parse, assembly and the CSV."""
 
     @pytest.mark.parametrize("endian", ["<", ">"])
-    def test_edge_values_round_trip(self, endian):
+    def test_edge_values_round_trip(self, endian, tmp_path):
         top, high = "255.255.255.255", "128.0.0.1"
         packets = [
             # The plain path, then the IP-options path, at the largest total length.
@@ -236,7 +242,8 @@ class TestTypedColumns:
         flows = assemble_flows(cols)
         assert [flow.key for flow in flows] == [
             FlowKey(top, 65535, high, 32768, 17), FlowKey("0.0.0.0", 0, "0.0.0.1", 1, 6)]
-        rows = [line.split(",") for line in flow_csv_lines(featurize_flows(flows), "x")[1:]]
+        rows = [line.split(",") for line in
+                csv_lines(featurize_flows(flows), tmp_path / "edge.csv", "x")[1:]]
         columns = [dict(zip(FEATURE_COLUMNS, row)) for row in rows]
         assert [(c["src_port"], c["dst_port"], c["protocol"]) for c in columns] == [
             ("65535", "32768", "17"), ("0", "1", "6")]
@@ -412,23 +419,24 @@ class TestFeaturize:
         assert stats.fwd_iat_min == stats.fwd_iat_max == 2.0
         assert stats.rev_iat_min == stats.rev_iat_max == 2.0
 
-    def test_two_flows_two_rows_one_header(self):
+    def test_two_flows_two_rows_one_header(self, tmp_path):
         a = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
         b = pb.tcp("10.0.0.3", 1000, "10.0.0.4", 80)
         parsed = parse_pcap_bytes(pb.capture([(0, 0, a), (0, 1, b)]))
-        lines = flow_csv_lines(featurize_flows(assemble_flows(parsed.packets)), "x")
+        lines = csv_lines(featurize_flows(assemble_flows(parsed.packets)),
+                          tmp_path / "two.csv", "x")
         assert len(lines) == 3
         assert lines[0] == ",".join(FEATURE_COLUMNS + ["label"])
 
-    def test_padding_extends_columns(self):
+    def test_padding_extends_columns(self, tmp_path):
         frame = pb.udp("10.0.0.1", 1, "10.0.0.2", 2)
         parsed = parse_pcap_bytes(pb.capture([(0, 0, frame)]))
-        lines = flow_csv_lines(featurize_flows(assemble_flows(parsed.packets)),
-                               "x", pad_to=48)
+        lines = csv_lines(featurize_flows(assemble_flows(parsed.packets)),
+                          tmp_path / "padded.csv", "x", pad_to=48)
         assert len(lines[0].split(",")) == 49
         assert lines[1].split(",")[20:48] == ["0"] * 28
 
-    def test_determinism(self):
+    def test_determinism(self, tmp_path):
         rng = np.random.default_rng(1)
         packets = []
         t = 0
@@ -440,10 +448,11 @@ class TestFeaturize:
                                    payload_len=int(rng.integers(0, 64)))))
         data = pb.capture(packets)
         runs = []
-        for _ in range(2):
+        for i in range(2):
             parsed = parse_pcap_bytes(data)
-            lines = flow_csv_lines(featurize_flows(assemble_flows(parsed.packets)), "y")
-            runs.append("\n".join(lines))
+            path = tmp_path / f"run{i}.csv"
+            write_flow_csv(featurize_flows(assemble_flows(parsed.packets)), path, "y")
+            runs.append(path.read_bytes())
         assert runs[0] == runs[1]
 
     def test_packet_conservation(self):
@@ -549,25 +558,28 @@ GOLDEN_SHA256 = {
 }
 
 
-def golden_digest(endian: str, nanos: bool) -> str:
+def golden_digest(endian: str, nanos: bool, path) -> str:
+    """sha256 of the CSV `write_flow_csv` writes, without its final newline."""
     parsed = parse_pcap_bytes(golden_capture(endian, nanos))
     assert all(count > 0 for count in parsed.skipped.values())
     stats = featurize_flows(assemble_flows(parsed.packets, idle_timeout=60.0))
-    text = "\n".join(flow_csv_lines(stats, "golden", pad_to=48))
-    return hashlib.sha256(text.encode()).hexdigest()
+    write_flow_csv(stats, path, "golden", pad_to=48)
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and not data.endswith(b"\n\n")
+    return hashlib.sha256(data[:-1]).hexdigest()
 
 
 @pytest.mark.parametrize("endian, nanos", list(GOLDEN_SHA256))
-def test_golden_csv_bytes(endian, nanos):
-    assert golden_digest(endian, nanos) == GOLDEN_SHA256[endian, nanos]
+def test_golden_csv_bytes(endian, nanos, tmp_path):
+    assert golden_digest(endian, nanos, tmp_path / "golden.csv") == GOLDEN_SHA256[endian, nanos]
 
 
 @pytest.mark.parametrize("endian, nanos", list(GOLDEN_SHA256))
-def test_golden_csv_bytes_through_a_small_buffer(endian, nanos, monkeypatch):
+def test_golden_csv_bytes_through_a_small_buffer(endian, nanos, monkeypatch, tmp_path):
     # A 128-byte buffer refills at almost every record and is shorter than
     # many of them.
     monkeypatch.setattr(flowcap, "_BUFFER_BYTES", 128)
-    assert golden_digest(endian, nanos) == GOLDEN_SHA256[endian, nanos]
+    assert golden_digest(endian, nanos, tmp_path / "golden.csv") == GOLDEN_SHA256[endian, nanos]
 
 
 # One flow whose gaps mix tens of seconds with a few microseconds.  Adding

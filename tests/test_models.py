@@ -114,8 +114,7 @@ def test_stages_share_one_layer_interface(variant):
     for stage in graph.stages[:-1]:
         assert isinstance(stage, Layer)
         assert isinstance(stage.name, str) and stage.name
-        for method in ("forward", "backward", "params", "grads", "state",
-                       "param_count", "calc_string"):
+        for method in ("forward", "backward", "params", "grads", "state"):
             assert callable(getattr(stage, method)), (stage.name, method)
     decision = graph.stages[-1].layer
     assert isinstance(decision, DenseLayer)

@@ -134,6 +134,17 @@ class TestTrainLoop:
         assert len(lines) == 3
         assert lines[1].startswith("1,")
 
+    def test_sgd_step_is_plain_gradient_descent(self):
+        graph = models.build_model(models.ModelConfig(
+            "m3-td", 12, 3, units=4, kernel=TINY_KERNEL, td_units=4, seed=1))
+        rng = np.random.default_rng(3)
+        params = graph.params()
+        grads = {name: rng.standard_normal(p.shape) for name, p in params.items()}
+        expected = {name: p - 0.05 * grads[name] for name, p in params.items()}
+        trainer._SGD(0.05).step(params, grads)
+        for name, p in graph.params().items():
+            assert p.tobytes() == expected[name].tobytes(), name
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
