@@ -166,9 +166,9 @@ def cmd_train(args: argparse.Namespace) -> int:
                                splits["train"], splits["val"], splits["test"])
     graph, result, report = table.graph, table.result, table.report
     if args.trials > 1:
-        trial_text = trainer.format_trial_table(table)
-        print(trial_text)
-        (out_dir / "trials.txt").write_text(trial_text + "\n", encoding="utf-8")
+        print(trainer.format_trial_table(table))
+        (out_dir / "trials.txt").write_text(trainer.trial_metrics_table(table) + "\n",
+                                            encoding="utf-8")
     else:
         (out_dir / "history.csv").write_text(trainer.history_csv(result.history),
                                              encoding="utf-8")

@@ -13,8 +13,18 @@ in checkpoint order; the gradient of attribute `x` lives in `grad_x`.
 `BUFFERS` lists the further attributes a checkpoint persists (batchnorm's
 running statistics).  `params()`, `grads()` and `state()` are derived from
 these two tuples, and `_zero_grads()` gives every parameter its zero
-gradient.  A `DenseStage` (the time-distributed wrapper, the decision
-stage) forwards all of them to the dense layer it holds.
+gradient.  The model graph calls `_zero_grads(params, grads)` with the
+layer's slices of one flat parameter vector and one flat gradient vector:
+every parameter and its gradient then become views of those vectors, so
+the optimizer updates every tensor in one pass.  A `DenseStage` (the
+time-distributed wrapper, the decision stage) forwards all of them to the
+dense layer it holds.
+
+A backward pass writes its parameter gradients into the `grad_*` views
+(`out=` or `[...] =`) and never rebinds them.  `Conv2DLayer` and
+`LSTMLayer`, the layers a graph can start with, take
+`backward(dout, input_grad=False)`: the graph's first stage feeds no other
+layer, so it skips building the input gradient and returns None.
 
 Only a train-mode forward (`train=True`) keeps what `backward` needs, and
 it keeps it through `Layer._keep`; an inference forward drops whatever an
@@ -63,9 +73,26 @@ class Layer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _zero_grads(self) -> None:
+    def _zero_grads(self, params: np.ndarray | None = None,
+                    grads: np.ndarray | None = None) -> None:
+        """Give every parameter a zero gradient.
+
+        Given a graph's flat `params` / `grads` slices for this layer (`grads`
+        holding zeros), each parameter is copied into `params` in PARAMS
+        order, and it and its gradient become views of the two slices.
+        """
+        offset = 0
         for name in self.PARAMS:
-            setattr(self, "grad_" + name, np.zeros_like(getattr(self, name)))
+            arr = getattr(self, name)
+            if params is None:
+                setattr(self, "grad_" + name, np.zeros_like(arr))
+                continue
+            end = offset + arr.size
+            view = params[offset:end].reshape(arr.shape)
+            view[...] = arr
+            setattr(self, name, view)
+            setattr(self, "grad_" + name, grads[offset:end].reshape(arr.shape))
+            offset = end
 
     def params(self) -> Dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.PARAMS}
@@ -146,8 +173,8 @@ class DenseLayer(Layer):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x, z = self._kept()
         dz = dout * (z > 0) if self.activation == "relu" else dout
-        self.grad_weights = x.T @ dz
-        self.grad_bias = dz.sum(axis=0)
+        np.matmul(x.T, dz, out=self.grad_weights)
+        dz.sum(axis=0, out=self.grad_bias)
         return dz @ self.weights.T
 
 
@@ -156,6 +183,10 @@ class DenseStage(Layer):
 
     def __init__(self, layer: DenseLayer):
         self.layer = layer
+
+    def _zero_grads(self, params: np.ndarray | None = None,
+                    grads: np.ndarray | None = None) -> None:
+        self.layer._zero_grads(params, grads)
 
     def params(self) -> Dict[str, np.ndarray]:
         return self.layer.params()
@@ -229,8 +260,8 @@ class Conv2DLayer(Layer):
     kernel_rows*kernel_cols) patch matrix, which multiplies the flattened
     kernels.  The product is (position, unit), so the returned array is a
     (batch, units, out_rows, out_cols) view of channel-last memory.  The
-    backward pass reuses the patch matrix for the kernel gradient and
-    scatters the patch gradient back tap by tap.
+    backward pass reuses the patch matrix for the kernel gradient and, unless
+    `input_grad` is false, scatters the patch gradient back tap by tap.
     """
 
     name = "CNN_2D"
@@ -275,12 +306,14 @@ class Conv2DLayer(Layer):
         self._keep(train, patches, xp.shape)
         return y.reshape(b, out_r, out_c, self.units).transpose(0, 3, 1, 2)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         patches, padded_shape = self._kept()
         b, _, out_r, out_c = dout.shape
         d = dout.transpose(0, 2, 3, 1).reshape(-1, self.units)
-        self.grad_biases = d.sum(axis=0)
-        self.grad_kernels = (d.T @ patches).reshape(self.kernels.shape)
+        d.sum(axis=0, out=self.grad_biases)
+        np.matmul(d.T, patches, out=self.grad_kernels.reshape(self.units, -1))
+        if not input_grad:
+            return None
         dpatches = (d @ self.kernels.reshape(self.units, -1)).reshape(
             b, out_r, out_c, self.kernel_rows, self.kernel_cols)
         dxp = np.zeros(padded_shape)
@@ -392,8 +425,8 @@ class BatchNormLayer(Layer):
         x_hat, centered, inv_std, shape = self._kept()
         d = np.moveaxis(dout, 1, -1).reshape(-1, self.channels)
         n = len(d)
-        self.grad_gamma = (d * x_hat).sum(axis=0)
-        self.grad_beta = d.sum(axis=0)
+        (d * x_hat).sum(axis=0, out=self.grad_gamma)
+        d.sum(axis=0, out=self.grad_beta)
         dxhat = d * self.gamma
         dvar = (dxhat * centered).sum(axis=0) * (-0.5) * inv_std ** 3
         dmean = (-(dxhat.sum(axis=0)) * inv_std
@@ -525,7 +558,7 @@ class LSTMLayer(Layer):
         self._keep(train, ops, gates, cs, tanh_c)
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         ops, gates, cs, tanh_c = self._kept()
         t, b = gates.shape[:2]
         s, k = self.input_size, self.units
@@ -578,9 +611,11 @@ class LSTMLayer(Layer):
         flat_dz = dz_all.reshape(t * b, 4 * k)
         # one GEMM over the kept [h_{t-1} | x_t | 1] operands gives all three
         grad_w = ops[:t].reshape(t * b, k + s + 1).T @ flat_dz
-        self.grad_w_h = grad_w[:k]
-        self.grad_w_x = grad_w[k:k + s]
-        self.grad_bias = grad_w[k + s]
+        self.grad_w_h[...] = grad_w[:k]
+        self.grad_w_x[...] = grad_w[k:k + s]
+        self.grad_bias[...] = grad_w[k + s]
+        if not input_grad:
+            return None
         return (flat_dz @ self.w_x.T).reshape(t, b, s).transpose(1, 0, 2)
 
 

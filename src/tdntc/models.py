@@ -212,6 +212,10 @@ class ModelGraph:
     The final stage holds the decision layer; `forward_logits` returns its
     logits so training can use the fused cross-entropy gradient, while
     `predict` returns the softmax probabilities and argmax classes.
+
+    `flat_params` and `flat_grads` hold every trainable tensor and its
+    gradient in `stage/name` walk order; each stage's tensors are views of
+    its slice of the two vectors, so the optimizer steps them in one pass.
     """
 
     def __init__(self, config: ModelConfig, layers: List[Layer], decision: DenseLayer,
@@ -219,6 +223,14 @@ class ModelGraph:
         self.config = config
         self.stages = [*layers, DecisionStage(decision)]
         self.frame_dims = frame_dims
+        sizes = [sum(arr.size for arr in stage.params().values()) for stage in self.stages]
+        self.flat_params = np.empty(sum(sizes))
+        self.flat_grads = np.zeros(sum(sizes))
+        offset = 0
+        for stage, size in zip(self.stages, sizes):
+            end = offset + size
+            stage._zero_grads(self.flat_params[offset:end], self.flat_grads[offset:end])
+            offset = end
 
     # -- shape handling
 
@@ -254,9 +266,11 @@ class ModelGraph:
         return self.stages[-1].layer.forward_logits(self._features(x, train), train)
 
     def backward(self, dlogits: np.ndarray) -> None:
+        """Fill `flat_grads`; the first stage builds no input gradient."""
         dout = self.stages[-1].layer.backward(dlogits)
-        for stage in reversed(self.stages[:-1]):
+        for stage in reversed(self.stages[1:-1]):
             dout = stage.backward(dout)
+        self.stages[0].backward(dout, input_grad=False)
 
     def predict(self, x: np.ndarray):
         """Probabilities and argmax class for one sample or a batch.

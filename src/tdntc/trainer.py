@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from operator import add
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -93,6 +93,15 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
+    """What `train` measured.
+
+    `initial_train_loss` is an inference-mode pass over the training set
+    before the first update (batchnorm on its running statistics), while
+    each `history[i].train_loss` is the mean of the train-mode batch losses
+    taken during epoch i as the weights move, so the two are different
+    measurements.
+    """
+
     history: List[EpochStats]
     initial_train_loss: float
     best_epoch: int
@@ -102,35 +111,48 @@ class TrainResult:
 
 
 class _Adam:
+    """Adam over a graph's flat parameter and gradient vectors.
+
+    A step runs m += (1 - beta1) (g - m), v += (1 - beta2) (g g - v), then
+    p -= lr m_hat / (sqrt(v_hat) + eps), elementwise and in that order,
+    through two scratch vectors, so it allocates nothing after the first.
+    """
+
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self._m: Dict[str, np.ndarray] = {}
-        self._v: Dict[str, np.ndarray] = {}
+        self._buffers: Tuple[np.ndarray, ...] = ()
 
-    def step(self, params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        if not self._buffers:
+            self._buffers = tuple(np.zeros_like(params) for _ in range(4))
+        m, v, a, b = self._buffers
         self.step_count += 1
         t = self.step_count
-        for name, p in params.items():
-            g = grads[name]
-            m = self._m.setdefault(name, np.zeros_like(p))
-            v = self._v.setdefault(name, np.zeros_like(p))
-            m += (1 - self.beta1) * (g - m)
-            v += (1 - self.beta2) * (g * g - v)
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.subtract(grads, m, out=a)
+        a *= 1 - self.beta1
+        m += a
+        np.multiply(grads, grads, out=a)
+        a -= v
+        a *= 1 - self.beta2
+        v += a
+        np.divide(m, 1 - self.beta1 ** t, out=a)
+        a *= self.lr
+        np.divide(v, 1 - self.beta2 ** t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 class _SGD:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray]) -> None:
-        for name, p in params.items():
-            p -= self.lr * grads[name]
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        params -= self.lr * grads
 
 
 def _make_optimizer(cfg: TrainConfig):
@@ -208,7 +230,7 @@ def train(graph: ModelGraph, train_data: Tuple[np.ndarray, np.ndarray],
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
             graph.backward(dlogits / idx.size)
-            optimizer.step(graph.params(), graph.grads())
+            optimizer.step(graph.flat_params, graph.flat_grads)
             steps += 1
             epoch_loss += float(losses.sum())
             epoch_correct += int((logits.argmax(axis=1) == yb).sum())
@@ -299,18 +321,25 @@ class TrialTable:
         return TrialRow(trial=0, **means)
 
 
+def trial_metrics_table(table: TrialTable) -> str:
+    """The trial table without its wall-clock column, as `trials.txt` holds it.
+
+    Wall times differ between seeded reruns, so the file keeps only the
+    Trial / Accuracy / Precision / Recall / F1 columns.
+    """
+    rows = [(str(r.trial), r) for r in table.rows] + [("Avg.", table.averages())]
+    return "\n".join(
+        [f"{'Trial':<6}{'Accuracy':>10}{'Precision':>11}{'Recall':>8}{'F1':>7}"]
+        + [f"{label:<6}{r.accuracy:>10.3f}{r.precision:>11.3f}{r.recall:>8.3f}{r.f1:>7.3f}"
+           for label, r in rows])
+
+
 def format_trial_table(table: TrialTable) -> str:
     """Text table in the Trial / Accuracy / Precision / Recall / F1 / Time layout."""
-    header = (f"{'Trial':<6}{'Accuracy':>10}{'Precision':>11}{'Recall':>8}"
-              f"{'F1':>7}{'Time (min)':>12}")
-    lines = [header]
-    for r in table.rows:
-        lines.append(f"{r.trial:<6}{r.accuracy:>10.3f}{r.precision:>11.3f}"
-                     f"{r.recall:>8.3f}{r.f1:>7.3f}{r.minutes:>12.2f}")
-    avg = table.averages()
-    lines.append(f"{'Avg.':<6}{avg.accuracy:>10.3f}{avg.precision:>11.3f}"
-                 f"{avg.recall:>8.3f}{avg.f1:>7.3f}{avg.minutes:>12.2f}")
-    return "\n".join(lines)
+    times = [f"{'Time (min)':>12}"] + [f"{r.minutes:>12.2f}"
+                                      for r in (*table.rows, table.averages())]
+    return "\n".join(line + time_cell for line, time_cell
+                     in zip(trial_metrics_table(table).splitlines(), times))
 
 
 def run_trials(model_cfg: ModelConfig, cfg: TrainConfig,

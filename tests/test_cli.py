@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,26 @@ class TestTrainEvaluate:
             a = (dirs[0] / name).read_bytes()
             b = (dirs[1] / name).read_bytes()
             assert a == b, name
+
+    def test_seeded_trial_runs_write_identical_trials_files(self, synth_csv, tmp_path,
+                                                            capsys, monkeypatch):
+        # Wall times go to the printed table only, never to trials.txt.
+        from tdntc import trainer
+
+        real_train = trainer.train
+        files = []
+        for minutes in (0.25, 7.0):
+            def timed(*args, minutes=minutes, **kwargs):
+                return replace(real_train(*args, **kwargs), wall_seconds=60.0 * minutes)
+
+            monkeypatch.setattr(trainer, "train", timed)
+            out_dir = tmp_path / str(minutes)
+            assert main(train_args(synth_csv, out_dir, **{"--trials": "2",
+                                                          "--epochs": "1"})) == 0
+            assert f"{minutes:>12.2f}" in capsys.readouterr().out
+            files.append((out_dir / "trials.txt").read_bytes())
+        assert files[0] == files[1]
+        assert b"Time" not in files[0]
 
     def test_trials_table_artifact(self, synth_csv, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -90,8 +90,9 @@ def test_whole_graph_backward_matches_finite_differences(variant, factor_pair):
     _, _, dlogits = softmax_cross_entropy_batch(logits, y)
     graph.backward(dlogits / batch)
     grads = {name: g.copy() for name, g in graph.grads().items()}
-    # ModelGraph.backward drops the first stage's input gradient, so the
-    # input check walks the same stage chain once more.
+    # ModelGraph.backward asks the first stage for no input gradient
+    # (`input_grad=False`), so the input check walks the stage chain itself
+    # and takes the first stage's full backward.
     dout = graph.stages[-1].layer.backward(dlogits / batch)
     for stage in reversed(graph.stages[:-1]):
         dout = stage.backward(dout)

@@ -190,6 +190,30 @@ class TestConv2D:
             layer.forward(np.zeros((1, 2, 2)))
 
 
+@pytest.mark.parametrize("make, x_shape", [
+    (lambda rng: Conv2DLayer(3, kernel=(3, 2), stride=(1, 2), padding=1, rng=rng), (4, 6, 6)),
+    (lambda rng: Conv2DLayer(2, kernel=(1, 1), rng=rng), (3, 4, 3)),
+    (lambda rng: LSTMLayer(2, 3, output_activation="relu", rng=rng), (4, 5, 2)),
+    (lambda rng: LSTMLayer(3, 2, rng=rng, return_sequences=False), (4, 6, 3)),
+], ids=["conv-padded-strided", "conv-1x1", "lstm-relu-sequences", "lstm-last-state"])
+def test_backward_without_input_gradient_keeps_parameter_gradients(make, x_shape):
+    # The graph's first stage skips its input gradient; the parameter
+    # gradients must come out byte-equal to those of the full backward.
+    rng = np.random.default_rng(31)
+    layer = make(rng)
+    for arr in layer.params().values():
+        arr[...] = rng.normal(size=arr.shape)
+    out = layer.forward(rng.normal(size=x_shape), train=True)
+    dout = rng.normal(size=out.shape)
+    assert layer.backward(dout).shape == x_shape
+    full = {name: g.copy() for name, g in layer.grads().items()}
+    for g in layer.grads().values():
+        g[...] = np.nan
+    assert layer.backward(dout, input_grad=False) is None
+    for name, g in layer.grads().items():
+        assert g.tobytes() == full[name].tobytes(), name
+
+
 class TestMaxPool:
     def test_single_window(self):
         out = maxpool_map(np.array([[1.0, 2.0], [3.0, 4.0]]))

@@ -42,6 +42,59 @@ def tiny_splits(variant, per_class=12, n_features=12, n_classes=3, seed=0):
     return cfg, data
 
 
+class PerTensorAdam:
+    """Adam stepped one tensor at a time: the reference for the flat step."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step_count = 0
+        self._m, self._v = {}, {}
+
+    def step(self, params, grads):
+        self.step_count += 1
+        t = self.step_count
+        for name, p in params.items():
+            g = grads[name]
+            m = self._m.setdefault(name, np.zeros_like(p))
+            v = self._v.setdefault(name, np.zeros_like(p))
+            m += (1 - self.beta1) * (g - m)
+            v += (1 - self.beta2) * (g * g - v)
+            m_hat = m / (1 - self.beta1 ** t)
+            v_hat = v / (1 - self.beta2 ** t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def assert_tiles_flat_vectors(graph):
+    """Every parameter and gradient is the next slice of the graph's flat vectors."""
+    for tensors, flat in ((graph.params(), graph.flat_params),
+                          (graph.grads(), graph.flat_grads)):
+        offset = 0
+        for name, arr in tensors.items():
+            assert np.shares_memory(arr, flat), name
+            assert arr.flags.c_contiguous, name
+            assert arr.ctypes.data == flat.ctypes.data + offset * flat.itemsize, name
+            offset += arr.size
+        assert offset == flat.size
+
+
+@pytest.mark.parametrize("variant", models.VARIANTS)
+def test_tensors_stay_views_of_the_flat_vectors(variant, tmp_path):
+    cfg, data = tiny_splits(variant)
+    graph = models.build_model(cfg)
+    assert_tiles_flat_vectors(graph)
+    train(graph, data["train"], data["val"], TrainConfig(epochs=1, batch_size=8, seed=0))
+    assert_tiles_flat_vectors(graph)
+    assert np.abs(graph.flat_grads).max() > 0.0
+    graph.set_state(graph.get_state())
+    assert_tiles_flat_vectors(graph)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(graph, path)
+    loaded, _, _ = load_checkpoint(path)
+    assert_tiles_flat_vectors(loaded)
+    assert loaded.flat_params.tobytes() == graph.flat_params.tobytes()
+
+
 class TestTrainLoop:
     def test_bookkeeping_one_epoch(self):
         cfg, data = tiny_splits("m1-van")
@@ -138,10 +191,28 @@ class TestTrainLoop:
         graph = models.build_model(models.ModelConfig(
             "m3-td", 12, 3, units=4, kernel=TINY_KERNEL, td_units=4, seed=1))
         rng = np.random.default_rng(3)
-        params = graph.params()
-        grads = {name: rng.standard_normal(p.shape) for name, p in params.items()}
-        expected = {name: p - 0.05 * grads[name] for name, p in params.items()}
-        trainer._SGD(0.05).step(params, grads)
+        graph.flat_grads[...] = rng.standard_normal(graph.flat_grads.size)
+        grads = graph.grads()
+        expected = {name: p - 0.05 * grads[name] for name, p in graph.params().items()}
+        trainer._SGD(0.05).step(graph.flat_params, graph.flat_grads)
+        for name, p in graph.params().items():
+            assert p.tobytes() == expected[name].tobytes(), name
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_flat_adam_matches_the_per_tensor_loop(self, variant):
+        graph = models.build_model(models.ModelConfig(
+            variant, 12, 3, units=4, kernel=TINY_KERNEL, td_units=4, seed=4))
+        expected = {name: p.copy() for name, p in graph.params().items()}
+        flat, reference = trainer._Adam(1e-2), PerTensorAdam(1e-2)
+        rng = np.random.default_rng(5)
+        for step in range(50):
+            scale = 10.0 ** rng.uniform(-6, 2)
+            grads = {name: scale * rng.standard_normal(p.shape)
+                     for name, p in expected.items()}
+            for name, g in graph.grads().items():
+                g[...] = grads[name]
+            flat.step(graph.flat_params, graph.flat_grads)
+            reference.step(expected, grads)
         for name, p in graph.params().items():
             assert p.tobytes() == expected[name].tobytes(), name
 
