@@ -109,10 +109,6 @@ class Layer:
 # activations
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = z - z.max(axis=axis, keepdims=True)
     ez = np.exp(shifted)
@@ -162,13 +158,17 @@ class DenseLayer(Layer):
     def forward_logits(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """x W + b; the decision layer pairs it with the fused softmax loss."""
         self._check_input(x)
-        z = x @ self.weights + self.bias
+        z = x @ self.weights
+        z += self.bias
         self._keep(train, x, z)
         return z
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         z = self.forward_logits(x, train)
-        return relu(z) if self.activation == "relu" else z
+        if self.activation == "relu":
+            # In place: the kept z becomes relu(z), whose > 0 mask is z's.
+            np.maximum(z, 0.0, out=z)
+        return z
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x, z = self._kept()

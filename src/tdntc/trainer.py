@@ -95,11 +95,10 @@ class EpochStats:
 class TrainResult:
     """What `train` measured.
 
-    `initial_train_loss` is an inference-mode pass over the training set
-    before the first update (batchnorm on its running statistics), while
-    each `history[i].train_loss` is the mean of the train-mode batch losses
-    taken during epoch i as the weights move, so the two are different
-    measurements.
+    `initial_train_loss` is the train-mode mean loss of the first mini-batch,
+    taken before the first update. Each `history[i].train_loss` averages
+    the same train-mode batch losses over epoch i as the weights move, so
+    the two are one measurement at different points of training.
     """
 
     history: List[EpochStats]
@@ -205,11 +204,7 @@ def train(graph: ModelGraph, train_data: Tuple[np.ndarray, np.ndarray],
     optimizer = _make_optimizer(cfg)
     rng = np.random.default_rng(cfg.seed)
     started = time.perf_counter()
-
-    # Baseline loss before any update: the reference point for "training
-    # actually reduced the loss" checks.
-    initial_loss, _ = _dataset_loss_acc(graph, x_train, y_train)
-
+    initial_loss = float("nan")
     history: List[EpochStats] = []
     best_val = np.inf
     best_epoch = 0
@@ -229,6 +224,8 @@ def train(graph: ModelGraph, train_data: Tuple[np.ndarray, np.ndarray],
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
+            if steps == 0:
+                initial_loss = batch_loss
             graph.backward(dlogits / idx.size)
             optimizer.step(graph.flat_params, graph.flat_grads)
             steps += 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tdntc import datapipe, models, trainer
+from tdntc.layers import softmax_cross_entropy_batch
 from tdntc.trainer import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -163,6 +164,37 @@ class TestTrainLoop:
                            (inputs[split.val], ds.labels[split.val]),
                            TrainConfig(epochs=5, batch_size=128, seed=42))
             assert result.history[-1].train_loss < result.initial_train_loss, variant
+
+    @pytest.mark.parametrize("variant", ["m1-td", "m2-td"])
+    def test_initial_loss_is_the_first_batch_train_mode_loss(self, variant):
+        cfg, data = tiny_splits(variant)
+        tcfg = TrainConfig(epochs=2, batch_size=8, seed=3)
+        result = train(models.build_model(cfg), data["train"], data["val"], tcfg)
+        x, y = data["train"]
+        idx = np.random.default_rng(tcfg.seed).permutation(x.shape[0])[:tcfg.batch_size]
+        fresh = models.build_model(cfg)
+        _, losses, _ = softmax_cross_entropy_batch(
+            fresh.forward_logits(x[idx], train=True), y[idx])
+        assert result.initial_train_loss == float(losses.mean())
+        if variant == "m1-td":
+            # batchnorm makes the inference-mode loss a different number
+            _, infer, _ = softmax_cross_entropy_batch(fresh.forward_logits(x[idx]), y[idx])
+            assert float(infer.mean()) != result.initial_train_loss
+
+    def test_inference_loss_pass_runs_once_per_epoch(self, monkeypatch):
+        calls = []
+        real = trainer._dataset_loss_acc
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_dataset_loss_acc", counted)
+        cfg, data = tiny_splits("m1-td")
+        result = train(models.build_model(cfg), data["train"], data["val"],
+                       TrainConfig(epochs=3, batch_size=8, seed=0, patience=3))
+        assert len(result.history) == 3
+        assert calls == [data["val"][0].shape[0]] * len(result.history)
 
     def test_empty_validation_split_trains_without_early_stop(self):
         # floor-rule splits can leave tiny classes with no validation rows
