@@ -195,7 +195,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import datapipe, metrics, trainer
-    from .tensor import ShapeError
+    from .layers import ShapeError
 
     _print_config(args)
     graph, scaler, class_names = trainer.load_checkpoint(args.checkpoint)
@@ -322,13 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 def mapped_errors() -> tuple:
     """The typed errors `main` reports as `error: ...` with exit status 1."""
     from . import datapipe, flowcap, layers, models, trainer
-    from .tensor import NumericError, ShapeError
 
     return (
         UsageError, datapipe.DataError, flowcap.PcapFormatError,
         flowcap.PcapParseError, layers.GeometryError, layers.StatisticsError,
-        models.BuildError, trainer.ConfigError, trainer.DivergenceError,
-        trainer.CheckpointError, ShapeError, NumericError, OSError,
+        layers.ShapeError, models.BuildError, trainer.ConfigError,
+        trainer.DivergenceError, trainer.CheckpointError, OSError,
     )
 
 

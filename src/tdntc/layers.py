@@ -1,24 +1,23 @@
 """Layer zoo for the traffic classifiers: forward and backward rules.
 
 Every layer implements the `Layer` interface: an audit `name`,
-`forward(x, train=False)`, `backward(dout)` and `params()` / `grads()` /
-`state()` as name->array dicts.  Layers run batch-first on float64 numpy
-arrays, so the model graph, the optimizer, the parameter audit and the
-checkpoint writer address all of them the same way.  A layer keeps only
-its math: the audit's closed-form counts and Calculation text live in
-`models`.
+`forward(x, train=False)`, `backward(dout)` and `params()` / `state()` as
+name->array dicts.  Layers run batch-first on float64 numpy arrays, so the
+model graph, the optimizer, the parameter audit and the checkpoint writer
+address all of them the same way.  A layer keeps only its math: the
+audit's closed-form counts and Calculation text live in `models`.
 
 A layer names its tensors once.  `PARAMS` lists its trainable attributes
 in checkpoint order; the gradient of attribute `x` lives in `grad_x`.
 `BUFFERS` lists the further attributes a checkpoint persists (batchnorm's
-running statistics).  `params()`, `grads()` and `state()` are derived from
-these two tuples, and `_zero_grads()` gives every parameter its zero
-gradient.  The model graph calls `_zero_grads(params, grads)` with the
-layer's slices of one flat parameter vector and one flat gradient vector:
-every parameter and its gradient then become views of those vectors, so
-the optimizer updates every tensor in one pass.  A `DenseStage` (the
-time-distributed wrapper, the decision stage) forwards all of them to the
-dense layer it holds.
+running statistics).  `params()` and `state()` are derived from these two
+tuples, and `_zero_grads()` gives every parameter its zero gradient.  The
+model graph calls `_zero_grads(params, grads)` with the layer's slices of
+one flat parameter vector and one flat gradient vector: every parameter
+and its gradient then become views of those vectors, so the optimizer
+updates every tensor in one pass.  A `DenseStage` (the time-distributed
+wrapper, the decision stage) forwards all of them to the dense layer it
+holds.
 
 A backward pass writes its parameter gradients into the `grad_*` views
 (`out=` or `[...] =`) and never rebinds them.  `Conv2DLayer` and
@@ -39,11 +38,13 @@ from typing import Dict, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import ShapeError
+
+class ShapeError(ValueError):
+    """Raised when an array shape violates an operation's contract."""
 
 
 class GeometryError(ValueError):
-    """Raised when convolution/pooling geometry does not divide evenly."""
+    """Raised when convolution or pooling geometry does not fit the input."""
 
 
 class StatisticsError(ValueError):
@@ -97,9 +98,6 @@ class Layer:
     def params(self) -> Dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.PARAMS}
 
-    def grads(self) -> Dict[str, np.ndarray]:
-        return {name: getattr(self, "grad_" + name) for name in self.PARAMS}
-
     def state(self) -> Dict[str, np.ndarray]:
         """Arrays a checkpoint must persist: the parameters, then the buffers."""
         return {**self.params(), **{name: getattr(self, name) for name in self.BUFFERS}}
@@ -133,19 +131,16 @@ class DenseLayer(Layer):
     ACTIVATIONS = ("identity", "relu")
     PARAMS = ("weights", "bias")
 
-    def __init__(self, in_size: int, out_size: int, activation: str = "identity",
-                 rng: np.random.Generator | None = None, name: str = "FFNN_0"):
+    def __init__(self, in_size: int, out_size: int, activation: str = "identity", *,
+                 rng: np.random.Generator, name: str = "FFNN_0"):
         if activation not in self.ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.in_size = int(in_size)
         self.out_size = int(out_size)
         self.activation = activation
         self.name = name
-        if rng is None:
-            self.weights = np.zeros((self.in_size, self.out_size))
-        else:
-            self.weights = glorot_uniform(rng, (self.in_size, self.out_size),
-                                          self.in_size, self.out_size)
+        self.weights = glorot_uniform(rng, (self.in_size, self.out_size),
+                                      self.in_size, self.out_size)
         self.bias = np.zeros(self.out_size)
         self._zero_grads()
 
@@ -191,9 +186,6 @@ class DenseStage(Layer):
     def params(self) -> Dict[str, np.ndarray]:
         return self.layer.params()
 
-    def grads(self) -> Dict[str, np.ndarray]:
-        return self.layer.grads()
-
 
 class TimeDistributed(DenseStage):
     """Shared dense layer applied at every step of the leading sequence axis.
@@ -223,40 +215,30 @@ class TimeDistributed(DenseStage):
 # convolution
 
 
-def conv2d_output_dims(rows: int, cols: int, kernel_rows: int, kernel_cols: int,
-                       padding: int = 0, stride_x: int = 1, stride_y: int = 1
+def conv2d_output_dims(rows: int, cols: int, kernel_rows: int, kernel_cols: int
                        ) -> Tuple[int, int]:
-    """Output geometry of a 2-D convolution; rejects non-integral strides.
+    """Output geometry of a stride-1, unpadded 2-D convolution.
 
-    out_rows = (rows - kernel_rows + 2*padding) / stride_x + 1 and likewise
-    for columns.  A quotient that does not divide evenly is undefined and
-    raises GeometryError rather than silently truncating.
+    (rows - kernel_rows + 1, cols - kernel_cols + 1); a kernel larger than
+    the input raises GeometryError.
     """
-    if min(rows, cols, kernel_rows, kernel_cols, stride_x, stride_y) < 1 or padding < 0:
+    if min(rows, cols, kernel_rows, kernel_cols) < 1:
+        raise GeometryError("conv geometry requires positive extents")
+    if kernel_rows > rows or kernel_cols > cols:
         raise GeometryError(
-            "conv geometry requires positive extents/strides and padding >= 0"
+            f"kernel {kernel_rows}x{kernel_cols} exceeds input {rows}x{cols}"
         )
-    num_r = rows - kernel_rows + 2 * padding
-    num_c = cols - kernel_cols + 2 * padding
-    if num_r < 0 or num_c < 0:
-        raise GeometryError(
-            f"kernel {kernel_rows}x{kernel_cols} exceeds padded input {rows}x{cols}+2*{padding}"
-        )
-    if num_r % stride_x or num_c % stride_y:
-        raise GeometryError(
-            f"stride ({stride_x},{stride_y}) does not divide ({num_r},{num_c}) evenly"
-        )
-    return num_r // stride_x + 1, num_c // stride_y + 1
+    return rows - kernel_rows + 1, cols - kernel_cols + 1
 
 
 class Conv2DLayer(Layer):
-    """2-D cross-correlation over a single-channel input.
+    """2-D cross-correlation over a single-channel input, stride 1, no padding.
 
     kernels: (units, kernel_rows, kernel_cols); biases: (units,).
     Input (batch, rows, cols) -> output (batch, units, out_rows, out_cols).
 
-    The forward pass is one GEMM (im2col): every strided kernel_rows x
-    kernel_cols window becomes a row of a (batch*out_rows*out_cols,
+    The forward pass is one GEMM (im2col): every kernel_rows x kernel_cols
+    window becomes a row of a (batch*out_rows*out_cols,
     kernel_rows*kernel_cols) patch matrix, which multiplies the flattened
     kernels.  The product is (position, unit), so the returned array is a
     (batch, units, out_rows, out_cols) view of channel-last memory.  The
@@ -267,47 +249,31 @@ class Conv2DLayer(Layer):
     name = "CNN_2D"
     PARAMS = ("kernels", "biases")
 
-    def __init__(self, units: int, kernel: Tuple[int, int] = (3, 3),
-                 stride: Tuple[int, int] = (1, 1), padding: int = 0,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, units: int, kernel: Tuple[int, int] = (3, 3), *,
+                 rng: np.random.Generator):
         self.units = int(units)
         self.kernel_rows, self.kernel_cols = (int(k) for k in kernel)
-        self.stride_x, self.stride_y = (int(s) for s in stride)
-        self.padding = int(padding)
         shape = (self.units, self.kernel_rows, self.kernel_cols)
-        if rng is None:
-            self.kernels = np.zeros(shape)
-        else:
-            fan = self.kernel_rows * self.kernel_cols
-            self.kernels = glorot_uniform(rng, shape, fan, fan * self.units)
+        fan = self.kernel_rows * self.kernel_cols
+        self.kernels = glorot_uniform(rng, shape, fan, fan * self.units)
         self.biases = np.zeros(self.units)
         self._zero_grads()
-
-    def output_dims(self, rows: int, cols: int) -> Tuple[int, int]:
-        return conv2d_output_dims(rows, cols, self.kernel_rows, self.kernel_cols,
-                                  self.padding, self.stride_x, self.stride_y)
-
-    def _window(self, arr: np.ndarray, p: int, q: int, out_r: int, out_c: int) -> np.ndarray:
-        return arr[:, p: p + self.stride_x * (out_r - 1) + 1: self.stride_x,
-                   q: q + self.stride_y * (out_c - 1) + 1: self.stride_y]
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeError(f"conv2d expects (batch, rows, cols), got {x.shape}")
         b, rows, cols = x.shape
-        out_r, out_c = self.output_dims(rows, cols)
-        g = self.padding
-        xp = np.pad(x, ((0, 0), (g, g), (g, g))) if g else x
+        out_r, out_c = conv2d_output_dims(rows, cols, self.kernel_rows, self.kernel_cols)
         taps = self.kernel_rows * self.kernel_cols
-        windows = sliding_window_view(xp, (self.kernel_rows, self.kernel_cols), axis=(1, 2))
-        patches = windows[:, ::self.stride_x, ::self.stride_y].reshape(-1, taps)
+        windows = sliding_window_view(x, (self.kernel_rows, self.kernel_cols), axis=(1, 2))
+        patches = windows.reshape(-1, taps)
         y = patches @ self.kernels.reshape(self.units, taps).T
         y += self.biases
-        self._keep(train, patches, xp.shape)
+        self._keep(train, patches, x.shape)
         return y.reshape(b, out_r, out_c, self.units).transpose(0, 3, 1, 2)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        patches, padded_shape = self._kept()
+        patches, x_shape = self._kept()
         b, _, out_r, out_c = dout.shape
         d = dout.transpose(0, 2, 3, 1).reshape(-1, self.units)
         d.sum(axis=0, out=self.grad_biases)
@@ -316,12 +282,11 @@ class Conv2DLayer(Layer):
             return None
         dpatches = (d @ self.kernels.reshape(self.units, -1)).reshape(
             b, out_r, out_c, self.kernel_rows, self.kernel_cols)
-        dxp = np.zeros(padded_shape)
+        dx = np.zeros(x_shape)
         for p in range(self.kernel_rows):
             for q in range(self.kernel_cols):
-                self._window(dxp, p, q, out_r, out_c)[...] += dpatches[..., p, q]
-        g = self.padding
-        return dxp[:, g:-g, g:-g] if g else dxp
+                dx[:, p:p + out_r, q:q + out_c] += dpatches[..., p, q]
+        return dx
 
 
 class MaxPool2x2(Layer):
@@ -372,7 +337,7 @@ class BatchNormLayer(Layer):
 
     Train mode normalizes by batch statistics taken over the batch and any
     spatial axes, then folds them into the running estimates:
-    running = momentum * running + (1 - momentum) * batch.  Inference mode
+    running = MOMENTUM * running + (1 - MOMENTUM) * batch.  Inference mode
     normalizes by the running estimates alone.
 
     Both passes work on a (positions, channels) matrix: free for a
@@ -384,13 +349,11 @@ class BatchNormLayer(Layer):
     name = "BN"
     PARAMS = ("gamma", "beta")
     BUFFERS = ("running_mean", "running_var")
+    EPSILON = 1e-5
+    MOMENTUM = 0.9
 
-    def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.9):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError(f"momentum must be in (0,1), got {momentum}")
+    def __init__(self, channels: int):
         self.channels = int(channels)
-        self.epsilon = float(epsilon)
-        self.momentum = float(momentum)
         self.gamma = np.ones(self.channels)
         self.beta = np.zeros(self.channels)
         self.running_mean = np.zeros(self.channels)
@@ -409,12 +372,12 @@ class BatchNormLayer(Layer):
                 raise StatisticsError("batchnorm needs batch size >= 2 in train mode")
             mean = flat.mean(axis=0)
             var = flat.var(axis=0)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean = self.MOMENTUM * self.running_mean + (1 - self.MOMENTUM) * mean
+            self.running_var = self.MOMENTUM * self.running_var + (1 - self.MOMENTUM) * var
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        inv_std = 1.0 / np.sqrt(var + self.EPSILON)
         centered = flat - mean
         x_hat = centered * inv_std
         self._keep(train, x_hat, centered, inv_std, last.shape)
@@ -472,8 +435,8 @@ class LSTMLayer(Layer):
     name = "LSTM"
     PARAMS = ("w_x", "w_h", "bias")
 
-    def __init__(self, input_size: int, units: int, output_activation: str = "identity",
-                 rng: np.random.Generator | None = None, return_sequences: bool = True):
+    def __init__(self, input_size: int, units: int, output_activation: str = "identity", *,
+                 rng: np.random.Generator, return_sequences: bool = True):
         if output_activation not in ("identity", "relu"):
             raise ValueError(f"unknown output activation {output_activation!r}")
         self.input_size = int(input_size)
@@ -481,12 +444,8 @@ class LSTMLayer(Layer):
         self.output_activation = output_activation
         self.return_sequences = bool(return_sequences)
         s, k = self.input_size, self.units
-        if rng is None:
-            self.w_x = np.zeros((s, 4 * k))
-            self.w_h = np.zeros((k, 4 * k))
-        else:
-            self.w_x = glorot_uniform(rng, (s, 4 * k), s, 4 * k)
-            self.w_h = glorot_uniform(rng, (k, 4 * k), k, 4 * k)
+        self.w_x = glorot_uniform(rng, (s, 4 * k), s, 4 * k)
+        self.w_h = glorot_uniform(rng, (k, 4 * k), k, 4 * k)
         self.bias = np.zeros(4 * k)
         self._zero_grads()
 

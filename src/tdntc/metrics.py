@@ -23,14 +23,6 @@ class ConfusionMatrix:
 
     counts: np.ndarray
 
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass
 class ClassReport:

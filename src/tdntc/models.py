@@ -41,11 +41,11 @@ from .layers import (
     Layer,
     LSTMLayer,
     MaxPool2x2,
+    ShapeError,
     TimeDistributed,
     conv2d_output_dims,
     softmax,
 )
-from .tensor import ShapeError
 
 VARIANTS = ("m1-td", "m1-van", "m2-td", "m2-van", "m3-td", "m3-van")
 
@@ -234,9 +234,6 @@ class ModelGraph:
 
     # -- shape handling
 
-    def _sample_rank(self) -> int:
-        return 2 if self.config.frame_input else 1
-
     def _check_batch(self, x: np.ndarray) -> np.ndarray:
         cfg = self.config
         if cfg.frame_input:
@@ -255,15 +252,11 @@ class ModelGraph:
 
     # -- passes
 
-    def _features(self, x: np.ndarray, train: bool) -> np.ndarray:
-        """Run every stage but the decision layer."""
+    def forward_logits(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         out = self._check_batch(np.asarray(x, dtype=np.float64))
         for stage in self.stages[:-1]:
             out = stage.forward(out, train)
-        return out
-
-    def forward_logits(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        return self.stages[-1].layer.forward_logits(self._features(x, train), train)
+        return self.stages[-1].layer.forward_logits(out, train)
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Fill `flat_grads`; the first stage builds no input gradient."""
@@ -273,26 +266,13 @@ class ModelGraph:
         self.stages[0].backward(dout, input_grad=False)
 
     def predict(self, x: np.ndarray):
-        """Probabilities and argmax class for one sample or a batch.
+        """Probabilities and argmax classes of a batch.
 
         Ties break toward the lowest class index.  Inference mode: batch
         normalization uses its running statistics.
         """
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == self._sample_rank()
-        batch = x[None] if single else x
-        probs = softmax(self.forward_logits(batch, train=False), axis=1)
-        classes = probs.argmax(axis=1)
-        if single:
-            return probs[0], int(classes[0])
-        return probs, classes
-
-    def extract_holistic_features(self, x: np.ndarray) -> np.ndarray:
-        """Activations entering the decision layer (the learned feature vector)."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == self._sample_rank()
-        feats = self._features(x[None] if single else x, False)
-        return feats[0] if single else feats
+        probs = softmax(self.forward_logits(x, train=False), axis=1)
+        return probs, probs.argmax(axis=1)
 
     # -- parameter plumbing
 
@@ -303,9 +283,6 @@ class ModelGraph:
 
     def params(self) -> Dict[str, np.ndarray]:
         return self._walk("params")
-
-    def grads(self) -> Dict[str, np.ndarray]:
-        return self._walk("grads")
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         return self._walk("state")

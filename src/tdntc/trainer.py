@@ -112,15 +112,17 @@ class TrainResult:
 class _Adam:
     """Adam over a graph's flat parameter and gradient vectors.
 
-    A step runs m += (1 - beta1) (g - m), v += (1 - beta2) (g g - v), then
-    p -= lr m_hat / (sqrt(v_hat) + eps), elementwise and in that order,
+    A step runs m += (1 - BETA1) (g - m), v += (1 - BETA2) (g g - v), then
+    p -= lr m_hat / (sqrt(v_hat) + EPS), elementwise and in that order,
     through two scratch vectors, so it allocates nothing after the first.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self._buffers: Tuple[np.ndarray, ...] = ()
 
@@ -131,17 +133,17 @@ class _Adam:
         self.step_count += 1
         t = self.step_count
         np.subtract(grads, m, out=a)
-        a *= 1 - self.beta1
+        a *= 1 - self.BETA1
         m += a
         np.multiply(grads, grads, out=a)
         a -= v
-        a *= 1 - self.beta2
+        a *= 1 - self.BETA2
         v += a
-        np.divide(m, 1 - self.beta1 ** t, out=a)
+        np.divide(m, 1 - self.BETA1 ** t, out=a)
         a *= self.lr
-        np.divide(v, 1 - self.beta2 ** t, out=b)
+        np.divide(v, 1 - self.BETA2 ** t, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += self.EPS
         a /= b
         params -= a
 
@@ -159,15 +161,17 @@ def _make_optimizer(cfg: TrainConfig):
 
 
 def _batch_indices(n: int, batch_size: int, rng: np.random.Generator) -> List[np.ndarray]:
+    if n == 0:
+        raise ValueError("cannot train on an empty training split")
+    if n == 1:
+        raise ValueError("cannot train on a single sample")
     order = rng.permutation(n)
     batches = [order[i:i + batch_size] for i in range(0, n, batch_size)]
     # A trailing batch of one sample cannot feed train-mode batchnorm; fold
-    # it into its predecessor (or drop it when it is the only batch).
-    if len(batches) > 1 and batches[-1].size == 1:
+    # it into its predecessor, which exists because n >= 2.
+    if batches[-1].size == 1:
         batches[-2] = np.concatenate([batches[-2], batches[-1]])
         batches.pop()
-    elif len(batches) == 1 and batches[0].size == 1:
-        raise ValueError("cannot train on a single sample")
     return batches
 
 

@@ -46,7 +46,7 @@ class TestConfusionMatrix:
         rng = np.random.default_rng(0)
         y_true = rng.integers(0, 5, size=100)
         y_pred = rng.integers(0, 5, size=100)
-        assert confusion_matrix(y_true, y_pred, 5).total == 100
+        assert confusion_matrix(y_true, y_pred, 5).counts.sum() == 100
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from gradcheck_lib import grads
 from tdntc import models
-from tdntc.layers import DenseLayer, Layer, softmax, softmax_cross_entropy_batch
+from tdntc.layers import DenseLayer, Layer, ShapeError, softmax, softmax_cross_entropy_batch
 from tdntc.models import BuildError, ModelConfig, build_model, count_parameters
-from tdntc.tensor import ShapeError
 
 # N=12 folds to 4x3 frames; a 3x2 kernel is the geometry that survives the
 # 2x2 pool there (the default 3x3 kernel leaves an odd column extent).
@@ -114,8 +114,10 @@ def test_stages_share_one_layer_interface(variant):
     for stage in graph.stages[:-1]:
         assert isinstance(stage, Layer)
         assert isinstance(stage.name, str) and stage.name
-        for method in ("forward", "backward", "params", "grads", "state"):
+        for method in ("forward", "backward", "params", "state"):
             assert callable(getattr(stage, method)), (stage.name, method)
+        for name, g in grads(stage).items():  # every parameter has its grad_ view
+            assert g.shape == stage.params()[name].shape, (stage.name, name)
     decision = graph.stages[-1].layer
     assert isinstance(decision, DenseLayer)
     assert decision.name == graph.stages[-1].name == "FFNN_1"
@@ -231,16 +233,16 @@ class TestPredict:
         assert probs.shape == (6, 5)
         assert classes.shape == (6,)
         for i in range(6):
-            p_one, c_one = graph.predict(batch[i])
-            assert (p_one == probs[i]).all()
-            assert c_one == classes[i]
+            p_one, c_one = graph.predict(batch[i:i + 1])
+            assert (p_one[0] == probs[i]).all()
+            assert c_one[0] == classes[i]
 
     def test_untrained_prediction_is_deterministic(self, graph):
-        x = np.random.default_rng(4).uniform(0, 1, size=(8, 6))
+        x = np.random.default_rng(4).uniform(0, 1, size=(3, 8, 6))
         first = graph.predict(x)
         second = graph.predict(x)
         assert (first[0] == second[0]).all()
-        assert first[1] == second[1]
+        assert (first[1] == second[1]).all()
 
     def test_argmax_semantics(self):
         probs = np.array([0.1, 0.7, 0.2])
@@ -263,30 +265,37 @@ class TestPredict:
             graph.predict(np.zeros((2, 6, 8)))
 
 
+def decision_input(graph, x):
+    """The holistic features: what every stage before the decision layer hands it."""
+    out = graph._check_batch(np.asarray(x, dtype=np.float64))
+    for stage in graph.stages[:-1]:
+        out = stage.forward(out)
+    return out
+
+
 class TestHolisticFeatures:
     def test_m3_td_width_is_pooled_steps_times_units(self):
         graph = build_model(ModelConfig("m3-td", 48, 141))
-        x = np.random.default_rng(0).uniform(0, 1, size=(8, 6))
-        assert graph.extract_holistic_features(x).shape == (6 * 128,)
+        assert graph.stages[-1].layer.in_size == 6 * 128
 
     def test_m3_van_width_is_units(self):
         graph = build_model(ModelConfig("m3-van", 48, 141))
-        x = np.random.default_rng(0).uniform(0, 1, size=(8, 6))
-        assert graph.extract_holistic_features(x).shape == (128,)
+        assert graph.stages[-1].layer.in_size == 128
 
     def test_features_feed_the_decision_layer(self):
         graph = build_model(make_config("m1-td", 12, 3, units=4, td_units=4, seed=4))
         x = np.random.default_rng(2).uniform(0, 1, size=(3, *graph.frame_dims))
         decision = graph.stages[-1].layer
-        feats = graph.extract_holistic_features(x)
+        feats = decision_input(graph, x)
         want = feats @ decision.weights + decision.bias
         assert (graph.forward_logits(x) == want).all()
 
     def test_identical_inputs_identical_features(self):
         graph = build_model(ModelConfig("m2-td", 12, 3, units=6, td_units=6))
-        x = np.random.default_rng(1).uniform(0, 1, size=12)
-        a = graph.extract_holistic_features(x)
-        b = graph.extract_holistic_features(x)
+        x = np.random.default_rng(1).uniform(0, 1, size=(1, 12))
+        a = decision_input(graph, x)
+        b = decision_input(graph, x)
+        assert a.shape == (1, 12 * 6)
         assert (a == b).all()
 
 

@@ -1,7 +1,10 @@
+"""Tests of the finite-difference oracle in `gradcheck_lib`, on plain arrays."""
+
 import numpy as np
 import pytest
 
-from tdntc.tensor import NumericError, ShapeError, finite_diff_grad, relative_grad_error
+from gradcheck_lib import NumericError, finite_diff_grad, relative_grad_error
+from tdntc.layers import ShapeError
 
 
 class TestFiniteDiffGrad:

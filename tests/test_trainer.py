@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from gradcheck_lib import graph_grads
 from tdntc import datapipe, models, trainer
 from tdntc.layers import softmax_cross_entropy_batch
 from tdntc.trainer import (
@@ -69,7 +70,7 @@ class PerTensorAdam:
 def assert_tiles_flat_vectors(graph):
     """Every parameter and gradient is the next slice of the graph's flat vectors."""
     for tensors, flat in ((graph.params(), graph.flat_params),
-                          (graph.grads(), graph.flat_grads)):
+                          (graph_grads(graph), graph.flat_grads)):
         offset = 0
         for name, arr in tensors.items():
             assert np.shares_memory(arr, flat), name
@@ -105,6 +106,16 @@ class TestTrainLoop:
                        TrainConfig(epochs=1, batch_size=4, seed=0))
         assert len(result.history) == 1
         assert result.optimizer_steps == 2
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_training_rows_rejected(self, rows):
+        # Train-mode batchnorm needs two samples in a batch; an empty split
+        # must not end in a division by its zero row count either.
+        cfg, data = tiny_splits("m1-van")
+        graph = models.build_model(cfg)
+        x, y = data["train"][0][:rows], data["train"][1][:rows]
+        with pytest.raises(ValueError, match="cannot train on"):
+            train(graph, (x, y), data["val"], TrainConfig(epochs=1, batch_size=4, seed=0))
 
     def test_zero_learning_rate_changes_nothing(self):
         cfg, data = tiny_splits("m2-van")
@@ -224,7 +235,7 @@ class TestTrainLoop:
             "m3-td", 12, 3, units=4, kernel=TINY_KERNEL, td_units=4, seed=1))
         rng = np.random.default_rng(3)
         graph.flat_grads[...] = rng.standard_normal(graph.flat_grads.size)
-        grads = graph.grads()
+        grads = graph_grads(graph)
         expected = {name: p - 0.05 * grads[name] for name, p in graph.params().items()}
         trainer._SGD(0.05).step(graph.flat_params, graph.flat_grads)
         for name, p in graph.params().items():
@@ -241,7 +252,7 @@ class TestTrainLoop:
             scale = 10.0 ** rng.uniform(-6, 2)
             grads = {name: scale * rng.standard_normal(p.shape)
                      for name, p in expected.items()}
-            for name, g in graph.grads().items():
+            for name, g in graph_grads(graph).items():
                 g[...] = grads[name]
             flat.step(graph.flat_params, graph.flat_grads)
             reference.step(expected, grads)
