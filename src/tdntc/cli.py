@@ -20,6 +20,10 @@ import sys
 from pathlib import Path
 
 
+# models.VARIANTS, spelled out so that building the parser loads no numpy.
+VARIANTS = ("m1-td", "m1-van", "m2-td", "m2-van", "m3-td", "m3-van")
+
+
 class UsageError(ValueError):
     """Raised for an option value the command cannot use."""
 
@@ -44,22 +48,15 @@ def _print_config(args: argparse.Namespace) -> None:
     print(f"resolved-config {json.dumps(resolved, default=str)}")
 
 
-def _parse_factor_pair(text: str | None):
+def _parse_pair(text: str | None, flag: str, form: str):
+    """'A,B' as two ints; None (an unset option) passes through."""
     if text is None:
         return None
     try:
-        rows, cols = (int(v) for v in text.split(","))
+        a, b = (int(v) for v in text.split(","))
     except ValueError:
-        raise UsageError(f"--factor-pair expects 'R,C', got {text!r}") from None
-    return rows, cols
-
-
-def _parse_kernel(text: str):
-    try:
-        p, q = (int(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"--kernel expects 'P,Q', got {text!r}") from None
-    return p, q
+        raise UsageError(f"{flag} expects '{form}', got {text!r}") from None
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +129,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         optimizer=args.optimizer, seed=args.seed, patience=args.patience,
         trials=args.trials, lr_jitter=args.lr_jitter,
     )
-    factor_pair = _parse_factor_pair(args.factor_pair)
-    kernel = _parse_kernel(args.kernel)
+    factor_pair = _parse_pair(args.factor_pair, "--factor-pair", "R,C")
+    kernel = _parse_pair(args.kernel, "--kernel", "P,Q")
     ds = datapipe.load_csv_dataset(args.csv, label_column=args.label_column)
     split = datapipe.stratified_split(ds, seed=args.seed)
     sizes = f"train={split.train.size} val={split.val.size} test={split.test.size}"
@@ -237,8 +234,9 @@ def cmd_audit_params(args: argparse.Namespace) -> int:
     _print_config(args)
     cfg = models.ModelConfig(
         variant=args.variant, n_features=args.n_features, n_classes=args.n_classes,
-        units=args.units, kernel=_parse_kernel(args.kernel), td_units=args.td_units,
-        factor_pair=_parse_factor_pair(args.factor_pair),
+        units=args.units, kernel=_parse_pair(args.kernel, "--kernel", "P,Q"),
+        td_units=args.td_units,
+        factor_pair=_parse_pair(args.factor_pair, "--factor-pair", "R,C"),
     )
     graph = models.build_model(cfg)
     print(models.format_stage_table(graph))
@@ -285,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a variant on a labelled CSV")
     p.add_argument("csv", help="flow feature CSV with a label column")
-    p.add_argument("--variant", required=True,
-                   choices=["m1-td", "m1-van", "m2-td", "m2-van", "m3-td", "m3-van"])
+    p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--label-column", default="label")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=50)
@@ -309,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit-params",
                        help="print the trainable-parameter table for a variant")
-    p.add_argument("variant",
-                   choices=["m1-td", "m1-van", "m2-td", "m2-van", "m3-td", "m3-van"])
+    p.add_argument("variant", choices=VARIANTS)
     p.add_argument("n_features", type=int)
     p.add_argument("n_classes", type=int)
     add_model_flags(p)

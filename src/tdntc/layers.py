@@ -1,23 +1,19 @@
 """Layer zoo for the traffic classifiers: forward and backward rules.
 
 Every layer implements the `Layer` interface: an audit `name`,
-`forward(x, train=False)`, `backward(dout)` and `params()` / `state()` as
-name->array dicts.  Layers run batch-first on float64 numpy arrays, so the
-model graph, the optimizer, the parameter audit and the checkpoint writer
-address all of them the same way.  A layer keeps only its math: the
-audit's closed-form counts and Calculation text live in `models`.
+`forward(x, train=False)` and `backward(dout)`.  Layers run batch-first on
+float64 numpy arrays.  A layer keeps only its math: the audit's
+closed-form counts and Calculation text live in `models`.
 
 A layer names its tensors once.  `PARAMS` lists its trainable attributes
 in checkpoint order; the gradient of attribute `x` lives in `grad_x`.
 `BUFFERS` lists the further attributes a checkpoint persists (batchnorm's
-running statistics).  `params()` and `state()` are derived from these two
-tuples, and `_zero_grads()` gives every parameter its zero gradient.  The
-model graph calls `_zero_grads(params, grads)` with the layer's slices of
-one flat parameter vector and one flat gradient vector: every parameter
-and its gradient then become views of those vectors, so the optimizer
-updates every tensor in one pass.  A `DenseStage` (the time-distributed
-wrapper, the decision stage) forwards all of them to the dense layer it
-holds.
+running statistics).  Constructors allocate only the parameters;
+`bind_flat` copies them into one flat vector, rebinds each as a view of
+its slice and gives it a `grad_` view of one zeroed flat gradient vector,
+so the optimizer updates every tensor in one pass.  A wrapper stage (the
+time-distributed wrapper, the decision stage) holds the dense layer whose
+tensors it uses as `.layer`.
 
 A backward pass writes its parameter gradients into the `grad_*` views
 (`out=` or `[...] =`) and never rebinds them.  `Conv2DLayer` and
@@ -33,7 +29,7 @@ RuntimeError naming the layer.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -74,33 +70,27 @@ class Layer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _zero_grads(self, params: np.ndarray | None = None,
-                    grads: np.ndarray | None = None) -> None:
-        """Give every parameter a zero gradient.
 
-        Given a graph's flat `params` / `grads` slices for this layer (`grads`
-        holding zeros), each parameter is copied into `params` in PARAMS
-        order, and it and its gradient become views of the two slices.
-        """
-        offset = 0
-        for name in self.PARAMS:
-            arr = getattr(self, name)
-            if params is None:
-                setattr(self, "grad_" + name, np.zeros_like(arr))
-                continue
-            end = offset + arr.size
-            view = params[offset:end].reshape(arr.shape)
-            view[...] = arr
-            setattr(self, name, view)
-            setattr(self, "grad_" + name, grads[offset:end].reshape(arr.shape))
-            offset = end
+def bind_flat(layers) -> Tuple[np.ndarray, np.ndarray]:
+    """(flat_params, flat_grads) holding the `PARAMS` tensors of `layers` in order.
 
-    def params(self) -> Dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.PARAMS}
-
-    def state(self) -> Dict[str, np.ndarray]:
-        """Arrays a checkpoint must persist: the parameters, then the buffers."""
-        return {**self.params(), **{name: getattr(self, name) for name in self.BUFFERS}}
+    Each parameter is copied into its slice of flat_params and rebound as a
+    view of it; its `grad_` attribute becomes the same slice of the zeroed
+    flat_grads.
+    """
+    tensors = [(layer, name) for layer in layers for name in layer.PARAMS]
+    size = sum(getattr(layer, name).size for layer, name in tensors)
+    params, grads = np.empty(size), np.zeros(size)
+    offset = 0
+    for layer, name in tensors:
+        arr = getattr(layer, name)
+        end = offset + arr.size
+        view = params[offset:end].reshape(arr.shape)
+        view[...] = arr
+        setattr(layer, name, view)
+        setattr(layer, "grad_" + name, grads[offset:end].reshape(arr.shape))
+        offset = end
+    return params, grads
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +132,6 @@ class DenseLayer(Layer):
         self.weights = glorot_uniform(rng, (self.in_size, self.out_size),
                                       self.in_size, self.out_size)
         self.bias = np.zeros(self.out_size)
-        self._zero_grads()
 
     def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.in_size:
@@ -173,29 +162,18 @@ class DenseLayer(Layer):
         return dz @ self.weights.T
 
 
-class DenseStage(Layer):
-    """A stage whose tensors are those of the dense `layer` it holds."""
-
-    def __init__(self, layer: DenseLayer):
-        self.layer = layer
-
-    def _zero_grads(self, params: np.ndarray | None = None,
-                    grads: np.ndarray | None = None) -> None:
-        self.layer._zero_grads(params, grads)
-
-    def params(self) -> Dict[str, np.ndarray]:
-        return self.layer.params()
-
-
-class TimeDistributed(DenseStage):
+class TimeDistributed(Layer):
     """Shared dense layer applied at every step of the leading sequence axis.
 
     Parameter gradients accumulate over all steps, which is exactly the
     outer per-step summation of the architecture: one inner layer, one set
-    of weights, reused across the sequence.
+    of weights, reused across the sequence.  The tensors live on `layer`.
     """
 
     name = "TD(FFNN_0)"
+
+    def __init__(self, layer: DenseLayer):
+        self.layer = layer
 
     def forward(self, seq: np.ndarray, train: bool = False) -> np.ndarray:
         if seq.ndim != 3:
@@ -257,7 +235,6 @@ class Conv2DLayer(Layer):
         fan = self.kernel_rows * self.kernel_cols
         self.kernels = glorot_uniform(rng, shape, fan, fan * self.units)
         self.biases = np.zeros(self.units)
-        self._zero_grads()
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 3:
@@ -358,7 +335,6 @@ class BatchNormLayer(Layer):
         self.beta = np.zeros(self.channels)
         self.running_mean = np.zeros(self.channels)
         self.running_var = np.ones(self.channels)
-        self._zero_grads()
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim < 2 or x.shape[1] != self.channels:
@@ -447,7 +423,6 @@ class LSTMLayer(Layer):
         self.w_x = glorot_uniform(rng, (s, 4 * k), s, 4 * k)
         self.w_h = glorot_uniform(rng, (k, 4 * k), k, 4 * k)
         self.bias = np.zeros(4 * k)
-        self._zero_grads()
 
     @property
     def last_hidden_states(self) -> np.ndarray:

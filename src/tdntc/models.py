@@ -36,13 +36,13 @@ from .layers import (
     BatchNormLayer,
     Conv2DLayer,
     DenseLayer,
-    DenseStage,
     GeometryError,
     Layer,
     LSTMLayer,
     MaxPool2x2,
     ShapeError,
     TimeDistributed,
+    bind_flat,
     conv2d_output_dims,
     softmax,
 )
@@ -179,17 +179,17 @@ class Flatten(Layer):
         return dout.reshape(shape)
 
 
-class DecisionStage(DenseStage):
+class DecisionStage(Layer):
     """The last stage: holds the FFNN_1 dense layer as `layer`.
 
     ModelGraph calls `layer.forward_logits` and `layer.backward` itself, so
-    the stage has no pass of its own, only the audit name and tensor view.  The
-    benchmark's tracer (perfbench) times the decision layer by wrapping
+    the stage has no pass of its own, only the audit name.  The benchmark's
+    tracer (perfbench) times the decision layer by wrapping
     `graph.stages[-1].layer`, so the graph must keep reaching it that way.
     """
 
     def __init__(self, layer: DenseLayer):
-        super().__init__(layer)
+        self.layer = layer
         self.name = layer.name
 
 
@@ -213,9 +213,11 @@ class ModelGraph:
     logits so training can use the fused cross-entropy gradient, while
     `predict` returns the softmax probabilities and argmax classes.
 
-    `flat_params` and `flat_grads` hold every trainable tensor and its
-    gradient in `stage/name` walk order; each stage's tensors are views of
-    its slice of the two vectors, so the optimizer steps them in one pass.
+    `holders` pairs each stage's name with the layer that holds its tensors
+    (a wrapper stage's `.layer`); the flat vectors, the `stage/name` walk
+    and the audit all read it.  `flat_params` and `flat_grads` hold every
+    trainable tensor and its gradient in walk order, and the tensors are
+    views of them, so the optimizer steps them in one pass.
     """
 
     def __init__(self, config: ModelConfig, layers: List[Layer], decision: DenseLayer,
@@ -223,14 +225,8 @@ class ModelGraph:
         self.config = config
         self.stages = [*layers, DecisionStage(decision)]
         self.frame_dims = frame_dims
-        sizes = [sum(arr.size for arr in stage.params().values()) for stage in self.stages]
-        self.flat_params = np.empty(sum(sizes))
-        self.flat_grads = np.zeros(sum(sizes))
-        offset = 0
-        for stage, size in zip(self.stages, sizes):
-            end = offset + size
-            stage._zero_grads(self.flat_params[offset:end], self.flat_grads[offset:end])
-            offset = end
+        self.holders = [(stage.name, getattr(stage, "layer", stage)) for stage in self.stages]
+        self.flat_params, self.flat_grads = bind_flat([layer for _, layer in self.holders])
 
     # -- shape handling
 
@@ -276,16 +272,17 @@ class ModelGraph:
 
     # -- parameter plumbing
 
-    def _walk(self, tensors: str) -> Dict[str, np.ndarray]:
-        """`stage/name` -> array of every stage's `tensors()` dict, in stage order."""
-        return {f"{stage.name}/{name}": arr for stage in self.stages
-                for name, arr in getattr(stage, tensors)().items()}
+    def _walk(self, *groups: str) -> Dict[str, np.ndarray]:
+        """`stage/name` -> array of each holder's tensors in `groups`, in stage order."""
+        return {f"{stage}/{name}": getattr(layer, name) for stage, layer in self.holders
+                for group in groups for name in getattr(layer, group)}
 
     def params(self) -> Dict[str, np.ndarray]:
-        return self._walk("params")
+        return self._walk("PARAMS")
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        return self._walk("state")
+        """Arrays a checkpoint persists: each stage's parameters, then its buffers."""
+        return self._walk("PARAMS", "BUFFERS")
 
     def get_state(self) -> Dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.state_arrays().items()}
@@ -426,14 +423,15 @@ def count_parameters(graph: ModelGraph) -> Tuple[List[StageCount], int]:
 
     Each stage's count sums the shapes `state_shapes` gives its trainable
     tensors (conv (PxQxS+1)xU, batchnorm 2U, LSTM 4[(S+1)U+U^2], dense
-    SxU+U); only the tensor names come from the stage.  No allocated array
-    is read, so tests can cross-check the audit against the built graph.
+    SxU+U); only the tensor names come from the stage's holder layer.  No
+    allocated array is read, so tests can cross-check the audit against the
+    built graph.
     """
     shapes = state_shapes(graph.config)
     calcs = _calculations(graph.config)
-    rows = [StageCount(s.name, calcs.get(s.name, "-"),
-                       sum(math.prod(shapes[f"{s.name}/{name}"]) for name in s.params()))
-            for s in graph.stages]
+    rows = [StageCount(stage, calcs.get(stage, "-"),
+                       sum(math.prod(shapes[f"{stage}/{name}"]) for name in layer.PARAMS))
+            for stage, layer in graph.holders]
     return rows, sum(r.count for r in rows)
 
 

@@ -494,6 +494,8 @@ def load_checkpoint(path) -> Tuple[ModelGraph, Optional[ScalerState], Optional[L
     for name, shape in directory:
         nbytes = math.prod(shape) * 8
         arr = np.frombuffer(data[offset: offset + nbytes], dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds NaN or inf")
         live[name][...] = arr
         offset += nbytes
     scaler = _scaler_state(path, meta.get("scaler"), cfg.n_features)

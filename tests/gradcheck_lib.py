@@ -67,10 +67,22 @@ def relative_grad_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max() / denom)
 
 
+def bound(layer):
+    """`layer`, built outside a graph, with flat vectors laid out as a graph's are."""
+    layers.bind_flat([getattr(layer, "layer", layer)])
+    return layer
+
+
+def params(stage) -> Dict[str, np.ndarray]:
+    """name -> every trainable tensor of a layer or stage, in PARAMS order."""
+    owner = getattr(stage, "layer", stage)  # a wrapper stage's tensors live on its layer
+    return {name: getattr(owner, name) for name in owner.PARAMS}
+
+
 def grads(stage) -> Dict[str, np.ndarray]:
     """name -> the `grad_<name>` view of every trainable tensor of a layer or stage."""
-    owner = getattr(stage, "layer", stage)  # a DenseStage's tensors live on its layer
-    return {name: getattr(owner, "grad_" + name) for name in stage.params()}
+    owner = getattr(stage, "layer", stage)
+    return {name: getattr(owner, "grad_" + name) for name in owner.PARAMS}
 
 
 def graph_grads(graph) -> Dict[str, np.ndarray]:
@@ -87,7 +99,7 @@ def _worst_param_and_input_error(layer, x, forward, projection) -> float:
     dx = layer.backward(projection)
     analytic = grads(layer)
     worst = 0.0
-    for name, arr in layer.params().items():
+    for name, arr in params(layer).items():
         numeric = finite_diff_grad(scalar, arr)
         worst = max(worst, relative_grad_error(analytic[name], numeric))
     numeric = finite_diff_grad(scalar, x)
@@ -109,7 +121,7 @@ def check_dense(rng: np.random.Generator) -> float:
     in_size = int(rng.integers(2, 6))
     out_size = int(rng.integers(2, 5))
     activation = ("identity", "relu")[int(rng.integers(2))]
-    layer = layers.DenseLayer(in_size, out_size, activation, rng=rng)
+    layer = bound(layers.DenseLayer(in_size, out_size, activation, rng=rng))
     batch = int(rng.integers(1, 4))
     if activation == "relu":
         x = _sample_clear_of_kink(rng, layer, batch)
@@ -125,7 +137,7 @@ def check_conv2d(rng: np.random.Generator) -> float:
     p, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     rows = p + int(rng.integers(1, 4))
     cols = q + int(rng.integers(1, 4))
-    layer = layers.Conv2DLayer(units, kernel=(p, q), rng=rng)
+    layer = bound(layers.Conv2DLayer(units, kernel=(p, q), rng=rng))
     x = rng.normal(size=(int(rng.integers(1, 3)), rows, cols))
     proj = rng.normal(size=layer.forward(x).shape)
     return _worst_param_and_input_error(layer, x, lambda: layer.forward(x, train=True),
@@ -153,7 +165,7 @@ def check_batchnorm(rng: np.random.Generator) -> float:
     channels = int(rng.integers(1, 5))
     shape = (int(rng.integers(2, 5)), channels, int(rng.integers(1, 3)),
              int(rng.integers(1, 3)))
-    layer = layers.BatchNormLayer(channels)
+    layer = bound(layers.BatchNormLayer(channels))
     layer.gamma[:] = rng.normal(1.0, 0.2, size=channels)
     layer.beta[:] = rng.normal(0.0, 0.2, size=channels)
     x = rng.normal(size=shape)
@@ -174,8 +186,8 @@ def check_lstm(rng: np.random.Generator) -> float:
     s, k = [(1, 2), (2, 2), (3, 2), (1, 3)][int(rng.integers(4))]
     activation = ("identity", "relu")[int(rng.integers(2))]
     return_sequences = bool(rng.integers(2))
-    layer = layers.LSTMLayer(s, k, output_activation=activation, rng=rng,
-                             return_sequences=return_sequences)
+    layer = bound(layers.LSTMLayer(s, k, output_activation=activation, rng=rng,
+                                   return_sequences=return_sequences))
     shape = (int(rng.integers(1, 3)), int(rng.integers(1, 5)), s)
     x = rng.normal(scale=2.0, size=shape)
     if activation == "relu":
@@ -196,7 +208,7 @@ def check_time_distributed(rng: np.random.Generator) -> float:
     in_size = int(rng.integers(2, 5))
     out_size = int(rng.integers(2, 5))
     inner = layers.DenseLayer(in_size, out_size, "relu", rng=rng)
-    layer = layers.TimeDistributed(inner)
+    layer = bound(layers.TimeDistributed(inner))
     b, t = int(rng.integers(1, 3)), int(rng.integers(1, 5))
     flat = _sample_clear_of_kink(rng, inner, b * t)
     x = flat.reshape(b, t, in_size)

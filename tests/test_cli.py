@@ -290,6 +290,13 @@ class TestFeaturize:
         assert len(out.read_text().splitlines()[0].split(",")) == 49
 
 
+def test_variant_choices_are_the_model_variants():
+    # cli spells the names out so that its parser loads no numpy.
+    from tdntc import cli, models
+
+    assert cli.VARIANTS == models.VARIANTS
+
+
 def test_featurize_imports_no_numpy():
     # `tdntc featurize` imports only these two modules before it parses, so
     # numpy here would add its import time to every featurize run.
@@ -447,6 +454,7 @@ class TestBadOptionValues:
         ("--td-units", "0", "td_units must be"),
         ("--kernel", "0,3", "kernel must be"),
         ("--kernel", "3", "--kernel expects"),
+        ("--factor-pair", "8", "--factor-pair expects"),
         ("--epochs", "0", "epochs must be"),
         ("--batch", "1", "batch size must be"),
         ("--trials", "0", "trials must be"),

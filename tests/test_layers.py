@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradcheck_lib import grads
+from gradcheck_lib import bound, grads, params
 from tdntc.layers import (
     BatchNormLayer,
     Conv2DLayer,
@@ -138,7 +138,7 @@ class TestConv2D:
             rows, cols = int(rng.integers(2, 9)), int(rng.integers(2, 9))
             p = int(rng.integers(1, rows + 1))
             q = int(rng.integers(1, cols + 1))
-            layer = Conv2DLayer(int(rng.integers(1, 4)), kernel=(p, q), rng=rng)
+            layer = bound(Conv2DLayer(int(rng.integers(1, 4)), kernel=(p, q), rng=rng))
             layer.biases[:] = rng.normal(size=layer.units)
             x = rng.normal(size=(3, rows, cols))
             got = layer.forward(x, train=True)
@@ -170,8 +170,8 @@ def test_backward_without_input_gradient_keeps_parameter_gradients(make, x_shape
     # The graph's first stage skips its input gradient; the parameter
     # gradients must come out byte-equal to those of the full backward.
     rng = np.random.default_rng(31)
-    layer = make(rng)
-    for arr in layer.params().values():
+    layer = bound(make(rng))
+    for arr in params(layer).values():
         arr[...] = rng.normal(size=arr.shape)
     out = layer.forward(rng.normal(size=x_shape), train=True)
     dout = rng.normal(size=out.shape)
@@ -237,7 +237,7 @@ class TestConvFrontLayout:
     """The stages after the conv see channel-last memory; results must not."""
 
     @pytest.mark.parametrize("make", [
-        MaxPool2x2, lambda: BatchNormLayer(3), lambda: SequenceFold("rows"),
+        MaxPool2x2, lambda: bound(BatchNormLayer(3)), lambda: SequenceFold("rows"),
         lambda: SequenceFold("positions"), Flatten,
     ], ids=["maxpool", "batchnorm", "fold-rows", "fold-positions", "flatten"])
     def test_results_are_bit_identical_for_both_layouts(self, make):
@@ -351,8 +351,8 @@ class TestLSTM:
     def test_forward_matches_per_step_reference(self, s, k, activation,
                                                 return_sequences, train):
         rng = np.random.default_rng(11)
-        layer = LSTMLayer(s, k, output_activation=activation, rng=rng,
-                          return_sequences=return_sequences)
+        layer = bound(LSTMLayer(s, k, output_activation=activation, rng=rng,
+                                return_sequences=return_sequences))
         layer.bias[:] = rng.normal(scale=0.5, size=4 * k)
         x = rng.normal(size=(3, 5, s))
 
@@ -376,7 +376,7 @@ class TestLSTM:
         if not return_sequences:
             want = want[:, -1]
 
-        before = {name: p.copy() for name, p in layer.params().items()}
+        before = {name: p.copy() for name, p in params(layer).items()}
         out = layer.forward(x, train=train)
         assert out.shape == want.shape
         assert out.flags.c_contiguous
@@ -384,7 +384,7 @@ class TestLSTM:
         if train:
             assert np.abs(layer.last_hidden_states - want_states).max() <= 1e-12
             layer.backward(rng.normal(size=out.shape))
-            for name, p in layer.params().items():
+            for name, p in params(layer).items():
                 assert p.tobytes() == before[name].tobytes(), name
         else:
             # the inference forward keeps nothing for backward and runs the
@@ -467,10 +467,10 @@ class TestTimeDistributed:
     def test_degenerate_sequence_has_identical_gradients(self):
         rng = np.random.default_rng(9)
         inner_a = DenseLayer(3, 2, activation="relu", rng=rng)
-        inner_b = DenseLayer(3, 2, activation="relu", rng=rng)
+        inner_b = bound(DenseLayer(3, 2, activation="relu", rng=rng))
         inner_b.weights[...] = inner_a.weights
         inner_b.bias[...] = inner_a.bias
-        td = TimeDistributed(inner_a)
+        td = bound(TimeDistributed(inner_a))
         x = rng.normal(size=(4, 3))
         dout = rng.normal(size=(4, 2))
         out_td = td.forward(x[:, None, :], train=True)

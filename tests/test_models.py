@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradcheck_lib import grads
+from gradcheck_lib import grads, params
 from tdntc import models
 from tdntc.layers import DenseLayer, Layer, ShapeError, softmax, softmax_cross_entropy_batch
 from tdntc.models import BuildError, ModelConfig, build_model, count_parameters
@@ -20,7 +20,7 @@ def enumerate_stage_counts(graph):
     """Independent audit oracle: count every element of every live array."""
     per_stage = []
     for stage in graph.stages:
-        per_stage.append(sum(arr.size for arr in stage.params().values()))
+        per_stage.append(sum(arr.size for arr in params(stage).values()))
     return per_stage, sum(per_stage)
 
 
@@ -114,10 +114,10 @@ def test_stages_share_one_layer_interface(variant):
     for stage in graph.stages[:-1]:
         assert isinstance(stage, Layer)
         assert isinstance(stage.name, str) and stage.name
-        for method in ("forward", "backward", "params", "state"):
+        for method in ("forward", "backward"):
             assert callable(getattr(stage, method)), (stage.name, method)
-        for name, g in grads(stage).items():  # every parameter has its grad_ view
-            assert g.shape == stage.params()[name].shape, (stage.name, name)
+        for name, arr in params(stage).items():  # every parameter has its grad_ view
+            assert grads(stage)[name].shape == arr.shape, (stage.name, name)
     decision = graph.stages[-1].layer
     assert isinstance(decision, DenseLayer)
     assert decision.name == graph.stages[-1].name == "FFNN_1"

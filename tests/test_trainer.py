@@ -510,6 +510,30 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: unreadable metadata")
 
+    @pytest.mark.parametrize("value, names", [
+        (np.nan, ["CNN_2D/kernels"]),
+        (np.inf, ["LSTM/bias", "FFNN_1/weights"]),
+        (-np.inf, ["BN/running_var"]),
+    ], ids=["nan-first-float", "inf-two-tensors", "minus-inf-buffer"])
+    def test_non_finite_tensor_rejected(self, tmp_path, value, names):
+        cfg, _ = tiny_splits("m3-td")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(models.build_model(cfg), path)
+
+        def poison(meta, payload):
+            floats = np.frombuffer(payload, dtype="<f8").copy()
+            offset = 0
+            for entry in meta["tensors"]:
+                if entry["name"] in names:
+                    floats[offset] = value
+                offset += int(np.prod(entry["shape"]))
+            return floats.tobytes()
+
+        rewrite_checkpoint(path, poison)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: tensor {names[0]!r} holds NaN or inf"
+
     def test_directory_repeating_a_tensor_rejected(self, tmp_path):
         cfg, _ = tiny_splits("m1-van")
         path = tmp_path / "model.ckpt"
