@@ -312,15 +312,15 @@ class MaxPool2x2(Layer):
 class BatchNormLayer(Layer):
     """Per-channel batch normalization (channel axis 1).
 
-    Train mode normalizes by batch statistics taken over the batch and any
-    spatial axes, then folds them into the running estimates:
-    running = MOMENTUM * running + (1 - MOMENTUM) * batch.  Inference mode
-    normalizes by the running estimates alone.
-
-    Both passes work on a (positions, channels) matrix: free for a
-    channel-last input, a copy otherwise.  Every reduction therefore sums in
-    the same order whatever the input's memory layout, and the output is a
-    view of channel-last memory.
+    Train mode normalizes by the batch's statistics over the batch and any
+    spatial axes and folds them into the running estimates, running =
+    MOMENTUM * running + (1 - MOMENTUM) * batch; inference mode uses those
+    alone.  Both passes work on a (positions, channels) matrix, free for a
+    channel-last input and a copy otherwise, so reductions sum in one order
+    and the output is a view of channel-last memory.  The forward centers
+    once, scaling that copy in place into the x_hat it keeps with inv_std;
+    the backward is Ioffe and Szegedy's closed form (arXiv:1502.03167) over
+    n positions: dx = gamma * inv_std * (d - grad_beta/n - x_hat*grad_gamma/n).
     """
 
     name = "BN"
@@ -347,30 +347,30 @@ class BatchNormLayer(Layer):
             if x.shape[0] < 2:
                 raise StatisticsError("batchnorm needs batch size >= 2 in train mode")
             mean = flat.mean(axis=0)
-            var = flat.var(axis=0)
+            centered = flat - mean
+            var = (centered * centered).sum(axis=0) / len(flat)
             self.running_mean = self.MOMENTUM * self.running_mean + (1 - self.MOMENTUM) * mean
             self.running_var = self.MOMENTUM * self.running_var + (1 - self.MOMENTUM) * var
         else:
-            mean = self.running_mean
+            centered = flat - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPSILON)
-        centered = flat - mean
-        x_hat = centered * inv_std
-        self._keep(train, x_hat, centered, inv_std, last.shape)
-        y = self.gamma * x_hat + self.beta
+        x_hat = np.multiply(centered, inv_std, out=centered)
+        self._keep(train, x_hat, inv_std, last.shape)
+        y = self.gamma * x_hat
+        y += self.beta
         return np.moveaxis(y.reshape(last.shape), -1, 1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x_hat, centered, inv_std, shape = self._kept()
+        x_hat, inv_std, shape = self._kept()
         d = np.moveaxis(dout, 1, -1).reshape(-1, self.channels)
         n = len(d)
-        (d * x_hat).sum(axis=0, out=self.grad_gamma)
+        prod = d * x_hat
+        prod.sum(axis=0, out=self.grad_gamma)
         d.sum(axis=0, out=self.grad_beta)
-        dxhat = d * self.gamma
-        dvar = (dxhat * centered).sum(axis=0) * (-0.5) * inv_std ** 3
-        dmean = (-(dxhat.sum(axis=0)) * inv_std
-                 + dvar * (-2.0 / n) * centered.sum(axis=0))
-        dx = dxhat * inv_std + dvar * 2.0 * centered / n + dmean / n
+        dx = d - self.grad_beta / n
+        dx -= np.multiply(x_hat, self.grad_gamma / n, out=prod)
+        dx *= self.gamma * inv_std
         return np.moveaxis(dx.reshape(shape), -1, 1)
 
 

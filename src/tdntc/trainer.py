@@ -496,6 +496,8 @@ def load_checkpoint(path) -> Tuple[ModelGraph, Optional[ScalerState], Optional[L
         arr = np.frombuffer(data[offset: offset + nbytes], dtype="<f8").reshape(shape)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds NaN or inf")
+        if name.endswith("/running_var") and (arr < 0).any():
+            raise CheckpointError(f"{path}: tensor {name!r} holds a negative variance")
         live[name][...] = arr
         offset += nbytes
     scaler = _scaler_state(path, meta.get("scaler"), cfg.n_features)

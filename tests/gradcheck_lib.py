@@ -34,18 +34,17 @@ def finite_diff_grad(
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
+    # index x itself, not a flat reshape: that would be a copy for a non-contiguous view
+    for i, idx in enumerate(np.ndindex(x.shape)):
+        orig = x[idx]
+        x[idx] = orig + step
         f_plus = float(f(x))
-        flat[i] = orig - step
+        x[idx] = orig - step
         f_minus = float(f(x))
-        flat[i] = orig
+        x[idx] = orig
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise NumericError(f"non-finite evaluation at element {i}")
-        gflat[i] = (f_plus - f_minus) / (2.0 * step)
+        grad[idx] = (f_plus - f_minus) / (2.0 * step)
     return grad
 
 
@@ -161,6 +160,17 @@ def check_maxpool(rng: np.random.Generator) -> float:
     return relative_grad_error(dx, numeric)
 
 
+def pooled_channel_last(rng: np.random.Generator, shape) -> np.ndarray:
+    """A (b, c, h, w) input laid out as `MaxPool2x2` emits it behind the conv.
+
+    The pool's output is dense channel-last memory seen through a transposed
+    view, neither C- nor F-contiguous: the layout batchnorm meets in m1 and m3.
+    """
+    b, c, h, w = shape
+    conv_out = np.moveaxis(rng.normal(size=(b, 2 * h, 2 * w, c)), -1, 1)
+    return layers.MaxPool2x2().forward(conv_out)
+
+
 def check_batchnorm(rng: np.random.Generator) -> float:
     channels = int(rng.integers(1, 5))
     shape = (int(rng.integers(2, 5)), channels, int(rng.integers(1, 3)),
@@ -168,7 +178,11 @@ def check_batchnorm(rng: np.random.Generator) -> float:
     layer = bound(layers.BatchNormLayer(channels))
     layer.gamma[:] = rng.normal(1.0, 0.2, size=channels)
     layer.beta[:] = rng.normal(0.0, 0.2, size=channels)
-    x = rng.normal(size=shape)
+    # half the cases run on the pooled channel-last layout m1 and m3 feed it
+    if rng.integers(2):
+        x = pooled_channel_last(rng, shape)
+    else:
+        x = rng.normal(size=shape)
     proj = rng.normal(size=shape)
 
     def forward():
@@ -179,6 +193,47 @@ def check_batchnorm(rng: np.random.Generator) -> float:
         return out
 
     return _worst_param_and_input_error(layer, x, forward, proj)
+
+
+def reference_batchnorm_forward(x, gamma, beta, running_mean, running_var, train,
+                                eps=layers.BatchNormLayer.EPSILON,
+                                momentum=layers.BatchNormLayer.MOMENTUM):
+    """The three-term batchnorm forward, statistics from `np.var`.
+
+    Returns (y, running_mean, running_var, cache); `cache` feeds
+    `reference_batchnorm_backward`.  The layer computes the same forward with
+    one centering and must match it bit for bit.
+    """
+    last = np.moveaxis(x, 1, -1)
+    flat = last.reshape(-1, last.shape[-1])
+    if train:
+        mean = flat.mean(axis=0)
+        var = flat.var(axis=0)
+        running_mean = momentum * running_mean + (1 - momentum) * mean
+        running_var = momentum * running_var + (1 - momentum) * var
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    centered = flat - mean
+    x_hat = centered * inv_std
+    y = gamma * x_hat + beta
+    cache = (x_hat, centered, inv_std, last.shape)
+    return np.moveaxis(y.reshape(last.shape), -1, 1), running_mean, running_var, cache
+
+
+def reference_batchnorm_backward(cache, gamma, dout):
+    """(dx, grad_gamma, grad_beta) by the three-term chain rule through mean and var."""
+    x_hat, centered, inv_std, shape = cache
+    d = np.moveaxis(dout, 1, -1).reshape(-1, shape[-1])
+    n = len(d)
+    grad_gamma = (d * x_hat).sum(axis=0)
+    grad_beta = d.sum(axis=0)
+    dxhat = d * gamma
+    dvar = (dxhat * centered).sum(axis=0) * (-0.5) * inv_std ** 3
+    dmean = (-(dxhat.sum(axis=0)) * inv_std
+             + dvar * (-2.0 / n) * centered.sum(axis=0))
+    dx = dxhat * inv_std + dvar * 2.0 * centered / n + dmean / n
+    return np.moveaxis(dx.reshape(shape), -1, 1), grad_gamma, grad_beta
 
 
 def check_lstm(rng: np.random.Generator) -> float:

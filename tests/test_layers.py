@@ -4,7 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradcheck_lib import bound, grads, params
+from gradcheck_lib import (
+    bound,
+    grads,
+    params,
+    pooled_channel_last,
+    reference_batchnorm_backward,
+    reference_batchnorm_forward,
+    relative_grad_error,
+)
 from tdntc.layers import (
     BatchNormLayer,
     Conv2DLayer,
@@ -293,6 +301,71 @@ class TestBatchNorm:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             BatchNormLayer(3).forward(np.zeros((4, 2)), train=True)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and (np.ascontiguousarray(a).tobytes()
+                                   == np.ascontiguousarray(b).tobytes())
+
+
+def batchnorm_cases(count, seed):
+    """(layer, x, dout) on random shapes, alternating the channel-first and the
+    pooled channel-last layout; gamma, beta and the running statistics are random."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        shape = tuple(int(rng.integers(lo, hi)) for lo, hi in ((2, 41), (1, 17), (1, 5), (1, 5)))
+        if i == 0:
+            shape = (32, 128, 3, 2)  # train-cnn's m1-td shape behind the pool
+        c = shape[1]
+        layer = bound(BatchNormLayer(c))
+        layer.gamma[:] = rng.normal(1.0, 0.3, size=c)
+        layer.beta[:] = rng.normal(0.0, 0.3, size=c)
+        layer.running_mean = rng.normal(size=c)
+        layer.running_var = rng.uniform(0.1, 3.0, size=c)
+        if i % 2:
+            x = pooled_channel_last(rng, shape)
+        else:
+            x = rng.normal(loc=rng.normal(size=(1, c, 1, 1)), size=shape)
+        yield layer, x, rng.normal(size=shape)
+
+
+class TestBatchNormAgainstThreeTermReference:
+    """One centering and the closed-form backward against the old formula."""
+
+    def test_matches_reference(self):
+        for layer, x, dout in batchnorm_cases(200, seed=18):
+            stats = (layer.running_mean.copy(), layer.running_var.copy())
+            want_inf, _, _, _ = reference_batchnorm_forward(
+                x, layer.gamma, layer.beta, *stats, train=False)
+            assert same_bits(layer.forward(x), want_inf), x.shape
+            want, want_mean, want_var, cache = reference_batchnorm_forward(
+                x, layer.gamma, layer.beta, *stats, train=True)
+            assert same_bits(layer.forward(x, train=True), want), x.shape
+            assert same_bits(layer.running_mean, want_mean), x.shape
+            assert same_bits(layer.running_var, want_var), x.shape
+            want_dx, want_gamma, want_beta = reference_batchnorm_backward(
+                cache, layer.gamma, dout)
+            dx = layer.backward(dout)
+            assert same_bits(layer.grad_gamma, want_gamma), x.shape
+            assert same_bits(layer.grad_beta, want_beta), x.shape
+            assert dx.shape == x.shape
+            assert relative_grad_error(dx, want_dx) <= 1e-13, x.shape
+
+    def test_input_gradient_is_orthogonal_to_ones_and_x_hat(self):
+        # dx is gamma * inv_std times d with its projections on 1 and on x_hat
+        # removed.  So dx sums to 0 over a channel's positions, and dx * x_hat
+        # to 0 but for EPSILON's share of the variance: mean(x_hat ** 2) is
+        # 1 - EPSILON * inv_std ** 2, not 1.  Rounding is bounded by the size
+        # of gamma * inv_std * d, not of dx, which vanishes for two positions.
+        for layer, x, dout in batchnorm_cases(60, seed=19):
+            layer.forward(x, train=True)
+            x_hat, inv_std, _ = layer._kept()
+            d = np.moveaxis(dout, 1, -1).reshape(x_hat.shape)
+            dx = np.moveaxis(layer.backward(dout), 1, -1).reshape(x_hat.shape)
+            scale = (np.abs(layer.gamma * inv_std * d) * (1 + x_hat ** 2)).sum(axis=0)
+            eps_share = layer.gamma * inv_std ** 3 * layer.EPSILON * layer.grad_gamma
+            for terms, want in ((dx, 0.0), (dx * x_hat, eps_share)):
+                assert (np.abs(terms.sum(axis=0) - want) <= 1e-12 * scale).all(), x.shape
 
 
 class TestLSTM:

@@ -33,6 +33,14 @@ class TestFiniteDiffGrad:
         analytic = (a + a.T) @ x + b
         assert relative_grad_error(analytic, numeric) < 1e-5
 
+    def test_non_contiguous_view_is_perturbed_in_place(self):
+        # a transposed view has no flat view; each element must still move
+        w = np.arange(6.0).reshape(2, 3)
+        x = np.ones((3, 2)).T
+        g = finite_diff_grad(lambda v: float((v * w).sum()), x)
+        assert np.abs(g - w).max() <= 1e-9
+        assert (x == 1.0).all()
+
     def test_non_finite_raises(self):
         with pytest.raises(NumericError):
             finite_diff_grad(lambda x: float("nan"), np.array([1.0]))

@@ -534,6 +534,43 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: tensor {names[0]!r} holds NaN or inf"
 
+    @staticmethod
+    def _set_running_var(path, index, value):
+        def poison(meta, payload):
+            floats = np.frombuffer(payload, dtype="<f8").copy()
+            offset = 0
+            for entry in meta["tensors"]:
+                size = int(np.prod(entry["shape"]))
+                if entry["name"] == "BN/running_var":
+                    floats[offset:offset + size][index] = value
+                offset += size
+            return floats.tobytes()
+
+        rewrite_checkpoint(path, poison)
+
+    @pytest.mark.parametrize("variant, index, value", [
+        ("m1-td", 0, -1.0), ("m3-van", -1, -1e-300),
+    ], ids=["m1-td-first", "m3-van-last-tiny"])
+    def test_negative_running_var_rejected(self, tmp_path, variant, index, value):
+        # inference would take the square root of var + EPSILON: a negative
+        # variance gives NaN or a huge scale, not a load error
+        cfg, _ = tiny_splits(variant)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(models.build_model(cfg), path)
+        self._set_running_var(path, index, value)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: tensor 'BN/running_var' holds a negative variance"
+
+    def test_zero_running_var_loads(self, tmp_path):
+        # a channel that was constant over training has variance 0, which is legal
+        cfg, _ = tiny_splits("m1-td")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(models.build_model(cfg), path)
+        self._set_running_var(path, 0, 0.0)
+        graph, _, _ = load_checkpoint(path)
+        assert graph.state_arrays()["BN/running_var"][0] == 0.0
+
     def test_directory_repeating_a_tensor_rejected(self, tmp_path):
         cfg, _ = tiny_splits("m1-van")
         path = tmp_path / "model.ckpt"
