@@ -102,7 +102,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     header = [f"f{j:0{width}d}" for j in range(args.features)] + ["label"]
     lines = [",".join(header)]
     for i in range(ds.n_flows):
-        cells = [repr(v) for v in ds.features[i]]
+        cells = [repr(v) for v in ds.features[i].tolist()]
         cells.append(ds.class_names[ds.labels[i]])
         lines.append(",".join(cells))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")

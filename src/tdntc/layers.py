@@ -216,11 +216,13 @@ class Conv2DLayer(Layer):
     Input (batch, rows, cols) -> output (batch, units, out_rows, out_cols).
 
     The forward pass is one GEMM (im2col): every kernel_rows x kernel_cols
-    window becomes a row of a (batch*out_rows*out_cols,
-    kernel_rows*kernel_cols) patch matrix, which multiplies the flattened
-    kernels.  The product is (position, unit), so the returned array is a
-    (batch, units, out_rows, out_cols) view of channel-last memory.  The
-    backward pass reuses the patch matrix for the kernel gradient and, unless
+    window becomes a row of a (batch*out_rows*out_cols, taps + 1) patch
+    matrix whose last column is 1, which multiplies the C-contiguous
+    (taps + 1, units) stack [kernels^T; biases], so the product already
+    holds the bias (Chellapilla, Puri and Simard 2006).  The product is
+    (position, unit), so the returned array is a (batch, units, out_rows,
+    out_cols) view of channel-last memory.  The backward pass reuses the
+    patch matrix's tap columns for the kernel gradient and, unless
     `input_grad` is false, scatters the patch gradient back tap by tap.
     """
 
@@ -243,9 +245,13 @@ class Conv2DLayer(Layer):
         out_r, out_c = conv2d_output_dims(rows, cols, self.kernel_rows, self.kernel_cols)
         taps = self.kernel_rows * self.kernel_cols
         windows = sliding_window_view(x, (self.kernel_rows, self.kernel_cols), axis=(1, 2))
-        patches = windows.reshape(-1, taps)
-        y = patches @ self.kernels.reshape(self.units, taps).T
-        y += self.biases
+        # Splitting the unit-stride tap columns into (rows, cols) is a view.
+        patches = np.empty((b * out_r * out_c, taps + 1))
+        patches[:, :taps].reshape(windows.shape)[...] = windows
+        patches[:, taps] = 1.0
+        # Made on every call: the optimizer updates the parameters in place.
+        stack = np.concatenate((self.kernels.reshape(self.units, taps).T, self.biases[None]))
+        y = patches @ stack
         self._keep(train, patches, x.shape)
         return y.reshape(b, out_r, out_c, self.units).transpose(0, 3, 1, 2)
 
@@ -254,7 +260,7 @@ class Conv2DLayer(Layer):
         b, _, out_r, out_c = dout.shape
         d = dout.transpose(0, 2, 3, 1).reshape(-1, self.units)
         d.sum(axis=0, out=self.grad_biases)
-        np.matmul(d.T, patches, out=self.grad_kernels.reshape(self.units, -1))
+        np.matmul(d.T, patches[:, :-1], out=self.grad_kernels.reshape(self.units, -1))
         if not input_grad:
             return None
         dpatches = (d @ self.kernels.reshape(self.units, -1)).reshape(
@@ -270,12 +276,12 @@ class MaxPool2x2(Layer):
     """2x2 max pooling with stride 2; requires even spatial extents.
 
     The output is the elementwise maximum of the four strided cells
-    x[:, :, i::2, j::2], so it keeps the memory layout of its input: behind
-    the conv it is a view of channel-last memory.  A train-mode forward
-    keeps one mask per cell that marks the first maximal cell of each
-    window in row-major order, so tie-breaking is deterministic.  The
-    backward pass writes dout * mask into each cell of a gradient whose
-    memory is channel-last.
+    x[:, :, i::2, j::2], taken in place into one array, cell after cell, so
+    it keeps the memory layout of its input: behind the conv it is a view of
+    channel-last memory.  A train-mode forward keeps one mask per cell that
+    marks the first maximal cell of each window in row-major order, so
+    tie-breaking is deterministic.  The backward pass writes dout * mask
+    into each cell of a gradient whose memory is channel-last.
     """
 
     name = "MP_2D"
@@ -288,7 +294,9 @@ class MaxPool2x2(Layer):
         if h % 2 or w % 2:
             raise GeometryError(f"maxpool 2x2 needs even spatial extents, got {h}x{w}")
         cells = [x[:, :, i::2, j::2] for i, j in self.CELLS]
-        out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+        out = np.maximum(cells[0], cells[1])
+        np.maximum(out, cells[2], out=out)
+        np.maximum(out, cells[3], out=out)
         masks = None
         if train:
             masks, free = [], np.ones_like(out, dtype=bool)

@@ -430,6 +430,9 @@ def _scaler_state(path, doc, n_features: int) -> Optional[ScalerState]:
             for key in ("min", "max"))):
         raise CheckpointError(
             f"{path}: scaler needs 'min' and 'max' lists of {n_features} finite numbers")
+    for j, (lo, hi) in enumerate(zip(doc["min"], doc["max"])):
+        if lo > hi:
+            raise CheckpointError(f"{path}: scaler min exceeds max for feature {j}")
     return ScalerState.from_dict(doc)
 
 

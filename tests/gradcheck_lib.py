@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tdntc import layers
 from tdntc.layers import ShapeError
@@ -234,6 +235,26 @@ def reference_batchnorm_backward(cache, gamma, dout):
              + dvar * (-2.0 / n) * centered.sum(axis=0))
     dx = dxhat * inv_std + dvar * 2.0 * centered / n + dmean / n
     return np.moveaxis(dx.reshape(shape), -1, 1), grad_gamma, grad_beta
+
+
+def reference_conv2d(x, kernels, biases, dout):
+    """(y, grad_kernels, grad_biases) of the im2col conv with a separate bias pass.
+
+    The (positions, taps) patch matrix multiplies the kernels' transposed
+    view, then `+= biases` runs over the whole output; the kernel gradient
+    is dout's (position, unit) matrix transposed times the patches.  The
+    layer folds the bias into its GEMM through a ones column, which BLAS may
+    round differently in the last bit for some shapes.
+    """
+    units, kernel_rows, kernel_cols = kernels.shape
+    b, rows, cols = x.shape
+    windows = sliding_window_view(x, (kernel_rows, kernel_cols), axis=(1, 2))
+    patches = windows.reshape(-1, kernel_rows * kernel_cols)
+    y = patches @ kernels.reshape(units, -1).T
+    y += biases
+    d = dout.transpose(0, 2, 3, 1).reshape(-1, units)
+    y = y.reshape(b, rows - kernel_rows + 1, cols - kernel_cols + 1, units)
+    return y.transpose(0, 3, 1, 2), (d.T @ patches).reshape(kernels.shape), d.sum(axis=0)
 
 
 def check_lstm(rng: np.random.Generator) -> float:

@@ -548,6 +548,19 @@ class TestSynth:
         assert ds.n_features == 12
         assert ds.class_names == ["svc-0", "svc-1", "svc-2"]
 
+    def test_cells_load_as_the_generated_values(self, tmp_path):
+        # Each cell must read back as the generated float, bit for bit, not
+        # as a string that load_csv_dataset would label-encode.
+        from tdntc.datapipe import generate_synthetic, load_csv_dataset
+
+        path = tmp_path / "flows.csv"
+        assert main(["synth", "--classes", "4", "--per-class", "60", "--features", "48",
+                     "--seed", "2", "--out", str(path)]) == 0
+        want = generate_synthetic(4, 60, 48, seed=2)
+        got = load_csv_dataset(path)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tolist() == want.labels.tolist()
+
     def test_deterministic_output(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

@@ -11,6 +11,7 @@ from gradcheck_lib import (
     pooled_channel_last,
     reference_batchnorm_backward,
     reference_batchnorm_forward,
+    reference_conv2d,
     relative_grad_error,
 )
 from tdntc.layers import (
@@ -239,6 +240,75 @@ class TestMaxPool:
             want = np.zeros((2, 3, 2, 2, 4))
             want[..., first] = dout
             assert np.array_equal(got, want), first
+
+
+class TestConv2DAgainstSeparateBiasReference:
+    """The ones column and stacked kernels against a GEMM plus a bias pass."""
+
+    @staticmethod
+    def cases(count, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(32, 8, 6, 128, 3, 3), (256, 8, 6, 128, 3, 3), (32, 16, 3, 8, 3, 2)]
+        for _ in range(count - len(shapes)):
+            rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            shapes.append((int(rng.integers(1, 65)), rows, cols, int(rng.integers(1, 160)),
+                           int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1))))
+        for b, rows, cols, units, p, q in shapes:
+            layer = bound(Conv2DLayer(units, kernel=(p, q), rng=rng))
+            layer.biases[:] = rng.normal(size=units)
+            yield layer, rng.normal(size=(b, rows, cols))
+
+    def test_matches_reference(self):
+        # BLAS picks its kernel by shape, so the last bit may differ: the
+        # forward and the kernel gradient are compared to the largest
+        # magnitude, and only the bias gradient, a plain sum, to the bit.
+        rng = np.random.default_rng(19)
+        for layer, x in self.cases(150, seed=19):
+            shape = (x.shape, layer.kernels.shape)
+            dout = rng.normal(size=layer.forward(x).shape)
+            want, want_kernels, want_biases = reference_conv2d(
+                x, layer.kernels, layer.biases, dout)
+            for train in (False, True):
+                got = layer.forward(x, train=train)
+                assert got.shape == want.shape, shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), shape
+            assert layer.backward(dout, input_grad=False) is None
+            assert (np.abs(layer.grad_kernels - want_kernels).max()
+                    <= 1e-13 * np.abs(want_kernels).max()), shape
+            assert layer.grad_biases.tobytes() == want_biases.tobytes(), shape
+
+
+def tree_maxpool(x):
+    """The 2x2 pool as a tree of three maxima, with first-maximum masks."""
+    cells = [x[:, :, i::2, j::2] for i, j in MaxPool2x2.CELLS]
+    out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    masks, free = [], np.ones(out.shape, dtype=bool)
+    for cell in cells:
+        masks.append((cell == out) & free)
+        free &= ~masks[-1]
+    return out, masks
+
+
+@pytest.mark.parametrize("layout", ["channel-first", "channel-last"])
+def test_maxpool_in_place_maxima_match_the_tree(layout):
+    # Small integers make ties common; max is exact, so every bit must agree.
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        shape = tuple(int(rng.integers(1, 5)) * m for m in (1, 1, 2, 2))
+        x = rng.integers(-2, 3, size=shape).astype(np.float64)
+        if layout == "channel-last":
+            x = channel_last(x)
+        pool = MaxPool2x2()
+        want, want_masks = tree_maxpool(x)
+        assert pool.forward(x).tobytes() == want.tobytes()
+        got = pool.forward(x, train=True)
+        # same memory layout: the strides agree on every axis longer than one
+        assert [st for st, n in zip(got.strides, got.shape) if n > 1] == \
+            [st for st, n in zip(want.strides, want.shape) if n > 1]
+        assert got.tobytes() == want.tobytes()
+        (masks,) = pool._kept()
+        for mask, want_mask in zip(masks, want_masks):
+            assert np.array_equal(mask, want_mask)
 
 
 class TestConvFrontLayout:

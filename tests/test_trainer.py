@@ -571,6 +571,31 @@ class TestCheckpoints:
         graph, _, _ = load_checkpoint(path)
         assert graph.state_arrays()["BN/running_var"][0] == 0.0
 
+    @pytest.mark.parametrize("feature", [0, 7], ids=["first", "middle"])
+    def test_scaler_min_above_max_rejected(self, tmp_path, feature):
+        # a swapped range scales every value outside [0, 1]: inference would
+        # run on clamped frames and score wrong without an error
+        cfg, _ = tiny_splits("m1-td")
+        path = tmp_path / "model.ckpt"
+        low, high = np.zeros(12), np.ones(12)
+        high[feature:] = -1.0
+        save_checkpoint(models.build_model(cfg), path,
+                        scaler=datapipe.ScalerState(low, high))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: scaler min exceeds max for feature {feature}"
+
+    def test_scaler_min_equal_to_max_loads(self, tmp_path):
+        # a feature that was constant over training has min == max, which is legal
+        cfg, _ = tiny_splits("m1-td")
+        path = tmp_path / "model.ckpt"
+        low, high = np.zeros(12), np.ones(12)
+        low[3] = high[3] = 2.5
+        save_checkpoint(models.build_model(cfg), path,
+                        scaler=datapipe.ScalerState(low, high))
+        _, scaler, _ = load_checkpoint(path)
+        assert scaler.feature_min[3] == scaler.feature_max[3] == 2.5
+
     def test_directory_repeating_a_tensor_rejected(self, tmp_path):
         cfg, _ = tiny_splits("m1-van")
         path = tmp_path / "model.ckpt"
