@@ -408,12 +408,11 @@ class LSTMLayer(Layer):
 
     The operand, gate, cell and tanh(c) buffers are time-major, (slots,
     batch, .), and `train` sets only how many slots they have.  A train-mode
-    forward keeps one slot per step, which `backward` and
-    `last_hidden_states` read.  An inference forward reuses a single slot,
-    so it allocates no per-step cache.  The emitted states are written
-    batch-major as each step ends, so a following `TimeDistributed`
-    reshapes them for free; the output activation is applied to them once
-    after the loop.
+    forward keeps one slot per step, which `backward` reads.  An inference
+    forward reuses a single slot, so it allocates no per-step cache.  The
+    emitted states are written batch-major as each step ends, so a following
+    `TimeDistributed` reshapes them for free; the output activation is
+    applied to them once after the loop.
     """
 
     name = "LSTM"
@@ -431,11 +430,6 @@ class LSTMLayer(Layer):
         self.w_x = glorot_uniform(rng, (s, 4 * k), s, 4 * k)
         self.w_h = glorot_uniform(rng, (k, 4 * k), k, 4 * k)
         self.bias = np.zeros(4 * k)
-
-    @property
-    def last_hidden_states(self) -> np.ndarray:
-        """(batch, steps, units) raw hidden states of the last train-mode forward."""
-        return self._kept()[0][1:, :, :self.units].transpose(1, 0, 2)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.input_size:

@@ -288,15 +288,9 @@ class ModelGraph:
         return {name: arr.copy() for name, arr in self.state_arrays().items()}
 
     def set_state(self, state: Dict[str, np.ndarray]) -> None:
-        live = self.state_arrays()
-        if set(state) != set(live):
-            raise ShapeError("state tensor names do not match this graph")
-        for name, arr in state.items():
-            if live[name].shape != arr.shape:
-                raise ShapeError(
-                    f"state tensor {name} has shape {arr.shape}, expected {live[name].shape}"
-                )
-            live[name][...] = arr
+        """Copy a `get_state` snapshot of this graph back into its arrays."""
+        for name, arr in self.state_arrays().items():
+            arr[...] = state[name]
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +368,10 @@ def state_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
 
     These are the closed forms behind the audit (conv UxPxQ plus U biases,
     batchnorm 2U parameters plus 2U running statistics, LSTM Sx4U + Ux4U +
-    4U, dense SxU + U): `count_parameters` sums them, and a checkpoint's
-    tensor directory is checked against them before the model it describes
-    is allocated.
+    4U, dense SxU + U): `count_parameters` sums them.  A checkpoint's
+    tensor directory must list them in this order, the order of
+    `ModelGraph.state_arrays`; the loader checks it before it allocates the
+    model.
     """
     u, td_u = cfg.units, cfg.td_units
     dense_in, steps = _widths(cfg)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
@@ -404,29 +405,15 @@ def save_checkpoint(graph: ModelGraph, path, scaler: Optional[ScalerState] = Non
             handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _tensor_directory(path, tensors) -> List[Tuple[str, Tuple[int, ...]]]:
-    """(name, shape) of every entry of the metadata's tensor directory."""
-    if not isinstance(tensors, list):
-        raise CheckpointError(f"{path}: 'tensors' is not a list")
-    directory = []
-    for i, entry in enumerate(tensors):
-        entry = entry if isinstance(entry, dict) else {}
-        name, shape = entry.get("name"), entry.get("shape")
-        if (not isinstance(name, str) or not isinstance(shape, list)
-                or not all(type(v) is int and v >= 0 for v in shape)):
-            raise CheckpointError(
-                f"{path}: tensor entry {i} needs a string 'name' and a 'shape' "
-                "list of non-negative integers")
-        directory.append((name, tuple(shape)))
-    return directory
-
-
 def _scaler_state(path, doc, n_features: int) -> Optional[ScalerState]:
     if doc is None:
         return None
+    # The bound also rejects an int too large for a float, on which
+    # math.isfinite would raise OverflowError.
     if not (isinstance(doc, dict) and all(
             isinstance(doc.get(key), list) and len(doc[key]) == n_features
-            and all(type(v) in (int, float) and math.isfinite(v) for v in doc[key])
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                    for v in doc[key])
             for key in ("min", "max"))):
         raise CheckpointError(
             f"{path}: scaler needs 'min' and 'max' lists of {n_features} finite numbers")
@@ -459,50 +446,44 @@ def load_checkpoint(path) -> Tuple[ModelGraph, Optional[ScalerState], Optional[L
             f"{path}: unsupported checkpoint version {version!r}, "
             f"expected {CHECKPOINT_VERSION}"
         )
-    directory = _tensor_directory(path, meta.get("tensors"))
-    payload = len(data) - offset
-    expected = sum(math.prod(shape) * 8 for _, shape in directory)
-    if payload != expected:
-        raise CheckpointError(
-            f"{path}: payload is {payload} bytes, directory promises {expected}"
-        )
     model_config = meta.get("model_config")
     if not isinstance(model_config, dict):
         raise CheckpointError(f"{path}: model_config is not a JSON object")
     try:
         cfg = ModelConfig.from_dict(model_config)
-        expected_shapes = state_shapes(cfg)
+        shapes = state_shapes(cfg)
     except KeyError as exc:
         raise CheckpointError(f"{path}: model_config lacks key {exc.args[0]!r}") from None
     except BuildError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    # Every tensor is sized from the config before the model is allocated, so
-    # a config that asks for huge layers fails here rather than in build_model.
-    names = [name for name, _ in directory]
-    missing = [name for name in expected_shapes if name not in names]
-    if missing:
-        raise CheckpointError(f"{path}: tensor directory lacks {missing[0]!r}")
-    if len(set(names)) != len(names):
-        raise CheckpointError(f"{path}: tensor directory repeats a tensor name")
-    for name, shape in directory:
-        if name not in expected_shapes:
-            raise CheckpointError(f"{path}: unknown tensor {name!r} for this model")
-        if expected_shapes[name] != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {shape}, "
-                f"model expects {expected_shapes[name]}"
-            )
+    # The directory must be the one save_checkpoint writes for this config.
+    # It is checked before the model is allocated, so a config that asks for
+    # huge layers fails here rather than in build_model.
+    directory = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
+    listed = meta.get("tensors")
+    if listed != directory:
+        if not isinstance(listed, list):
+            raise CheckpointError(f"{path}: 'tensors' is not a list")
+        i = next((i for i, (a, b) in enumerate(zip(listed, directory)) if a != b),
+                 min(len(listed), len(directory)))
+        holds = repr(listed[i]) if i < len(listed) else "nothing"
+        expects = repr(directory[i]) if i < len(directory) else "nothing"
+        raise CheckpointError(
+            f"{path}: tensor entry {i} holds {holds}, model expects {expects}")
+    payload = len(data) - offset
+    expected = sum(math.prod(shape) * 8 for shape in shapes.values())
+    if payload != expected:
+        raise CheckpointError(f"{path}: payload is {payload} bytes, model expects {expected}")
     graph = build_model(cfg)
-    live = graph.state_arrays()
-    for name, shape in directory:
-        nbytes = math.prod(shape) * 8
-        arr = np.frombuffer(data[offset: offset + nbytes], dtype="<f8").reshape(shape)
-        if not np.isfinite(arr).all():
+    values = np.frombuffer(data, dtype="<f8", offset=offset)
+    for name, arr in graph.state_arrays().items():
+        saved = values[:arr.size].reshape(arr.shape)
+        if not np.isfinite(saved).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds NaN or inf")
-        if name.endswith("/running_var") and (arr < 0).any():
+        if name.endswith("/running_var") and (saved < 0).any():
             raise CheckpointError(f"{path}: tensor {name!r} holds a negative variance")
-        live[name][...] = arr
-        offset += nbytes
+        arr[...] = saved
+        values = values[arr.size:]
     scaler = _scaler_state(path, meta.get("scaler"), cfg.n_features)
     class_names = meta.get("class_names")
     if class_names is not None and not (
@@ -510,4 +491,7 @@ def load_checkpoint(path) -> Tuple[ModelGraph, Optional[ScalerState], Optional[L
             and all(isinstance(c, str) for c in class_names)):
         raise CheckpointError(
             f"{path}: class_names must be a list of {cfg.n_classes} strings")
+    for i, name in enumerate(class_names or ()):
+        if name in class_names[:i]:
+            raise CheckpointError(f"{path}: class_names repeats {name!r}")
     return graph, scaler, class_names

@@ -75,8 +75,10 @@ class TestGoldenParameterTables:
                 cfg = ModelConfig(variant, n_features, 5, units=3, kernel=kernel,
                                   td_units=2)
                 live = build_model(cfg).state_arrays()
-                assert models.state_shapes(cfg) == {
-                    name: arr.shape for name, arr in live.items()}, (variant, n_features)
+                # in order too: load_checkpoint fills state_arrays() in the
+                # order of the state_shapes directory
+                assert list(models.state_shapes(cfg).items()) == [
+                    (name, arr.shape) for name, arr in live.items()], (variant, n_features)
 
     def test_lstm_formula_follows_text_not_table_cell(self):
         # 4[(S+1)U+U^2] at S=U=128 is 131,584; the squared-sum misprint

@@ -358,6 +358,22 @@ def rewrite_checkpoint(path, edit):
                      + new_meta + payload)
 
 
+def reverse_directory(meta, payload):
+    """Reverse the tensor directory and permute the payload to match."""
+    chunks, offset = [], 0
+    for entry in meta["tensors"]:
+        nbytes = int(np.prod(entry["shape"])) * 8
+        chunks.append(payload[offset:offset + nbytes])
+        offset += nbytes
+    meta["tensors"].reverse()
+    return b"".join(reversed(chunks))
+
+
+def add_entry_key(meta, payload):
+    meta["tensors"][0]["dtype"] = "<f8"
+    return payload
+
+
 BAD_METADATA = {
     "not-an-object": lambda meta: [meta],
     "tensors-not-a-list": lambda meta: {
@@ -480,8 +496,9 @@ class TestCheckpoints:
         monkeypatch.setattr(trainer, "build_model", no_build)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
-        assert str(err.value) == (f"{path}: tensor 'CNN_2D/kernels' has shape "
-                                  "(4, 3, 2), model expects (20000, 3, 2)")
+        assert str(err.value) == (
+            f"{path}: tensor entry 0 holds {{'name': 'CNN_2D/kernels', 'shape': [4, 3, 2]}}, "
+            "model expects {'name': 'CNN_2D/kernels', 'shape': [20000, 3, 2]}")
 
     @pytest.mark.parametrize("case", sorted(BAD_METADATA))
     def test_malformed_metadata_names_the_file(self, tmp_path, case):
@@ -609,4 +626,49 @@ class TestCheckpoints:
         rewrite_checkpoint(path, repeat_last)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
-        assert "repeats" in str(err.value)
+        assert str(err.value) == (f"{path}: tensor entry 10 holds "
+                                  "{'name': 'FFNN_1/bias', 'shape': [3]}, model expects nothing")
+
+    @pytest.mark.parametrize("edit", [reverse_directory, add_entry_key],
+                             ids=["reordered", "extra-key"])
+    def test_directory_not_as_saved_rejected(self, tmp_path, edit):
+        # A reordered directory with its payload permuted alike describes
+        # the same tensors, but only the directory save_checkpoint writes
+        # is read.
+        cfg, _ = tiny_splits("m3-td")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(models.build_model(cfg), path)
+        rewrite_checkpoint(path, edit)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: tensor entry 0 holds ")
+        assert str(err.value).endswith(
+            "model expects {'name': 'CNN_2D/kernels', 'shape': [4, 3, 2]}")
+
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["huge", "minus-huge"])
+    def test_scaler_number_beyond_float_range_rejected(self, tmp_path, value):
+        cfg, _ = tiny_splits("m3-van")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(models.build_model(cfg), path,
+                        scaler=datapipe.ScalerState(np.zeros(12), np.ones(12)))
+
+        def overflow(meta, payload):
+            meta["scaler"]["min" if value < 0 else "max"][0] = value
+            return payload
+
+        rewrite_checkpoint(path, overflow)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (
+            f"{path}: scaler needs 'min' and 'max' lists of 12 finite numbers")
+
+    def test_repeated_class_name_rejected(self, tmp_path):
+        # cmd_evaluate maps each name to one class index: a repeated name
+        # would score the other class's rows against the wrong column
+        cfg, _ = tiny_splits("m3-van")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(models.build_model(cfg), path,
+                        class_names=["svc-0", "svc-0", "svc-2"])
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: class_names repeats 'svc-0'"
