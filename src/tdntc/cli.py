@@ -210,7 +210,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     unknown = [name for name in ds.class_names if name not in index_of]
     if unknown:
         raise datapipe.DataError(
-            f"labels {unknown} not in the checkpoint's class table {class_names}")
+            f"{args.csv}: label {unknown[0]!r} not in the checkpoint's classes {class_names}")
     y = np.asarray([index_of[ds.class_names[lbl]] for lbl in ds.labels])
 
     inputs = _prepare_inputs(ds, graph.config.frame_input, scaler,

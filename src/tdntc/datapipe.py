@@ -202,13 +202,18 @@ def load_csv_dataset(path, label_column: str = "label") -> Dataset:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    rows, lines = [], []
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
+        for row in reader:
+            rows.append(row)
+            lines.append(reader.line_num)  # a quoted cell may span lines
     except csv.Error as exc:
         raise DataError(f"{path}: unreadable CSV: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
     header = rows.pop(0)
+    del lines[0]
     if label_column not in header:
         raise DataError(f"{path}: no {label_column!r} column in header {header}")
     if len(header) < 2:
@@ -216,9 +221,9 @@ def load_csv_dataset(path, label_column: str = "label") -> Dataset:
     if not rows:
         raise DataError(f"{path}: no data rows below the header")
     width = len(header)
-    for lineno, row in enumerate(rows, start=2):
+    for line, row in zip(lines, rows):
         if len(row) != width:
-            raise DataError(f"{path}:{lineno}: expected {width} cells, found {len(row)}")
+            raise DataError(f"{path}:{line}: expected {width} cells, found {len(row)}")
     label_idx = header.index(label_column)
     labels_raw = [row[label_idx] for row in rows]
     feature_cols = [i for i in range(width) if i != label_idx]
@@ -231,7 +236,7 @@ def load_csv_dataset(path, label_column: str = "label") -> Dataset:
             column = encode_labels(cells)[0].astype(np.float64)
         bad = np.flatnonzero(~np.isfinite(column))
         if bad.size:
-            raise DataError(f"{path}:{bad[0] + 2}: non-finite value {cells[bad[0]]!r} "
+            raise DataError(f"{path}:{lines[bad[0]]}: non-finite value {cells[bad[0]]!r} "
                             f"in column {header[i]!r}")
         columns.append(column)
     features = np.column_stack(columns)

@@ -11,9 +11,7 @@ in checkpoint order; the gradient of attribute `x` lives in `grad_x`.
 running statistics).  Constructors allocate only the parameters;
 `bind_flat` copies them into one flat vector, rebinds each as a view of
 its slice and gives it a `grad_` view of one zeroed flat gradient vector,
-so the optimizer updates every tensor in one pass.  A wrapper stage (the
-time-distributed wrapper, the decision stage) holds the dense layer whose
-tensors it uses as `.layer`.
+so the optimizer updates every tensor in one pass.
 
 A backward pass writes its parameter gradients into the `grad_*` views
 (`out=` or `[...] =`) and never rebinds them.  `Conv2DLayer` and
@@ -109,13 +107,20 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 
 
 # ---------------------------------------------------------------------------
-# dense / time-distributed
+# dense
 
 
 class DenseLayer(Layer):
-    """Fully connected layer y = act(x W + b), weights shaped (in, out).
+    """Fully connected layer y = act(x W + b) over the last axis, weights (in, out).
 
-    `name` is the audit name: FFNN_0 hidden, FFNN_1 decision.
+    The input is (batch, ..., in) and every leading position shares the one
+    set of weights, so on a (batch, steps, in) sequence this is the
+    time-distributed dense layer: its parameter gradients sum over all
+    steps.  Both passes multiply the 2-D view x.reshape(-1, in) and return
+    their result in the input's leading shape.
+
+    `name` is the audit name: FFNN_0 hidden, TD(FFNN_0) per step, FFNN_1
+    decision.
     """
 
     ACTIVATIONS = ("identity", "relu")
@@ -133,19 +138,18 @@ class DenseLayer(Layer):
                                       self.in_size, self.out_size)
         self.bias = np.zeros(self.out_size)
 
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 2 or x.shape[1] != self.in_size:
-            raise ShapeError(
-                f"dense expects (batch, {self.in_size}), got {x.shape}"
-            )
-
     def forward_logits(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """x W + b; the decision layer pairs it with the fused softmax loss."""
-        self._check_input(x)
+        if x.ndim < 2 or x.shape[-1] != self.in_size:
+            raise ShapeError(
+                f"dense expects (batch, ..., {self.in_size}), got {x.shape}"
+            )
+        lead = x.shape[:-1]
+        x = x.reshape(-1, self.in_size)
         z = x @ self.weights
         z += self.bias
-        self._keep(train, x, z)
-        return z
+        self._keep(train, x, z, lead)
+        return z.reshape(*lead, self.out_size)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         z = self.forward_logits(x, train)
@@ -155,38 +159,12 @@ class DenseLayer(Layer):
         return z
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, z = self._kept()
+        x, z, lead = self._kept()
+        dout = dout.reshape(-1, self.out_size)
         dz = dout * (z > 0) if self.activation == "relu" else dout
         np.matmul(x.T, dz, out=self.grad_weights)
         dz.sum(axis=0, out=self.grad_bias)
-        return dz @ self.weights.T
-
-
-class TimeDistributed(Layer):
-    """Shared dense layer applied at every step of the leading sequence axis.
-
-    Parameter gradients accumulate over all steps, which is exactly the
-    outer per-step summation of the architecture: one inner layer, one set
-    of weights, reused across the sequence.  The tensors live on `layer`.
-    """
-
-    name = "TD(FFNN_0)"
-
-    def __init__(self, layer: DenseLayer):
-        self.layer = layer
-
-    def forward(self, seq: np.ndarray, train: bool = False) -> np.ndarray:
-        if seq.ndim != 3:
-            raise ShapeError(f"time_distributed expects (batch, steps, feat), got {seq.shape}")
-        b, t, f = seq.shape
-        out = self.layer.forward(seq.reshape(b * t, f), train)
-        self._keep(train, b, t)
-        return out.reshape(b, t, self.layer.out_size)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        b, t = self._kept()
-        dx = self.layer.backward(dout.reshape(b * t, self.layer.out_size))
-        return dx.reshape(b, t, self.layer.in_size)
+        return (dz @ self.weights.T).reshape(*lead, self.in_size)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +389,8 @@ class LSTMLayer(Layer):
     forward keeps one slot per step, which `backward` reads.  An inference
     forward reuses a single slot, so it allocates no per-step cache.  The
     emitted states are written batch-major as each step ends, so a following
-    `TimeDistributed` reshapes them for free; the output activation is
-    applied to them once after the loop.
+    dense layer views them as (batch * steps, units) for free; the output
+    activation is applied to them once after the loop.
     """
 
     name = "LSTM"

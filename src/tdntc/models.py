@@ -41,7 +41,6 @@ from .layers import (
     LSTMLayer,
     MaxPool2x2,
     ShapeError,
-    TimeDistributed,
     bind_flat,
     conv2d_output_dims,
     softmax,
@@ -179,20 +178,6 @@ class Flatten(Layer):
         return dout.reshape(shape)
 
 
-class DecisionStage(Layer):
-    """The last stage: holds the FFNN_1 dense layer as `layer`.
-
-    ModelGraph calls `layer.forward_logits` and `layer.backward` itself, so
-    the stage has no pass of its own, only the audit name.  The benchmark's
-    tracer (perfbench) times the decision layer by wrapping
-    `graph.stages[-1].layer`, so the graph must keep reaching it that way.
-    """
-
-    def __init__(self, layer: DenseLayer):
-        self.layer = layer
-        self.name = layer.name
-
-
 # ---------------------------------------------------------------------------
 # graph
 
@@ -209,24 +194,24 @@ class StageCount:
 class ModelGraph:
     """An ordered stage pipeline for one classifier variant.
 
-    The final stage holds the decision layer; `forward_logits` returns its
-    logits so training can use the fused cross-entropy gradient, while
-    `predict` returns the softmax probabilities and argmax classes.
-
-    `holders` pairs each stage's name with the layer that holds its tensors
-    (a wrapper stage's `.layer`); the flat vectors, the `stage/name` walk
-    and the audit all read it.  `flat_params` and `flat_grads` hold every
-    trainable tensor and its gradient in walk order, and the tensors are
-    views of them, so the optimizer steps them in one pass.
+    `stages` is one list of layers, and the flat vectors, the `stage/name`
+    walk and the audit all read it.  The last stage is the decision layer:
+    `forward_logits` returns its logits so training can use the fused
+    cross-entropy gradient, while `predict` returns the softmax
+    probabilities and argmax classes.  `flat_params` and `flat_grads` hold
+    every trainable tensor and its gradient in walk order, and the tensors
+    are views of them, so the optimizer steps them in one pass.
     """
 
-    def __init__(self, config: ModelConfig, layers: List[Layer], decision: DenseLayer,
-                 frame_dims: Optional[Tuple[int, int]]):
+    def __init__(self, config: ModelConfig, stages: List[Layer]):
         self.config = config
-        self.stages = [*layers, DecisionStage(decision)]
-        self.frame_dims = frame_dims
-        self.holders = [(stage.name, getattr(stage, "layer", stage)) for stage in self.stages]
-        self.flat_params, self.flat_grads = bind_flat([layer for _, layer in self.holders])
+        self.stages = stages
+        self.frame_dims = config.frame_dims() if config.frame_input else None
+        # perfbench's `_instrument` reads the decision layer as
+        # `graph.stages[-1].layer`; this alias goes once that tracer falls
+        # back to the stage itself when it has no `layer` attribute.
+        stages[-1].layer = stages[-1]
+        self.flat_params, self.flat_grads = bind_flat(stages)
 
     # -- shape handling
 
@@ -252,12 +237,11 @@ class ModelGraph:
         out = self._check_batch(np.asarray(x, dtype=np.float64))
         for stage in self.stages[:-1]:
             out = stage.forward(out, train)
-        return self.stages[-1].layer.forward_logits(out, train)
+        return self.stages[-1].forward_logits(out, train)
 
-    def backward(self, dlogits: np.ndarray) -> None:
-        """Fill `flat_grads`; the first stage builds no input gradient."""
-        dout = self.stages[-1].layer.backward(dlogits)
-        for stage in reversed(self.stages[1:-1]):
+    def backward(self, dout: np.ndarray) -> None:
+        """Fill `flat_grads` from the logits' gradient; the first stage makes no dx."""
+        for stage in reversed(self.stages[1:]):
             dout = stage.backward(dout)
         self.stages[0].backward(dout, input_grad=False)
 
@@ -273,9 +257,9 @@ class ModelGraph:
     # -- parameter plumbing
 
     def _walk(self, *groups: str) -> Dict[str, np.ndarray]:
-        """`stage/name` -> array of each holder's tensors in `groups`, in stage order."""
-        return {f"{stage}/{name}": getattr(layer, name) for stage, layer in self.holders
-                for group in groups for name in getattr(layer, group)}
+        """`stage/name` -> array of each stage's tensors in `groups`, in stage order."""
+        return {f"{stage.name}/{name}": getattr(stage, name) for stage in self.stages
+                for group in groups for name in getattr(stage, group)}
 
     def params(self) -> Dict[str, np.ndarray]:
         return self._walk("PARAMS")
@@ -330,7 +314,6 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
     """Assemble the layer pipeline for `cfg`, seeded and geometry-checked."""
     rng = np.random.default_rng(cfg.seed)
     u, td_u, classes = cfg.units, cfg.td_units, cfg.n_classes
-    frame_dims = cfg.frame_dims() if cfg.frame_input else None
     dense_in, steps = _widths(cfg)
     stages: List[Layer] = []
     if cfg.frame_input:
@@ -338,29 +321,28 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
                    BatchNormLayer(u)]
 
     def dense() -> DenseLayer:
-        return DenseLayer(dense_in, td_u, activation="relu", rng=rng)
+        name = "TD(FFNN_0)" if cfg.time_distributed else "FFNN_0"
+        return DenseLayer(dense_in, td_u, activation="relu", rng=rng, name=name)
 
     if cfg.variant == "m1-td":
-        stages += [SequenceFold("rows"), TimeDistributed(dense()), Flatten()]
+        stages += [SequenceFold("rows"), dense(), Flatten()]
     elif cfg.variant == "m1-van":
         stages += [Flatten(), dense()]
     elif cfg.variant == "m2-td":
-        stages += [LSTMLayer(1, u, output_activation="relu", rng=rng),
-                   TimeDistributed(dense()), Flatten()]
+        stages += [LSTMLayer(1, u, output_activation="relu", rng=rng), dense(), Flatten()]
     elif cfg.variant == "m2-van":
         stages += [LSTMLayer(1, u, output_activation="relu", rng=rng,
                              return_sequences=False),
                    dense()]
     elif cfg.variant == "m3-td":
-        stages += [SequenceFold("positions"), LSTMLayer(u, u, rng=rng),
-                   TimeDistributed(dense()), Flatten()]
+        stages += [SequenceFold("positions"), LSTMLayer(u, u, rng=rng), dense(), Flatten()]
     else:  # m3-van
         stages += [SequenceFold("positions"),
                    LSTMLayer(u, u, rng=rng, return_sequences=False),
                    dense(), Flatten()]
 
-    decision = DenseLayer(steps * td_u, classes, rng=rng, name="FFNN_1")
-    return ModelGraph(cfg, stages, decision, frame_dims)
+    stages.append(DenseLayer(steps * td_u, classes, rng=rng, name="FFNN_1"))
+    return ModelGraph(cfg, stages)
 
 
 def state_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
@@ -418,15 +400,15 @@ def count_parameters(graph: ModelGraph) -> Tuple[List[StageCount], int]:
 
     Each stage's count sums the shapes `state_shapes` gives its trainable
     tensors (conv (PxQxS+1)xU, batchnorm 2U, LSTM 4[(S+1)U+U^2], dense
-    SxU+U); only the tensor names come from the stage's holder layer.  No
+    SxU+U); only the tensor names come from the stage itself.  No
     allocated array is read, so tests can cross-check the audit against the
     built graph.
     """
     shapes = state_shapes(graph.config)
     calcs = _calculations(graph.config)
-    rows = [StageCount(stage, calcs.get(stage, "-"),
-                       sum(math.prod(shapes[f"{stage}/{name}"]) for name in layer.PARAMS))
-            for stage, layer in graph.holders]
+    rows = [StageCount(stage.name, calcs.get(stage.name, "-"),
+                       sum(math.prod(shapes[f"{stage.name}/{name}"]) for name in stage.PARAMS))
+            for stage in graph.stages]
     return rows, sum(r.count for r in rows)
 
 

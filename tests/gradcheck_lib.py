@@ -69,20 +69,18 @@ def relative_grad_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def bound(layer):
     """`layer`, built outside a graph, with flat vectors laid out as a graph's are."""
-    layers.bind_flat([getattr(layer, "layer", layer)])
+    layers.bind_flat([layer])
     return layer
 
 
-def params(stage) -> Dict[str, np.ndarray]:
-    """name -> every trainable tensor of a layer or stage, in PARAMS order."""
-    owner = getattr(stage, "layer", stage)  # a wrapper stage's tensors live on its layer
-    return {name: getattr(owner, name) for name in owner.PARAMS}
+def params(layer) -> Dict[str, np.ndarray]:
+    """name -> every trainable tensor of a layer, in PARAMS order."""
+    return {name: getattr(layer, name) for name in layer.PARAMS}
 
 
-def grads(stage) -> Dict[str, np.ndarray]:
-    """name -> the `grad_<name>` view of every trainable tensor of a layer or stage."""
-    owner = getattr(stage, "layer", stage)
-    return {name: getattr(owner, "grad_" + name) for name in owner.PARAMS}
+def grads(layer) -> Dict[str, np.ndarray]:
+    """name -> the `grad_<name>` view of every trainable tensor of a layer."""
+    return {name: getattr(layer, "grad_" + name) for name in layer.PARAMS}
 
 
 def graph_grads(graph) -> Dict[str, np.ndarray]:
@@ -290,12 +288,12 @@ def check_lstm(rng: np.random.Generator) -> float:
 
 
 def check_time_distributed(rng: np.random.Generator) -> float:
+    """A relu dense layer over the last axis of a (batch, steps, features) sequence."""
     in_size = int(rng.integers(2, 5))
     out_size = int(rng.integers(2, 5))
-    inner = layers.DenseLayer(in_size, out_size, "relu", rng=rng)
-    layer = bound(layers.TimeDistributed(inner))
+    layer = bound(layers.DenseLayer(in_size, out_size, "relu", rng=rng, name="TD(FFNN_0)"))
     b, t = int(rng.integers(1, 3)), int(rng.integers(1, 5))
-    flat = _sample_clear_of_kink(rng, inner, b * t)
+    flat = _sample_clear_of_kink(rng, layer, b * t)
     x = flat.reshape(b, t, in_size)
     proj = rng.normal(size=layer.forward(x).shape)
     return _worst_param_and_input_error(layer, x, lambda: layer.forward(x, train=True),

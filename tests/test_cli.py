@@ -338,6 +338,17 @@ class TestTrainEvaluate:
         err = capsys.readouterr().err
         assert "N=12" in err and "N=8" in err
 
+    def test_evaluate_unknown_label_names_file_and_label(self, synth_csv, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert main(train_args(synth_csv, out_dir)) == 0
+        other = tmp_path / "other.csv"
+        other.write_text(synth_csv.read_text().replace("svc-2", "svc-9"))
+        capsys.readouterr()
+        assert main(["evaluate", str(out_dir / "model.ckpt"), str(other)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {other}: ") and err.count("\n") == 1
+        assert "'svc-9'" in err
+
     def test_evaluate_reports_missing_model_config_key(self, synth_csv, tmp_path, capsys):
         out_dir = tmp_path / "run"
         assert main(train_args(synth_csv, out_dir)) == 0

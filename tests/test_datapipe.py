@@ -224,6 +224,18 @@ class TestLoadCsv:
         assert f"{path}:3:" in str(err.value)
         assert "'f1'" in str(err.value)
 
+    # A quoted cell that spans two lines pushes every later row down a line.
+    @pytest.mark.parametrize("text, where", [
+        ('a,b,label\n1,"x\ny",s1\n2,3,s2\n4,5\n', ":5: expected 3 cells, found 2"),
+        ('a,b,label\n"x\ny",1,s1\nz,inf,s2\n', ":4: non-finite value 'inf' in column 'b'"),
+    ], ids=["ragged", "non-finite"])
+    def test_error_line_counts_a_multiline_cell(self, tmp_path, text, where):
+        path = tmp_path / "multiline.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            load_csv_dataset(path)
+        assert str(err.value) == f"{path}{where}"
+
     @pytest.mark.parametrize("content, words", [
         (b"f0,label\n1,a\n\xff,b\n", "not UTF-8 text at byte 13"),
         (b"label\na\nb\n", "no feature column"),

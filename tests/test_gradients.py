@@ -92,7 +92,7 @@ def test_whole_graph_backward_matches_finite_differences(variant, factor_pair):
     # ModelGraph.backward asks the first stage for no input gradient
     # (`input_grad=False`), so the input check walks the stage chain itself
     # and takes the first stage's full backward.
-    dout = graph.stages[-1].layer.backward(dlogits / batch)
+    dout = graph.stages[-1].backward(dlogits / batch)
     for stage in reversed(graph.stages[:-1]):
         dout = stage.backward(dout)
     dx = dout.reshape(shape)

@@ -24,7 +24,6 @@ from tdntc.layers import (
     MaxPool2x2,
     ShapeError,
     StatisticsError,
-    TimeDistributed,
     conv2d_output_dims,
     softmax,
     softmax_cross_entropy_batch,
@@ -601,45 +600,76 @@ class TestDense:
 
 
 class TestTimeDistributed:
+    """A dense layer over the last axis of (batch, steps, features): one set of
+    weights shared by every step, the paper's time-distributed dense layer."""
+
     def test_degenerate_sequence_equals_dense(self):
         rng = np.random.default_rng(3)
-        inner = DenseLayer(3, 2, activation="relu", rng=rng)
-        td = TimeDistributed(inner)
+        layer = DenseLayer(3, 2, activation="relu", rng=rng)
         x = rng.normal(size=(3,))
-        assert (one(td, x[None]) == one(inner, x)).all()
+        step = one(layer, x[None])
+        assert step.shape == (1, 2)
+        assert (step[0] == one(layer, x)).all()
 
     def test_degenerate_sequence_has_identical_gradients(self):
         rng = np.random.default_rng(9)
-        inner_a = DenseLayer(3, 2, activation="relu", rng=rng)
-        inner_b = bound(DenseLayer(3, 2, activation="relu", rng=rng))
-        inner_b.weights[...] = inner_a.weights
-        inner_b.bias[...] = inner_a.bias
-        td = bound(TimeDistributed(inner_a))
+        seq = bound(DenseLayer(3, 2, activation="relu", rng=rng))
+        flat = bound(DenseLayer(3, 2, activation="relu", rng=rng))
+        flat.weights[...] = seq.weights
+        flat.bias[...] = seq.bias
         x = rng.normal(size=(4, 3))
         dout = rng.normal(size=(4, 2))
-        out_td = td.forward(x[:, None, :], train=True)
-        out_dense = inner_b.forward(x, train=True)
-        assert (out_td[:, 0, :] == out_dense).all()
-        dx_td = td.backward(dout[:, None, :])
-        dx_dense = inner_b.backward(dout)
-        assert (dx_td[:, 0, :] == dx_dense).all()
+        out_seq = seq.forward(x[:, None, :], train=True)
+        out_flat = flat.forward(x, train=True)
+        assert out_seq.shape == (4, 1, 2)
+        assert (out_seq[:, 0, :] == out_flat).all()
+        dx_seq = seq.backward(dout[:, None, :])
+        dx_flat = flat.backward(dout)
+        assert dx_seq.shape == (4, 1, 3)
+        assert (dx_seq[:, 0, :] == dx_flat).all()
         for name in ("weights", "bias"):
-            assert (grads(td)[name] == grads(inner_b)[name]).all()
+            assert (grads(seq)[name] == grads(flat)[name]).all()
 
     def test_identical_rows_give_identical_rows(self):
         rng = np.random.default_rng(5)
-        td = TimeDistributed(DenseLayer(3, 4, rng=rng))
+        layer = DenseLayer(3, 4, rng=rng)
         row = rng.normal(size=3)
         seq = np.tile(row, (5, 1))
-        out = one(td, seq)
+        out = one(layer, seq)
+        assert out.shape == (5, 4)
         assert (out == out[0]).all()
 
     def test_identity_inner(self):
-        inner = DenseLayer(2, 2, rng=np.random.default_rng(0))
-        inner.weights[:] = np.eye(2)
-        td = TimeDistributed(inner)
+        layer = DenseLayer(2, 2, rng=np.random.default_rng(0))
+        layer.weights[:] = np.eye(2)
         seq = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert (one(td, seq) == seq).all()
+        assert (one(layer, seq) == seq).all()
+
+    def test_sequence_equals_a_loop_of_steps(self):
+        rng = np.random.default_rng(12)
+        b, t, f, out = 3, 4, 5, 2
+        layer = bound(DenseLayer(f, out, activation="relu", rng=rng))
+        x = rng.normal(size=(b, t, f))
+        dout = rng.normal(size=(b, t, out))
+        y = layer.forward(x, train=True)
+        dx = layer.backward(dout)
+        seq_grads = {name: g.copy() for name, g in grads(layer).items()}
+        summed = {name: np.zeros_like(g) for name, g in seq_grads.items()}
+        for step in range(t):
+            assert np.allclose(y[:, step], layer.forward(x[:, step], train=True),
+                               rtol=1e-13, atol=1e-13)
+            assert np.allclose(dx[:, step], layer.backward(dout[:, step]),
+                               rtol=1e-13, atol=1e-13)
+            for name, g in grads(layer).items():
+                summed[name] += g
+        for name, g in seq_grads.items():
+            assert np.allclose(g, summed[name], rtol=1e-13, atol=1e-13), name
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
+    def test_wrong_last_axis_or_one_dimension_rejected(self, shape):
+        layer = DenseLayer(3, 2, rng=np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            layer.forward(np.zeros(shape))
 
 
 class TestSoftmaxCrossEntropy:
