@@ -195,7 +195,8 @@ def load_csv_dataset(path, label_column: str = "label") -> Dataset:
     Columns other than the label are features; a column where every cell
     parses as a number is taken numerically, otherwise its distinct values
     are label-encoded lexicographically (the same rule the label column
-    itself uses).  A numeric column may not hold nan or inf.
+    itself uses).  A numeric column may not hold nan or inf, and no two
+    columns may share a name.
     """
     path = Path(path)
     try:
@@ -214,6 +215,9 @@ def load_csv_dataset(path, label_column: str = "label") -> Dataset:
         raise DataError(f"{path}: empty file")
     header = rows.pop(0)
     del lines[0]
+    if len(set(header)) < len(header):
+        name = next(name for i, name in enumerate(header) if name in header[:i])
+        raise DataError(f"{path}: column {name!r} repeats in the header")
     if label_column not in header:
         raise DataError(f"{path}: no {label_column!r} column in header {header}")
     if len(header) < 2:
@@ -258,6 +262,8 @@ def generate_synthetic(n_classes: int, per_class: int, n_features: int,
         raise DataError(f"need >= 4 features, got {n_features}")
     if per_class < 1:
         raise DataError(f"need >= 1 samples per class, got {per_class}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataError(f"need an integer seed >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     block = max(1, n_features // n_classes)
     width = len(str(n_classes - 1))

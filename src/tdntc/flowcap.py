@@ -418,6 +418,8 @@ def _csv_layout(label: str, pad_to: int | None) -> Tuple[str, str]:
             raise ValueError(
                 f"pad_to={pad_to} below the {len(FEATURE_COLUMNS)} native features")
         n_pad = pad_to - len(FEATURE_COLUMNS)
+    if any(ch in label for ch in ',"\r\n'):  # quoted as the csv module quotes a cell
+        label = '"' + label.replace('"', '""') + '"'
     header = FEATURE_COLUMNS + [f"pad_{i:02d}" for i in range(n_pad)] + ["label"]
     return ",".join(header), ",".join([""] + ["0"] * n_pad + [label])
 

@@ -235,6 +235,10 @@ class ModelGraph:
 
     def forward_logits(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         out = self._check_batch(np.asarray(x, dtype=np.float64))
+        # Drop the last pass's kept state first, so no stage allocates its
+        # new state while the stages after it still hold the old one.
+        for stage in self.stages:
+            stage._keep(False)
         for stage in self.stages[:-1]:
             out = stage.forward(out, train)
         return self.stages[-1].forward_logits(out, train)

@@ -578,3 +578,10 @@ class TestSynth:
             assert main(["synth", "--classes", "2", "--per-class", "5",
                          "--features", "6", "--seed", "3", "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_negative_seed_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "flows.csv"
+        assert main(["synth", "--classes", "2", "--per-class", "5", "--features", "6",
+                     "--seed", "-1", "--out", str(path)]) == 1
+        assert capsys.readouterr().err == "error: need an integer seed >= 0, got -1\n"
+        assert not path.exists()

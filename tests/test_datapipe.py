@@ -236,6 +236,17 @@ class TestLoadCsv:
             load_csv_dataset(path)
         assert str(err.value) == f"{path}{where}"
 
+    @pytest.mark.parametrize("header, name", [
+        ("label,x,label", "label"), ("f0,f1,f0,label", "f0"), ("a,b,label,b,a", "b"),
+    ])
+    def test_repeated_column_name_rejected(self, tmp_path, header, name):
+        path = tmp_path / "repeat.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\n" + ",".join(["1"] * width) + "\n")
+        with pytest.raises(DataError) as err:
+            load_csv_dataset(path)
+        assert str(err.value) == f"{path}: column {name!r} repeats in the header"
+
     @pytest.mark.parametrize("content, words", [
         (b"f0,label\n1,a\n\xff,b\n", "not UTF-8 text at byte 13"),
         (b"label\na\nb\n", "no feature column"),
@@ -288,3 +299,8 @@ class TestGenerateSynthetic:
             generate_synthetic(1, 10, 8)
         with pytest.raises(DataError):
             generate_synthetic(2, 10, 3)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        with pytest.raises(DataError, match="integer seed >= 0"):
+            generate_synthetic(2, 10, 8, seed=seed)

@@ -436,6 +436,29 @@ class TestFeaturize:
         assert len(lines[0].split(",")) == 49
         assert lines[1].split(",")[20:48] == ["0"] * 28
 
+    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "x\ny"])
+    def test_label_round_trips_through_the_loader(self, tmp_path, label):
+        import csv
+
+        from tdntc.datapipe import load_csv_dataset
+
+        a = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
+        b = pb.tcp("10.0.0.3", 1000, "10.0.0.4", 80)
+        stats = featurize_flows(assemble_flows(parse_pcap_bytes(
+            pb.capture([(0, 0, a), (0, 1, b)])).packets))
+        path = tmp_path / "labelled.csv"
+        write_flow_csv(stats, path, label, pad_to=24)
+        ds = load_csv_dataset(path)
+        assert ds.class_names == [label]
+        assert ds.n_flows == 2 and ds.n_features == 24
+        # The bytes are the csv module's own for the same cells.
+        header = FEATURE_COLUMNS + [f"pad_{i:02d}" for i in range(4)] + ["label"]
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(s.feature_values() + [0] * 4 + [label] for s in stats)
+        assert path.read_text(encoding="utf-8") == want.getvalue()
+
     def test_determinism(self, tmp_path):
         rng = np.random.default_rng(1)
         packets = []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradcheck_lib import grads, params
-from tdntc import models
+from tdntc import models, trainer
 from tdntc.layers import DenseLayer, Layer, ShapeError, softmax, softmax_cross_entropy_batch
 from tdntc.models import BuildError, ModelConfig, build_model, count_parameters
 
@@ -177,6 +177,35 @@ def test_backward_guard_covers_every_stage_kind():
         graph = build_model(make_config(variant, 12, 3, units=4, td_units=4))
         kinds.update(stage.name for stage in graph.stages)
     assert kinds == STAGE_KINDS
+
+
+@pytest.mark.parametrize("next_pass", ["train", "predict"])
+@pytest.mark.parametrize("variant", models.VARIANTS)
+def test_a_graph_pass_starts_with_no_stage_state(variant, next_pass):
+    graph = build_model(make_config(variant, 12, 3, units=4, td_units=4, seed=2))
+    x = np.random.default_rng(3).uniform(0, 1, size=(4, 12))
+    if graph.config.frame_input:
+        x = x.reshape(4, *graph.frame_dims)
+    logits = graph.forward_logits(x, train=True)
+    graph.backward(softmax_cross_entropy_batch(logits, np.array([0, 1, 2, 0]))[2])
+    trainer._Adam(1e-2).step(graph.flat_params, graph.flat_grads)
+    assert all(stage._saved is not None for stage in graph.stages)
+
+    # When the next pass reaches its first stage, no stage may still hold
+    # the train step's state beside the state that pass is about to make.
+    first = graph.stages[0]
+    seen = []
+
+    def first_forward(*args, inner=first.forward, **kwargs):
+        seen.append([stage.name for stage in graph.stages if stage._saved is not None])
+        return inner(*args, **kwargs)
+
+    first.forward = first_forward
+    if next_pass == "train":
+        graph.forward_logits(x, train=True)
+    else:
+        graph.predict(x)
+    assert seen == [[]]
 
 
 class TestBuildGeometry:
