@@ -222,8 +222,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.txt").write_text(report_text + "\n", encoding="utf-8")
+        doc = metrics.report_to_dict(report, class_names)
         (out_dir / "report.json").write_text(
-            metrics.report_to_json(report, class_names) + "\n", encoding="utf-8")
+            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"artifacts written to {out_dir}")
     return 0
 

@@ -108,14 +108,14 @@ def choose_factor_pair(n: int) -> Tuple[int, int]:
             return n // cols, cols
 
 
-def frames_from_flows(data, factor_pair: Tuple[int, int] | None = None) -> FrameStream:
+def frames_from_flows(features, factor_pair: Tuple[int, int] | None = None) -> FrameStream:
     """Reshape scaled flow vectors into the (M, rows, cols) frame tensor.
 
-    `data` is a Dataset or a (M, N) array whose values must already lie in
-    [0, 1].  Row j of frame m is the contiguous feature slice of flow m, so
-    the transform is lossless by construction.
+    `features` is a (M, N) array whose values must already lie in [0, 1].
+    Row j of frame m is the contiguous feature slice of flow m, so the
+    transform is lossless by construction.
     """
-    features = data.features if isinstance(data, Dataset) else np.asarray(data)
+    features = np.asarray(features)
     if features.ndim != 2:
         raise DataError(f"expected (M, N) features, got {features.shape}")
     if not np.isfinite(features).all():

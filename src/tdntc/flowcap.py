@@ -29,8 +29,8 @@ import io
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, fields
-from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import BinaryIO, Dict, List, NamedTuple, Optional, Tuple
 
 MAGIC_USEC = 0xA1B2C3D4
 MAGIC_NSEC = 0xA1B23C4D
@@ -43,17 +43,6 @@ class PcapFormatError(ValueError):
 
 class PcapParseError(ValueError):
     """Raised when a capture is structurally damaged; carries a byte offset."""
-
-
-@dataclass(frozen=True)
-class FlowKey:
-    """Canonical 5-tuple oriented so the initiator side is forward."""
-
-    src_ip: str
-    src_port: int
-    dst_ip: str
-    dst_port: int
-    protocol: int
 
 
 @dataclass
@@ -86,39 +75,34 @@ class ParsedCapture:
     skipped: Dict[str, int]
 
     @property
-    def skipped_total(self) -> int:
-        return sum(self.skipped.values())
-
-    @property
     def records(self) -> int:
         """Records read: every one is either a parsed packet or a counted skip."""
-        return len(self.packets) + self.skipped_total
+        return len(self.packets) + sum(self.skipped.values())
 
 
 class Flow:
     """One flow's running aggregates, updated packet by packet in time order.
 
     `initiator` is the endpoint (ip << 16 | port) that sent the first packet,
-    whose time is `first`.  `len_min` and `len_max` are the shortest and
-    longest payload_len.  `both`, `fwd` and `rev` are sides: all packets, the
-    initiator's and the responder's.  A side is the list [packets, bytes,
-    last time, shortest gap, longest gap, gap sum], where a gap is the time
-    since the side's previous packet.
+    whose time is `first` and whose (src_port, dst_port, protocol) is `head`.
+    `len_min` and `len_max` are the shortest and longest payload_len.
+    `both`, `fwd` and `rev` are sides: all packets, the initiator's and the
+    responder's.  A side is the list [packets, bytes, last time, shortest
+    gap, longest gap, gap sum], where a gap is the time since the side's
+    previous packet.
     """
 
-    __slots__ = ("key", "initiator", "first", "len_min", "len_max", "both", "fwd", "rev")
+    __slots__ = ("head", "initiator", "first", "len_min", "len_max", "both", "fwd", "rev")
 
-    def __init__(self, key: FlowKey, initiator: int, first: float, length: int) -> None:
-        self.key, self.initiator, self.first = key, initiator, first
+    def __init__(self, head: tuple, initiator: int, first: float, length: int) -> None:
+        self.head, self.initiator, self.first = head, initiator, first
         self.len_min = self.len_max = length
         self.both, self.fwd, self.rev = ([0, 0, 0.0, float("inf"), 0.0, 0.0] for _ in range(3))
 
 
-@dataclass
-class FlowStats:
-    """A flow's key, then its 20 statistical features in CSV column order."""
+class FlowStats(NamedTuple):
+    """A flow's 20 statistical features in CSV column order: its CSV row."""
 
-    key: FlowKey
     src_port: int
     dst_port: int
     protocol: int
@@ -140,18 +124,11 @@ class FlowStats:
     pkt_len_mean: float
     pkt_len_max: int
 
-    def feature_values(self) -> list:
-        return [getattr(self, name) for name in FEATURE_COLUMNS]
-
 
 # Column order of the emitted feature vector.  The label column is appended
 # by the CSV writer, and optional zero padding extends the row to a fixed
 # width for shape parity with wider feature sets.
-FEATURE_COLUMNS = [f.name for f in fields(FlowStats)[1:]]
-
-
-def _dotted(ip: int) -> str:
-    return f"{ip >> 24}.{ip >> 16 & 255}.{ip >> 8 & 255}.{ip & 255}"
+FEATURE_COLUMNS = list(FlowStats._fields)
 
 
 # Ethertype, version/IHL, total length, flags/fragment offset and protocol
@@ -369,8 +346,7 @@ def assemble_flows(packets: Packets, idle_timeout: float = 60.0) -> List[Flow]:
         gk = (a, b, proto[i]) if a <= b else (b, a, proto[i])
         flow = open_flows.get(gk)
         if flow is None or t - flow.both[2] > idle_timeout:
-            flow = open_flows[gk] = Flow(
-                FlowKey(_dotted(src[i]), sport[i], _dotted(dst[i]), dport[i], proto[i]), a, t, n)
+            flow = open_flows[gk] = Flow((sport[i], dport[i], proto[i]), a, t, n)
             flows.append(flow)
         elif n < flow.len_min:
             flow.len_min = n
@@ -400,18 +376,21 @@ def featurize_flows(flows: List[Flow]) -> List[FlowStats]:
     """Compute the 20-feature statistics row for every assembled flow."""
     stats = []
     for flow in flows:
-        key, both, fwd, rev = flow.key, flow.both, flow.fwd, flow.rev
+        both, fwd, rev = flow.both, flow.fwd, flow.rev
         stats.append(FlowStats(
-            key, key.src_port, key.dst_port, key.protocol, both[2] - flow.first,
-            fwd[0], rev[0], fwd[1], rev[1],
+            *flow.head, both[2] - flow.first, fwd[0], rev[0], fwd[1], rev[1],
             *_iat_stats(both), *_iat_stats(fwd), *_iat_stats(rev),
             flow.len_min, both[1] / both[0], flow.len_max,
         ))
     return stats
 
 
-def _csv_layout(label: str, pad_to: int | None) -> Tuple[str, str]:
-    """The header line and the tail every row ends with, zero-padded to pad_to columns."""
+def write_flow_csv(stats: List[FlowStats], path, label: str,
+                   pad_to: int | None = None) -> None:
+    """Write the header and one CSV line per flow to `path`, each ended by a newline.
+
+    The columns are zero-padded to pad_to when it is given.
+    """
     n_pad = 0
     if pad_to is not None:
         if pad_to < len(FEATURE_COLUMNS):
@@ -421,22 +400,9 @@ def _csv_layout(label: str, pad_to: int | None) -> Tuple[str, str]:
     if any(ch in label for ch in ',"\r\n'):  # quoted as the csv module quotes a cell
         label = '"' + label.replace('"', '""') + '"'
     header = FEATURE_COLUMNS + [f"pad_{i:02d}" for i in range(n_pad)] + ["label"]
-    return ",".join(header), ",".join([""] + ["0"] * n_pad + [label])
-
-
-def _csv_rows(stats: List[FlowStats], tail: str) -> Iterator[str]:
-    # repr() gives an int's decimal form and a float's shortest round-trip
-    # form, so identical inputs always serialize to identical bytes.
-    return (",".join(map(repr, s.feature_values())) + tail for s in stats)
-
-
-def write_flow_csv(stats: List[FlowStats], path, label: str,
-                   pad_to: int | None = None) -> None:
-    """Write the header and one CSV line per flow to `path`, each ended by a newline.
-
-    The columns are zero-padded to pad_to when it is given.
-    """
-    header, tail = _csv_layout(label, pad_to)
+    tail = ",".join([""] + ["0"] * n_pad + [label]) + "\n"
     with open(path, "w", encoding="utf-8") as out:
-        out.write(header + "\n")
-        out.writelines(_csv_rows(stats, tail + "\n"))
+        out.write(",".join(header) + "\n")
+        # repr() gives an int's decimal form and a float's shortest round-trip
+        # form, so identical inputs always serialize to identical bytes.
+        out.writelines(",".join(map(repr, row)) + tail for row in stats)

@@ -103,7 +103,7 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
+    return rng.uniform(-limit, limit, size=shape)
 
 
 # ---------------------------------------------------------------------------

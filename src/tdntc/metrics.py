@@ -10,18 +10,10 @@ classes report zeros instead of poisoning the aggregates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass
-class ConfusionMatrix:
-    """C x C counts; rows are ground truth, columns are predictions."""
-
-    counts: np.ndarray
 
 
 @dataclass
@@ -43,7 +35,8 @@ class ClassReport:
 
 
 def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int],
-                     n_classes: int) -> ConfusionMatrix:
+                     n_classes: int) -> np.ndarray:
+    """C x C int64 counts; rows are ground truth, columns are predictions."""
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape or y_true.ndim != 1:
@@ -55,7 +48,7 @@ def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int],
         raise IndexError(f"label index out of range for {n_classes} classes")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (y_true, y_pred), 1)
-    return ConfusionMatrix(counts)
+    return counts
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -65,8 +58,8 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def classification_metrics(cm: ConfusionMatrix) -> ClassReport:
-    counts = cm.counts
+def classification_metrics(counts: np.ndarray) -> ClassReport:
+    """Scores of a `confusion_matrix` counts array."""
     total = counts.sum()
     if total == 0:
         raise ValueError("empty confusion matrix")
@@ -151,7 +144,3 @@ def report_to_dict(report: ClassReport, class_names: Sequence[str]) -> dict:
             for i, name in enumerate(class_names)
         ],
     }
-
-
-def report_to_json(report: ClassReport, class_names: Sequence[str]) -> str:
-    return json.dumps(report_to_dict(report, class_names), indent=2, sort_keys=True)

@@ -88,7 +88,10 @@ class ModelConfig:
             setattr(self, name, int(value))
         self.kernel = _int_pair("kernel", self.kernel)
         if self.factor_pair is not None:
-            self.factor_pair = _int_pair("factor_pair", self.factor_pair)
+            rows, cols = self.factor_pair = _int_pair("factor_pair", self.factor_pair)
+            if rows * cols != self.n_features:
+                raise BuildError(
+                    f"factor pair {rows}x{cols} does not cover {self.n_features} features")
 
     @property
     def model_number(self) -> int:
@@ -103,14 +106,7 @@ class ModelConfig:
         return self.variant.endswith("-td")
 
     def frame_dims(self) -> Tuple[int, int]:
-        if self.factor_pair is not None:
-            rows, cols = self.factor_pair
-            if rows * cols != self.n_features:
-                raise BuildError(
-                    f"factor pair {rows}x{cols} does not cover {self.n_features} features"
-                )
-            return rows, cols
-        return choose_factor_pair(self.n_features)
+        return self.factor_pair or choose_factor_pair(self.n_features)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -169,8 +165,6 @@ class Flatten(Layer):
 
     def forward(self, x, train=False):
         self._keep(train, x.shape)
-        if x.ndim == 2:
-            return x
         return np.ascontiguousarray(x).reshape(x.shape[0], -1)
 
     def backward(self, dout):

@@ -276,8 +276,7 @@ def evaluate(graph: ModelGraph, x: np.ndarray, y: np.ndarray) -> ClassReport:
         _, classes = graph.predict(x[start:start + 256])
         preds.append(classes)
     y_pred = np.concatenate(preds)
-    cm = confusion_matrix(y, y_pred, graph.config.n_classes)
-    return classification_metrics(cm)
+    return classification_metrics(confusion_matrix(y, y_pred, graph.config.n_classes))
 
 
 def history_csv(history: List[EpochStats]) -> str:

@@ -200,6 +200,10 @@ class TestAuditParams:
         assert main(["audit-params", "m3-td", "12", "3"]) == 1
         assert "MP_2D" in capsys.readouterr().err
 
+    def test_factor_pair_error_exits_nonzero_for_m2(self, capsys):
+        assert main(["audit-params", "m2-td", "48", "3", "--factor-pair", "7,7"]) == 1
+        assert capsys.readouterr().err == "error: factor pair 7x7 does not cover 48 features\n"
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as err:
             main(["audit-params", "m3-td", "48", "141", "--bogus"])

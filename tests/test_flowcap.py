@@ -11,7 +11,6 @@ import pcap_builder as pb
 from tdntc import flowcap
 from tdntc.flowcap import (
     FEATURE_COLUMNS,
-    FlowKey,
     PcapFormatError,
     PcapParseError,
     assemble_flows,
@@ -34,7 +33,7 @@ class TestParsePcap:
         data = pb.capture([(100, 250000, frame), (100, 750000, frame)])
         parsed = parse_pcap_bytes(data)
         assert len(parsed.packets) == 2
-        assert parsed.skipped_total == 0
+        assert parsed.skipped == dict.fromkeys(flowcap.SKIP_KINDS, 0)
         cols = parsed.packets
         assert list(cols.timestamp) == [100 + 250000 * 1e-6, 100 + 750000 * 1e-6]
         assert list(cols.src_ip) == [0x0A000001] * 2
@@ -240,8 +239,8 @@ class TestTypedColumns:
         assert list(cols.payload_len) == [65515, 65511, 4, 4]
 
         flows = assemble_flows(cols)
-        assert [flow.key for flow in flows] == [
-            FlowKey(top, 65535, high, 32768, 17), FlowKey("0.0.0.0", 0, "0.0.0.1", 1, 6)]
+        # Each flow's initiator is the first packet's source, ip << 16 | port.
+        assert [flow.initiator for flow in flows] == [0xFFFFFFFF << 16 | 65535, 0]
         rows = [line.split(",") for line in
                 csv_lines(featurize_flows(flows), tmp_path / "edge.csv", "x")[1:]]
         columns = [dict(zip(FEATURE_COLUMNS, row)) for row in rows]
@@ -305,10 +304,10 @@ class TestAssembleFlows:
         rev = pb.udp("10.0.0.2", 2000, "10.0.0.1", 1000)
         parsed = parse_pcap_bytes(pb.capture([(0, 0, fwd), (0, 100, rev),
                                               (0, 200, fwd)]))
-        (stats,) = featurize_flows(assemble_flows(parsed.packets))
-        key = stats.key
-        assert (key.src_ip, key.src_port) == ("10.0.0.1", 1000)
-        assert (key.dst_ip, key.dst_port, key.protocol) == ("10.0.0.2", 2000, 17)
+        (flow,) = assemble_flows(parsed.packets)
+        assert flow.initiator == 0x0A000001 << 16 | 1000
+        (stats,) = featurize_flows([flow])
+        assert (stats.src_port, stats.dst_port, stats.protocol) == (1000, 2000, 17)
         # Directions forward, reverse, forward: the one forward gap spans
         # the first and third packets, and one reverse packet has no gap.
         assert (stats.fwd_packets, stats.rev_packets) == (2, 1)
@@ -346,8 +345,10 @@ class TestAssembleFlows:
         fwd = pb.udp("10.0.0.1", 1000, "10.0.0.2", 2000)
         rev = pb.udp("10.0.0.2", 2000, "10.0.0.1", 1000)
         parsed = parse_pcap_bytes(pb.capture([(5, 0, rev), (5, 0, fwd)]))
-        (stats,) = featurize_flows(assemble_flows(parsed.packets))
-        assert (stats.key.src_ip, stats.key.src_port) == ("10.0.0.2", 2000)
+        (flow,) = assemble_flows(parsed.packets)
+        assert flow.initiator == 0x0A000002 << 16 | 2000
+        (stats,) = featurize_flows([flow])
+        assert (stats.src_port, stats.dst_port) == (2000, 1000)
         # The first packet is the initiator's, so directions forward, reverse.
         assert (stats.fwd_packets, stats.rev_packets) == (1, 1)
 
@@ -456,7 +457,7 @@ class TestFeaturize:
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(s.feature_values() + [0] * 4 + [label] for s in stats)
+        writer.writerows([*s, *[0] * 4, label] for s in stats)
         assert path.read_text(encoding="utf-8") == want.getvalue()
 
     def test_determinism(self, tmp_path):
@@ -488,7 +489,7 @@ class TestFeaturize:
         parsed = parse_pcap_bytes(pb.capture(packets))
         stats = featurize_flows(assemble_flows(parsed.packets))
         assert (sum(s.fwd_packets + s.rev_packets for s in stats)
-                == len(packets) - parsed.skipped_total)
+                == len(packets) - sum(parsed.skipped.values()))
         assert parsed.records == len(packets)
 
     def test_triples_ordered_on_random_captures(self):

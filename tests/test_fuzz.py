@@ -12,7 +12,6 @@ Examples are drawn deterministically, so the suite stays reproducible.
 import json
 import struct
 from array import array
-from ipaddress import IPv4Address
 from unittest import mock
 
 import numpy as np
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 import pcap_builder as pb
 from tdntc import datapipe, flowcap, models, trainer
 from tdntc.cli import mapped_errors
-from tdntc.flowcap import FlowKey, FlowStats, PcapFormatError, PcapParseError, parse_pcap_bytes
+from tdntc.flowcap import FlowStats, PcapFormatError, PcapParseError, parse_pcap_bytes
 
 MAPPED = mapped_errors()
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -201,7 +200,8 @@ def reference_gaps(times):
 
 
 def reference_flow_stats(packets, idle_timeout):
-    """Flow statistics from a stable sort by time, per-flow packet lists and plain sums."""
+    """Each flow's initiator and statistics, from a stable sort by time, per-flow
+    packet lists and plain sums."""
     flows, open_flows = [], {}
     for i in sorted(range(len(packets)), key=lambda i: packets.timestamp[i]):
         t = packets.timestamp[i]
@@ -213,21 +213,19 @@ def reference_flow_stats(packets, idle_timeout):
             flow = open_flows[canonical] = []
             flows.append(flow)
         flow.append((t, packets.payload_len[i], a, i))
-    stats = []
+    initiators, stats = [], []
     for flow in flows:
         first, initiator = flow[0][3], flow[0][2]
+        initiators.append(initiator[0] << 16 | initiator[1])
         times = [t for t, _, _, _ in flow]
         lengths = [n for _, n, _, _ in flow]
         fwd = [(t, n) for t, n, end, _ in flow if end == initiator]
         rev = [(t, n) for t, n, end, _ in flow if end != initiator]
         iat = reference_gaps(times)
         fwd_iat, rev_iat = (reference_gaps([t for t, _ in side]) for side in (fwd, rev))
-        key = FlowKey(str(IPv4Address(packets.src_ip[first])), packets.src_port[first],
-                      str(IPv4Address(packets.dst_ip[first])), packets.dst_port[first],
-                      packets.protocol[first])
         stats.append(FlowStats(
-            key=key, src_port=key.src_port, dst_port=key.dst_port, protocol=key.protocol,
-            duration=times[-1] - times[0],
+            src_port=packets.src_port[first], dst_port=packets.dst_port[first],
+            protocol=packets.protocol[first], duration=times[-1] - times[0],
             fwd_packets=len(fwd), rev_packets=len(rev),
             fwd_bytes=sum(n for _, n in fwd), rev_bytes=sum(n for _, n in rev),
             iat_min=iat[0], iat_mean=iat[1], iat_max=iat[2],
@@ -235,7 +233,7 @@ def reference_flow_stats(packets, idle_timeout):
             rev_iat_min=rev_iat[0], rev_iat_mean=rev_iat[1], rev_iat_max=rev_iat[2],
             pkt_len_min=min(lengths), pkt_len_mean=sum(lengths) / len(lengths),
             pkt_len_max=max(lengths)))
-    return stats
+    return initiators, stats
 
 
 # Three hosts whose dotted and numeric orders differ and two ports give
@@ -266,8 +264,10 @@ def test_flow_stats_match_a_per_flow_list_reference(rows, idle_timeout):
             columns[name].append(value)
     packets = flowcap.Packets(**{name: array(typecode, columns[name])
                                  for name, typecode in zip(PACKET_COLUMNS, "dIIHHBH")})
-    stats = flowcap.featurize_flows(flowcap.assemble_flows(packets, idle_timeout=idle_timeout))
-    assert list(map(repr, stats)) == list(map(repr, reference_flow_stats(packets, idle_timeout)))
+    flows = flowcap.assemble_flows(packets, idle_timeout=idle_timeout)
+    initiators, stats = reference_flow_stats(packets, idle_timeout)
+    assert [flow.initiator for flow in flows] == initiators
+    assert list(map(repr, flowcap.featurize_flows(flows))) == list(map(repr, stats))
 
 
 # ---------------------------------------------------------------------------

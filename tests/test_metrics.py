@@ -6,7 +6,6 @@ from tdntc.metrics import (
     confusion_matrix,
     per_class_report,
     report_to_dict,
-    report_to_json,
 )
 
 
@@ -34,19 +33,18 @@ def brute_force_metrics(y_true, y_pred, n_classes):
 
 class TestConfusionMatrix:
     def test_perfect_prediction(self):
-        cm = confusion_matrix([0, 1], [0, 1], 2)
-        assert cm.counts.tolist() == [[1, 0], [0, 1]]
+        assert confusion_matrix([0, 1], [0, 1], 2).tolist() == [[1, 0], [0, 1]]
 
     def test_all_wrong(self):
-        cm = confusion_matrix([0, 0], [1, 1], 2)
-        assert cm.counts[0, 1] == 2
-        assert cm.counts.sum() == 2
+        counts = confusion_matrix([0, 0], [1, 1], 2)
+        assert counts[0, 1] == 2
+        assert counts.sum() == 2
 
     def test_conservation(self):
         rng = np.random.default_rng(0)
         y_true = rng.integers(0, 5, size=100)
         y_pred = rng.integers(0, 5, size=100)
-        assert confusion_matrix(y_true, y_pred, 5).counts.sum() == 100
+        assert confusion_matrix(y_true, y_pred, 5).sum() == 100
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -156,8 +154,10 @@ class TestReportRendering:
         import json
 
         report = classification_metrics(confusion_matrix([0, 1], [0, 1], 2))
-        doc = json.loads(report_to_json(report, ["a", "b"]))
+        doc = report_to_dict(report, ["a", "b"])
+        # Plain JSON types only: the document survives a dump and a load as is.
+        assert json.loads(json.dumps(doc, indent=2, sort_keys=True)) == doc
         assert doc["accuracy"] == 1.0
         assert doc["per_class"][0]["name"] == "a"
         assert doc["weighted"]["recall"] == 1.0
-        assert report_to_dict(report, ["a", "b"])["n_samples"] == 2
+        assert doc["n_samples"] == 2

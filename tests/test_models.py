@@ -243,6 +243,11 @@ class TestBuildGeometry:
         with pytest.raises(BuildError):
             build_model(ModelConfig("m3-td", 48, 3, factor_pair=(7, 7)))
 
+    @pytest.mark.parametrize("variant", ["m2-td", "m2-van"])
+    def test_factor_pair_is_checked_without_frames(self, variant):
+        with pytest.raises(BuildError, match="^factor pair 7x7 does not cover 48 features$"):
+            ModelConfig(variant, 48, 3, factor_pair=(7, 7))
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(BuildError):
             ModelConfig("m4-td", 48, 3)

@@ -518,6 +518,21 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("variant", ["m2-td", "m2-van"])
+    def test_factor_pair_that_misses_the_features_names_the_file(self, tmp_path, variant):
+        cfg, _ = tiny_splits(variant)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(models.build_model(cfg), path)
+
+        def cover_49(meta, payload):
+            meta["model_config"]["factor_pair"] = [7, 7]
+            return payload
+
+        rewrite_checkpoint(path, cover_49)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: factor pair 7x7 does not cover 12 features"
+
     @pytest.mark.parametrize("text", [b"[" * 100_000, b"1" * 5000, b"\xff"],
                              ids=["deep-nesting", "long-integer", "non-utf8"])
     def test_unparseable_metadata_names_the_file(self, tmp_path, text):
