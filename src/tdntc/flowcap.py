@@ -29,7 +29,9 @@ import io
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice, repeat
+from operator import getitem, le
 from typing import BinaryIO, Dict, List, NamedTuple, Optional, Tuple
 
 MAGIC_USEC = 0xA1B2C3D4
@@ -86,10 +88,10 @@ class Flow:
     `initiator` is the endpoint (ip << 16 | port) that sent the first packet,
     whose time is `first` and whose (src_port, dst_port, protocol) is `head`.
     `len_min` and `len_max` are the shortest and longest payload_len.
-    `both`, `fwd` and `rev` are sides: all packets, the initiator's and the
-    responder's.  A side is the list [packets, bytes, last time, shortest
-    gap, longest gap, gap sum], where a gap is the time since the side's
-    previous packet.
+    `fwd` and `rev` are the initiator's and the responder's sides: [packets,
+    bytes, last time, shortest gap, longest gap, gap sum], where a gap is the
+    time since the side's previous packet.  `both` is [last time, shortest
+    gap, longest gap, gap sum] over all packets, whose counts are fwd + rev.
     """
 
     __slots__ = ("head", "initiator", "first", "len_min", "len_max", "both", "fwd", "rev")
@@ -97,7 +99,9 @@ class Flow:
     def __init__(self, head: tuple, initiator: int, first: float, length: int) -> None:
         self.head, self.initiator, self.first = head, initiator, first
         self.len_min = self.len_max = length
-        self.both, self.fwd, self.rev = ([0, 0, 0.0, float("inf"), 0.0, 0.0] for _ in range(3))
+        self.both = [first, float("inf"), 0.0, 0.0]
+        self.fwd = [1, length, first, float("inf"), 0.0, 0.0]
+        self.rev = [0, 0, 0.0, float("inf"), 0.0, 0.0]
 
 
 class FlowStats(NamedTuple):
@@ -322,53 +326,64 @@ def parse_pcap(path) -> ParsedCapture:
 def assemble_flows(packets: Packets, idle_timeout: float = 60.0) -> List[Flow]:
     """Group packets into bidirectional flows, each kept as running aggregates.
 
-    Packets are taken in timestamp order.  The sort is stable, so equal
-    timestamps keep file order, and a capture written out of order gives
-    the same flows as one written in order.  Packets share a flow when
-    their canonical 5-tuple matches and the gap since the flow's previous
-    packet does not exceed idle_timeout; a larger gap closes the flow and
-    starts a new one.  Each packet's direction is set relative to the
-    flow's first packet (the initiator).  A packet updates its flow's
-    `both` side and the side of its direction; gap sums grow left to right
-    from 0.0, never through sum(), whose float result is compensated from
-    CPython 3.12 on, so the CSV bytes do not depend on the interpreter.
+    Packets are taken in timestamp order: a capture in order is walked as
+    it is, any other through a stable sort, so equal timestamps keep file
+    order.  Packets share a flow when their canonical 5-tuple matches and
+    the gap since the flow's previous packet does not exceed idle_timeout;
+    a larger gap closes the flow and starts a new one.  Each packet's
+    direction is set relative to the flow's first packet (the initiator).
+    A packet updates its flow's `both` side and the side of its direction;
+    gap sums grow left to right from 0.0, never through sum(), whose float
+    result is compensated from CPython 3.12 on, so the CSV bytes do not
+    depend on the interpreter.
     """
-    ts, src, dst, sport = packets.timestamp, packets.src_ip, packets.dst_ip, packets.src_port
-    dport, proto, plen = packets.dst_port, packets.protocol, packets.payload_len
+    ts = packets.timestamp
+    columns = [getattr(packets, field.name) for field in fields(packets)]
+    rows = zip(*columns)
+    if not all(map(le, ts, islice(ts, 1, None))):
+        order = sorted(range(len(ts)), key=ts.__getitem__)
+        rows = zip(*(map(getitem, repeat(column), order) for column in columns))
     flows: List[Flow] = []
     # Canonical key -> the open flow, where an endpoint is ip << 16 | port.
     open_flows: Dict[tuple, Flow] = {}
-    for i in sorted(range(len(ts)), key=ts.__getitem__):
-        t = ts[i]
-        n = plen[i]
-        a = src[i] << 16 | sport[i]
-        b = dst[i] << 16 | dport[i]
-        gk = (a, b, proto[i]) if a <= b else (b, a, proto[i])
+    for t, src, dst, sport, dport, proto, n in rows:
+        a = src << 16 | sport
+        b = dst << 16 | dport
+        gk = (a, b, proto) if a <= b else (b, a, proto)
         flow = open_flows.get(gk)
-        if flow is None or t - flow.both[2] > idle_timeout:
-            flow = open_flows[gk] = Flow((sport[i], dport[i], proto[i]), a, t, n)
+        if flow is None or t - flow.both[0] > idle_timeout:
+            flow = open_flows[gk] = Flow((sport, dport, proto), a, t, n)
             flows.append(flow)
-        elif n < flow.len_min:
+            continue
+        if n < flow.len_min:
             flow.len_min = n
         elif n > flow.len_max:
             flow.len_max = n
-        for side in (flow.both, flow.fwd if a == flow.initiator else flow.rev):
-            if side[0]:
-                gap = t - side[2]
-                if gap < side[3]:
-                    side[3] = gap
-                if gap > side[4]:
-                    side[4] = gap
-                side[5] += gap
-            side[0] += 1
-            side[1] += n
-            side[2] = t
+        both = flow.both
+        gap = t - both[0]
+        if gap < both[1]:
+            both[1] = gap
+        if gap > both[2]:
+            both[2] = gap
+        both[3] += gap
+        both[0] = t
+        side = flow.fwd if a == flow.initiator else flow.rev
+        if side[0]:
+            gap = t - side[2]
+            if gap < side[3]:
+                side[3] = gap
+            if gap > side[4]:
+                side[4] = gap
+            side[5] += gap
+        side[0] += 1
+        side[1] += n
+        side[2] = t
     return flows
 
 
-def _iat_stats(side: list) -> Tuple[float, float, float]:
-    """The shortest, mean and longest gap of a side; zeros below two packets."""
-    packets, _, _, shortest, longest, total = side
+def _iat_stats(packets: int, gaps: list) -> Tuple[float, float, float]:
+    """(shortest, mean, longest) gap from [shortest, longest, sum]; zeros below two packets."""
+    shortest, longest, total = gaps
     return (shortest, total / (packets - 1), longest) if packets > 1 else (0.0, 0.0, 0.0)
 
 
@@ -377,10 +392,11 @@ def featurize_flows(flows: List[Flow]) -> List[FlowStats]:
     stats = []
     for flow in flows:
         both, fwd, rev = flow.both, flow.fwd, flow.rev
+        n = fwd[0] + rev[0]
         stats.append(FlowStats(
-            *flow.head, both[2] - flow.first, fwd[0], rev[0], fwd[1], rev[1],
-            *_iat_stats(both), *_iat_stats(fwd), *_iat_stats(rev),
-            flow.len_min, both[1] / both[0], flow.len_max,
+            *flow.head, both[0] - flow.first, fwd[0], rev[0], fwd[1], rev[1],
+            *_iat_stats(n, both[1:]), *_iat_stats(fwd[0], fwd[3:]), *_iat_stats(rev[0], rev[3:]),
+            flow.len_min, (fwd[1] + rev[1]) / n, flow.len_max,
         ))
     return stats
 

@@ -92,6 +92,8 @@ class ModelConfig:
             if rows * cols != self.n_features:
                 raise BuildError(
                     f"factor pair {rows}x{cols} does not cover {self.n_features} features")
+            if not self.frame_input:
+                raise BuildError(f"{self.variant} reads flow vectors, not frames; give no factor pair")
 
     @property
     def model_number(self) -> int:

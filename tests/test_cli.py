@@ -488,6 +488,23 @@ class TestBadOptionValues:
         assert words in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["train", "audit-params"])
+    def test_m2_refuses_a_factor_pair_that_covers_the_features(self, tmp_path, capsys, command):
+        # m2 reads flow vectors, not frames, so even a 12x4 pair of 48 features is refused.
+        out_dir = tmp_path / "run"
+        if command == "train":
+            csv_path = tmp_path / "wide.csv"
+            assert main(["synth", "--classes", "3", "--per-class", "12", "--features", "48",
+                         "--out", str(csv_path)]) == 0
+            args = train_args(csv_path, out_dir, **{"--variant": "m2-td", "--factor-pair": "12,4"})
+        else:
+            args = ["audit-params", "m2-td", "48", "3", "--factor-pair", "12,4"]
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: m2-td reads flow vectors, not frames; give no factor pair\n")
+        assert not out_dir.exists()
+
     def test_train_rejects_an_empty_test_split_before_training(self, tmp_path, capsys):
         # 4 rows per class give floor(0.2 * 4) = 0 test rows.
         csv_path = tmp_path / "tiny.csv"

@@ -289,6 +289,27 @@ class TestTypedColumns:
         # Per-packet lists keep about 80 bytes a packet, over 400,000 more here.
         assert retained_by_one_flow(6000) - retained_by_one_flow(600) < 4096
 
+    def test_assembling_an_in_order_capture_allocates_nothing_per_packet(self):
+        def frame(i):
+            # Three flows, both directions, varied lengths.
+            client, server = ("10.0.0.1", 1024 + i % 3), ("10.0.0.2", 53)
+            src, dst = (server, client) if i % 5 == 4 else (client, server)
+            return pb.udp(*src, *dst, payload_len=300 + i % 700)
+
+        parsed = parse_pcap_bytes(pb.capture([(1_000_000 + i, i * 7, frame(i))
+                                              for i in range(6000)]))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            flows = assemble_flows(parsed.packets)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(flows) == 3
+        # A stable sort of the packet indices alone peaks near 70 bytes a
+        # packet, over 400 KB here.
+        assert peak < 16 * 1024
+
 
 class TestAssembleFlows:
     def test_same_tuple_single_flow(self):

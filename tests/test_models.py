@@ -248,6 +248,11 @@ class TestBuildGeometry:
         with pytest.raises(BuildError, match="^factor pair 7x7 does not cover 48 features$"):
             ModelConfig(variant, 48, 3, factor_pair=(7, 7))
 
+    @pytest.mark.parametrize("variant", ["m2-td", "m2-van"])
+    def test_m2_refuses_a_factor_pair_that_covers_the_features(self, variant):
+        with pytest.raises(BuildError, match=f"^{variant} reads flow vectors, not frames; "):
+            ModelConfig(variant, 48, 3, factor_pair=(12, 4))
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(BuildError):
             ModelConfig("m4-td", 48, 3)
