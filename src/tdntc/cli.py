@@ -132,6 +132,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     factor_pair = _parse_pair(args.factor_pair, "--factor-pair", "R,C")
     kernel = _parse_pair(args.kernel, "--kernel", "P,Q")
     ds = datapipe.load_csv_dataset(args.csv, label_column=args.label_column)
+    if ds.n_classes == 1:
+        raise datapipe.DataError(
+            f"{args.csv}: one class ({ds.class_names[0]!r}); training needs at least two")
     split = datapipe.stratified_split(ds, seed=args.seed)
     sizes = f"train={split.train.size} val={split.val.size} test={split.test.size}"
     if split.test.size == 0:

@@ -6,10 +6,10 @@ an idle timeout, and emits one CSV row of statistical features per flow.
 Every feature is a one-pass aggregate, so assembly keeps running counts,
 sums and extremes per flow rather than the flow's packets.
 
-The parser is columnar and builds no object per packet.  It copies the
-24 header bytes of each accepted packet (IPv4 header through the ports)
-into one buffer, and after the loop splits that buffer into one typed
-`array` per field (`Packets`), about 25 bytes a packet.  The module
+The parser builds no object per packet.  A parsed packet is its timestamp
+plus its 24-byte head (the IPv4 header through the ports, in `_HEAD`
+layout), about 33 bytes a packet where one typed column per field took
+about 25; assembly unpacks the heads as it walks them.  The module
 imports no numpy, because `tdntc featurize` loads only this module and
 the CLI, and importing numpy would more than double its start-up time.
 
@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import io
 import struct
-import sys
 from array import array
-from dataclasses import dataclass, fields
-from itertools import islice, repeat
-from operator import getitem, le
+from dataclasses import dataclass
+from itertools import islice
+from operator import le
 from typing import BinaryIO, Dict, List, NamedTuple, Optional, Tuple
 
 MAGIC_USEC = 0xA1B2C3D4
@@ -49,21 +48,16 @@ class PcapParseError(ValueError):
 
 @dataclass
 class Packets:
-    """Parsed IPv4 TCP/UDP packets in file order, one typed `array` per field.
+    """Parsed IPv4 TCP/UDP packets in file order: a timestamp and a 24-byte head each.
 
-    Timestamps are `d`, addresses `I` (unsigned 32-bit), ports and
-    payload_len `H`, protocol `B`: about 25 bytes a packet.  payload_len is
-    the IPv4 total length minus the IP header, i.e. the transport header
-    plus application data.
+    `timestamp` is a `d` array and `heads` the packets' heads in `_HEAD`
+    layout: about 33 bytes a packet, where one typed column per field took
+    about 25.  A packet's payload_len, its total length less the 20-byte
+    IP header, is the transport header plus application data.
     """
 
     timestamp: array
-    src_ip: array
-    dst_ip: array
-    src_port: array
-    dst_port: array
-    protocol: array
-    payload_len: array
+    heads: bytearray
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -140,11 +134,9 @@ FEATURE_COLUMNS = list(FlowStats._fields)
 _PLAIN_FRAME = struct.Struct(">12xHBxH2xHxB")
 
 # The kept head of a packet: an option-free IPv4 header followed by the
-# ports, as frame bytes [14, 38) hold it.  Each field but the total length
-# becomes its column as is; payload_len is the total length less 20.
+# ports, as frame bytes [14, 38) hold it.  The parser packs it and
+# `assemble_flows` unpacks it; payload_len is the total length less 20.
 _HEAD = struct.Struct(">2xH5xB2xIIHH")
-_HEAD_FIELDS = (("payload_len", "H", 2), ("protocol", "B", 9), ("src_ip", "I", 12),
-                ("dst_ip", "I", 16), ("src_port", "H", 20), ("dst_port", "H", 22))
 
 # A record header plus every frame byte a check reads: 14 Ethernet, up to
 # 60 IPv4 with options, and the 4 port bytes.
@@ -154,7 +146,7 @@ _BUFFER_BYTES = 1 << 20
 
 
 def parse_pcap_bytes(data: bytes) -> ParsedCapture:
-    """Decode classic pcap bytes into packet columns.
+    """Decode classic pcap bytes into packets.
 
     Non-IP, IPv6, fragmented, and non-TCP/UDP packets are counted and
     skipped, as are packets whose captured slice is too short to carry the
@@ -192,7 +184,7 @@ def _parse_stream(stream: BinaryIO) -> ParsedCapture:
     times = array("d")
     add_time = times.append
     # The 24 bytes from the IPv4 header's start through the ports of every
-    # accepted frame, in network order; `_columns` splits them after the loop.
+    # accepted frame, in network order: the `_HEAD` layout.
     heads = bytearray()
     skipped = dict.fromkeys(SKIP_KINDS, 0)
     record_header = struct.Struct(endian + "IIII").unpack_from
@@ -250,28 +242,7 @@ def _parse_stream(stream: BinaryIO) -> ParsedCapture:
             sport, dport = struct.unpack_from(">HH", buf, start + 14 + ihl)
             heads += pack_head(total_len - ihl + 20, protocol, src, dst, sport, dport)
         add_time(ts_sec + ts_frac * tick)
-    return ParsedCapture(_columns(times, heads), skipped)
-
-
-def _columns(times: array, heads: bytearray) -> Packets:
-    """Split the 24-byte network-order heads into typed columns, one strided copy each."""
-    view = memoryview(heads)
-    columns = {}
-    for name, typecode, byte_offset in _HEAD_FIELDS:
-        column = array(typecode)
-        size = column.itemsize
-        data = view.cast(typecode)[byte_offset // size::_HEAD.size // size].tobytes()
-        if name == "payload_len":
-            # The head holds the IPv4 total length, at least 24 in every kept
-            # packet, past an option-free 20-byte header.  Taking 20 from each
-            # big-endian 16-bit lane of one big integer then borrows across none.
-            twenties = int.from_bytes(b"\x00\x14" * (len(data) // 2), "big")
-            data = (int.from_bytes(data, "big") - twenties).to_bytes(len(data), "big")
-        column.frombytes(data)
-        if size > 1 and sys.byteorder == "little":
-            column.byteswap()
-        columns[name] = column
-    return Packets(timestamp=times, **columns)
+    return ParsedCapture(Packets(times, heads), skipped)
 
 
 def _fill(readinto, view: memoryview) -> int:
@@ -337,16 +308,16 @@ def assemble_flows(packets: Packets, idle_timeout: float = 60.0) -> List[Flow]:
     result is compensated from CPython 3.12 on, so the CSV bytes do not
     depend on the interpreter.
     """
-    ts = packets.timestamp
-    columns = [getattr(packets, field.name) for field in fields(packets)]
-    rows = zip(*columns)
+    ts, heads = packets.timestamp, packets.heads
+    rows = zip(ts, _HEAD.iter_unpack(heads))
     if not all(map(le, ts, islice(ts, 1, None))):
-        order = sorted(range(len(ts)), key=ts.__getitem__)
-        rows = zip(*(map(getitem, repeat(column), order) for column in columns))
+        unpack = _HEAD.unpack_from
+        rows = ((ts[i], unpack(heads, 24 * i)) for i in sorted(range(len(ts)), key=ts.__getitem__))
     flows: List[Flow] = []
     # Canonical key -> the open flow, where an endpoint is ip << 16 | port.
     open_flows: Dict[tuple, Flow] = {}
-    for t, src, dst, sport, dport, proto, n in rows:
+    for t, (total_len, proto, src, dst, sport, dport) in rows:
+        n = total_len - 20
         a = src << 16 | sport
         b = dst << 16 | dport
         gk = (a, b, proto) if a <= b else (b, a, proto)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import struct
 
+from tdntc import flowcap
+
 MAGIC_USEC = 0xA1B2C3D4
 MAGIC_NSEC = 0xA1B23C4D
 
@@ -75,3 +77,9 @@ def tcp(src: str, sport: int, dst: str, dport: int, payload_len: int = 0,
         options: bytes = b"") -> bytes:
     return ethernet_ipv4(src, dst, 6, sport, dport, b"\x00" * payload_len,
                          options=options)
+
+
+def packet_rows(packets: flowcap.Packets) -> list:
+    """Per-packet (timestamp, payload_len, protocol, src_ip, dst_ip, src_port, dst_port)."""
+    return [(t, total_len - 20, *rest) for t, (total_len, *rest)
+            in zip(packets.timestamp, flowcap._HEAD.iter_unpack(packets.heads))]

@@ -23,6 +23,14 @@ def synth_csv(tmp_path):
     return path
 
 
+def one_class_csv(synth_csv, path, name="svc-1", rows=5):
+    """The first `rows` rows of class `name` in synth_csv, written under its header to path."""
+    header, *lines = synth_csv.read_text().splitlines()
+    kept = [line for line in lines if line.endswith("," + name)][:rows]
+    path.write_text("\n".join([header] + kept) + "\n")
+    return path
+
+
 def train_args(csv_path, out_dir, **overrides):
     flags = {
         "--variant": "m1-van", "--epochs": "2", "--batch": "8",
@@ -328,6 +336,23 @@ class TestTrainEvaluate:
         assert main(train_args(synth_csv, out_dir)) == 0
         capsys.readouterr()
         assert main(["evaluate", str(out_dir / "model.ckpt"), str(synth_csv)]) == 0
+        assert "weighted avg" in capsys.readouterr().out
+
+    def test_train_refuses_a_one_class_csv(self, synth_csv, tmp_path, capsys):
+        one = one_class_csv(synth_csv, tmp_path / "one.csv")
+        out_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert main(train_args(one, out_dir)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {one}: one class ('svc-1'); training needs at least two\n")
+        assert not out_dir.exists()
+
+    def test_evaluate_scores_a_one_class_csv(self, synth_csv, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert main(train_args(synth_csv, out_dir)) == 0
+        one = one_class_csv(synth_csv, tmp_path / "one.csv")
+        capsys.readouterr()
+        assert main(["evaluate", str(out_dir / "model.ckpt"), str(one)]) == 0
         assert "weighted avg" in capsys.readouterr().out
 
     def test_evaluate_rejects_feature_mismatch(self, synth_csv, tmp_path, capsys):

@@ -34,15 +34,11 @@ class TestParsePcap:
         parsed = parse_pcap_bytes(data)
         assert len(parsed.packets) == 2
         assert parsed.skipped == dict.fromkeys(flowcap.SKIP_KINDS, 0)
-        cols = parsed.packets
-        assert list(cols.timestamp) == [100 + 250000 * 1e-6, 100 + 750000 * 1e-6]
-        assert list(cols.src_ip) == [0x0A000001] * 2
-        assert list(cols.dst_ip) == [0x0A000002] * 2
-        assert list(cols.src_port) == [1234] * 2
-        assert list(cols.dst_port) == [53] * 2
-        assert list(cols.protocol) == [17] * 2
         # IPv4 total length 20+8+4; payload_len excludes the IP header
-        assert list(cols.payload_len) == [12, 12]
+        assert pb.packet_rows(parsed.packets) == [
+            (100 + 250000 * 1e-6, 12, 17, 0x0A000001, 0x0A000002, 1234, 53),
+            (100 + 750000 * 1e-6, 12, 17, 0x0A000001, 0x0A000002, 1234, 53),
+        ]
         assert parsed.records == 2
 
     def test_empty_capture(self):
@@ -113,7 +109,7 @@ class TestParsePcap:
         frame = pb.with_total_length(frame, total_len)
         parsed = parse_pcap_bytes(pb.capture([(0, 0, frame)]))
         assert parsed.skipped["truncated"] == (0 if kept else 1)
-        assert list(parsed.packets.payload_len) == ([4] if kept else [])
+        assert [row[1] for row in pb.packet_rows(parsed.packets)] == ([4] if kept else [])
 
     @pytest.mark.parametrize("ihl_words", [6, 15])
     def test_ip_options_shift_the_ports(self, ihl_words):
@@ -159,7 +155,7 @@ class TestStreaming:
         monkeypatch.setattr(flowcap, "_BUFFER_BYTES", 128)
         parsed = parse_pcap_bytes(data)
         assert parsed == expected
-        assert list(parsed.packets.payload_len) == [8, 1420, 8, 1420]
+        assert [row[1] for row in pb.packet_rows(parsed.packets)] == [8, 1420, 8, 1420]
 
     @pytest.mark.parametrize("buffer_bytes", [None, 128, 94])
     def test_cut_capture_reports_the_absolute_offset(self, monkeypatch, buffer_bytes):
@@ -211,7 +207,7 @@ class TestStreaming:
 
 
 class TestTypedColumns:
-    """Values at the edges of each column's type survive parse, assembly and the CSV."""
+    """Values at the edges of each head field's type survive parse, assembly and the CSV."""
 
     @pytest.mark.parametrize("endian", ["<", ">"])
     def test_edge_values_round_trip(self, endian, tmp_path):
@@ -226,19 +222,18 @@ class TestTypedColumns:
             (4, 0, pb.with_total_length(pb.tcp("0.0.0.1", 1, "0.0.0.0", 0,
                                                options=b"\x01" * 4), 28)),
         ]
-        cols = parse_pcap_bytes(pb.capture(packets, endian=endian)).packets
-        assert [getattr(cols, name).typecode for name in (
-            "timestamp", "src_ip", "dst_ip", "src_port", "dst_port", "protocol", "payload_len",
-        )] == ["d", "I", "I", "H", "H", "B", "H"]
-        assert list(cols.timestamp) == [1.0, 2.0, 3.0, 4.0]
-        assert list(cols.src_ip) == [0xFFFFFFFF, 0x80000001, 0, 1]
-        assert list(cols.dst_ip) == [0x80000001, 0xFFFFFFFF, 1, 0]
-        assert list(cols.src_port) == [65535, 32768, 0, 1]
-        assert list(cols.dst_port) == [32768, 65535, 1, 0]
-        assert list(cols.protocol) == [17, 17, 6, 6]
-        assert list(cols.payload_len) == [65515, 65511, 4, 4]
+        parsed = parse_pcap_bytes(pb.capture(packets, endian=endian)).packets
+        assert parsed.timestamp.typecode == "d"
+        assert len(parsed.heads) == 24 * len(parsed)
+        assert pb.packet_rows(parsed) == [
+            # (timestamp, payload_len, protocol, src_ip, dst_ip, src_port, dst_port)
+            (1.0, 65515, 17, 0xFFFFFFFF, 0x80000001, 65535, 32768),
+            (2.0, 65511, 17, 0x80000001, 0xFFFFFFFF, 32768, 65535),
+            (3.0, 4, 6, 0, 1, 0, 1),
+            (4.0, 4, 6, 1, 0, 1, 0),
+        ]
 
-        flows = assemble_flows(cols)
+        flows = assemble_flows(parsed)
         # Each flow's initiator is the first packet's source, ip << 16 | port.
         assert [flow.initiator for flow in flows] == [0xFFFFFFFF << 16 | 65535, 0]
         rows = [line.split(",") for line in
@@ -250,7 +245,7 @@ class TestTypedColumns:
             ("65515", "65511", "65515"), ("4", "4", "4")]
 
     def test_a_parsed_packet_keeps_under_48_bytes(self):
-        # Varied values, so that no column is made of small cached ints.
+        # Varied values, as a real capture holds.
         records = [(1_000_000 + i, i * 7, pb.udp(f"10.{i % 200}.{i // 200}.1", 1024 + i,
                                                  "192.168.0.9", 40000 + i % 97,
                                                  payload_len=300 + i % 700))

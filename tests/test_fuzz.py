@@ -4,7 +4,7 @@ Each test starts from a valid input, damages it at random and feeds it to
 the loader.  The loader may accept the input or raise one of the errors
 `tdntc.cli.main` reports as `error: ...`; any other exception is a bug.
 The pcap parser must also agree with a naive per-record decoder written
-here, column for column and error for error, and flow assembly plus
+here, packet for packet and error for error, and flow assembly plus
 featurizing with a naive featurizer over per-flow lists, value for value.
 Examples are drawn deterministically, so the suite stays reproducible.
 """
@@ -64,16 +64,12 @@ def test_parse_pcap_bytes_on_damaged_capture(edits, cut):
         return
     # An accepted packet's ports lie inside its datagram.
     if len(parsed.packets):
-        assert min(parsed.packets.payload_len) >= 4
+        assert min(row[1] for row in pb.packet_rows(parsed.packets)) >= 4
     assert all(count >= 0 for count in parsed.skipped.values())
 
 
-PACKET_COLUMNS = ("timestamp", "src_ip", "dst_ip", "src_port", "dst_port", "protocol",
-                  "payload_len")
-
-
 def reference_frame(frame: bytes):
-    """A skip kind, or the (src, dst, sport, dport, protocol, payload_len) of a kept frame."""
+    """A skip kind, or the (payload_len, protocol, src, dst, sport, dport) of a kept frame."""
     if len(frame) < 14:
         return "truncated"
     ethertype = int.from_bytes(frame[12:14], "big")
@@ -96,13 +92,13 @@ def reference_frame(frame: bytes):
         return "non_tcp_udp"
     if len(ip) < ihl + 4 or total_len < ihl + 4:
         return "truncated"
-    return (int.from_bytes(ip[12:16], "big"), int.from_bytes(ip[16:20], "big"),
-            int.from_bytes(ip[ihl:ihl + 2], "big"), int.from_bytes(ip[ihl + 2:ihl + 4], "big"),
-            ip[9], total_len - ihl)
+    return (total_len - ihl, ip[9], int.from_bytes(ip[12:16], "big"),
+            int.from_bytes(ip[16:20], "big"), int.from_bytes(ip[ihl:ihl + 2], "big"),
+            int.from_bytes(ip[ihl + 2:ihl + 4], "big"))
 
 
 def reference_parse(data: bytes):
-    """Decode a whole capture one record at a time by slicing: (columns, skipped).
+    """Decode a whole capture one record at a time by slicing: (packet rows, skipped).
 
     Raises the parser's errors with its messages and absolute byte offsets.
     """
@@ -115,7 +111,7 @@ def reference_parse(data: bytes):
     if linktype != 1:
         raise PcapFormatError(f"unsupported link type {linktype}; expected Ethernet")
     tick = 1e-9 if magic == pb.MAGIC_NSEC else 1e-6
-    columns = {name: [] for name in PACKET_COLUMNS}
+    rows = []
     skipped = dict.fromkeys(("non_ip", "ipv6", "fragmented", "non_tcp_udp", "truncated"), 0)
     pos = 24
     while pos < len(data):
@@ -130,9 +126,8 @@ def reference_parse(data: bytes):
         if isinstance(kept, str):
             skipped[kept] += 1
             continue
-        for name, value in zip(PACKET_COLUMNS, (sec + frac * tick, *kept)):
-            columns[name].append(value)
-    return columns, skipped
+        rows.append((sec + frac * tick, *kept))
+    return rows, skipped
 
 
 def tcp_udp_frame(make, src, sport, dst, dport, size, words, total_len):
@@ -180,8 +175,8 @@ def test_parse_pcap_bytes_matches_a_per_record_reference(packets, endian, nanos,
             assert (type(err), str(err)) == (type(expected), str(expected))
             return
     assert not isinstance(expected, Exception), f"expected {expected!r}"
-    columns, skipped = expected
-    assert {name: list(getattr(parsed.packets, name)) for name in PACKET_COLUMNS} == columns
+    rows, skipped = expected
+    assert pb.packet_rows(parsed.packets) == rows
     assert parsed.skipped == skipped
 
 
@@ -202,17 +197,17 @@ def reference_gaps(times):
 def reference_flow_stats(packets, idle_timeout):
     """Each flow's initiator and statistics, from a stable sort by time, per-flow
     packet lists and plain sums."""
+    rows = pb.packet_rows(packets)
     flows, open_flows = [], {}
-    for i in sorted(range(len(packets)), key=lambda i: packets.timestamp[i]):
-        t = packets.timestamp[i]
-        a = (packets.src_ip[i], packets.src_port[i])
-        b = (packets.dst_ip[i], packets.dst_port[i])
-        canonical = (min(a, b), max(a, b), packets.protocol[i])
+    for i in sorted(range(len(rows)), key=lambda i: rows[i][0]):
+        t, size, protocol, src, dst, sport, dport = rows[i]
+        a, b = (src, sport), (dst, dport)
+        canonical = (min(a, b), max(a, b), protocol)
         flow = open_flows.get(canonical)
         if flow is None or t - flow[-1][0] > idle_timeout:
             flow = open_flows[canonical] = []
             flows.append(flow)
-        flow.append((t, packets.payload_len[i], a, i))
+        flow.append((t, size, a, i))
     initiators, stats = [], []
     for flow in flows:
         first, initiator = flow[0][3], flow[0][2]
@@ -224,8 +219,8 @@ def reference_flow_stats(packets, idle_timeout):
         iat = reference_gaps(times)
         fwd_iat, rev_iat = (reference_gaps([t for t, _ in side]) for side in (fwd, rev))
         stats.append(FlowStats(
-            src_port=packets.src_port[first], dst_port=packets.dst_port[first],
-            protocol=packets.protocol[first], duration=times[-1] - times[0],
+            src_port=rows[first][5], dst_port=rows[first][6],
+            protocol=rows[first][2], duration=times[-1] - times[0],
             fwd_packets=len(fwd), rev_packets=len(rev),
             fwd_bytes=sum(n for _, n in fwd), rev_bytes=sum(n for _, n in rev),
             iat_min=iat[0], iat_mean=iat[1], iat_max=iat[2],
@@ -247,23 +242,20 @@ gaps_us = st.one_of(st.sampled_from([0, 0, 1, 999_999, 1_000_000, 1_000_001, 2_0
                     st.integers(0, 3_000_000))
 flow_rows = st.lists(st.tuples(gaps_us, st.one_of(st.just(0), st.integers(0, 3_000_000)),
                                endpoints, endpoints, st.sampled_from([6, 17]),
-                               st.integers(4, 65535)),
+                               st.integers(24, 65535)),
                      min_size=1, max_size=40)
 
 
 @FUZZ
 @given(rows=flow_rows, idle_timeout=st.sampled_from([0.0, 1.0, 2.0, 60.0]))
 def test_flow_stats_match_a_per_flow_list_reference(rows, idle_timeout):
-    columns = {name: [] for name in PACKET_COLUMNS}
+    packets = flowcap.Packets(array("d"), bytearray())
     t = 5_000_000
-    for gap, early, (src, sport), (dst, dport), protocol, size in rows:
+    for gap, early, (src, sport), (dst, dport), protocol, total_len in rows:
         t += gap
         sec, usec = divmod(t - early, 1_000_000)
-        for name, value in zip(PACKET_COLUMNS,
-                               (sec + usec * 1e-6, src, dst, sport, dport, protocol, size)):
-            columns[name].append(value)
-    packets = flowcap.Packets(**{name: array(typecode, columns[name])
-                                 for name, typecode in zip(PACKET_COLUMNS, "dIIHHBH")})
+        packets.timestamp.append(sec + usec * 1e-6)
+        packets.heads += flowcap._HEAD.pack(total_len, protocol, src, dst, sport, dport)
     flows = flowcap.assemble_flows(packets, idle_timeout=idle_timeout)
     initiators, stats = reference_flow_stats(packets, idle_timeout)
     assert [flow.initiator for flow in flows] == initiators
