@@ -98,9 +98,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _print_config(args)
     ds = datapipe.generate_synthetic(args.classes, args.per_class,
                                      args.features, seed=args.seed)
-    width = len(str(args.features - 1))
-    header = [f"f{j:0{width}d}" for j in range(args.features)] + ["label"]
-    lines = [",".join(header)]
+    lines = [",".join(ds.feature_names + ["label"])]
     for i in range(ds.n_flows):
         cells = [repr(v) for v in ds.features[i].tolist()]
         cells.append(ds.class_names[ds.labels[i]])
@@ -120,6 +118,16 @@ def _prepare_inputs(ds, variant_frame_input: bool, scaler, factor_pair):
     return scaled
 
 
+def _load_csv(args: argparse.Namespace):
+    """The command's CSV, with one line per column label-encoded from text."""
+    from . import datapipe
+
+    ds = datapipe.load_csv_dataset(args.csv, label_column=args.label_column)
+    for name, count in ds.encoded_columns.items():
+        print(f"label-encoded column {name!r}: {count} categories")
+    return ds
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     from . import datapipe, metrics, models, trainer
 
@@ -131,7 +139,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     factor_pair = _parse_pair(args.factor_pair, "--factor-pair", "R,C")
     kernel = _parse_pair(args.kernel, "--kernel", "P,Q")
-    ds = datapipe.load_csv_dataset(args.csv, label_column=args.label_column)
+    ds = _load_csv(args)
     if ds.n_classes == 1:
         raise datapipe.DataError(
             f"{args.csv}: one class ({ds.class_names[0]!r}); training needs at least two")
@@ -143,6 +151,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"{args.csv}: the test split is empty ({sizes}); "
             "no class has the 5 rows one test row needs")
     scaler = datapipe.minmax_fit(ds.features[split.train])
+    j = scaler.overflowing_feature()
+    if j is not None:
+        raise datapipe.DataError(
+            f"{args.csv}: column {ds.feature_names[j]!r} spans more than float64 can hold")
 
     model_cfg = models.ModelConfig(
         variant=args.variant, n_features=ds.n_features, n_classes=ds.n_classes,
@@ -203,7 +215,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise trainer.CheckpointError(
             f"{args.checkpoint}: checkpoint lacks scaler/encoder state needed "
             "for evaluation")
-    ds = datapipe.load_csv_dataset(args.csv, label_column=args.label_column)
+    ds = _load_csv(args)
     expected = graph.config.n_features
     if ds.n_features != expected:
         raise ShapeError(

@@ -10,11 +10,12 @@ pure reshape, so flattening a frame recovers the feature vector bit for bit.
 from __future__ import annotations
 
 import csv
-import io
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,11 +30,18 @@ class StratificationError(DataError):
 
 @dataclass
 class Dataset:
-    """M flows by N features, integer labels, and the label-decoding table."""
+    """M flows by N features, integer labels, and the label-decoding table.
+
+    `feature_names` are the feature columns' names in order, and
+    `encoded_columns` maps each column that was label-encoded from text to
+    its number of categories.
+    """
 
     features: np.ndarray          # (M, N) float64
     labels: np.ndarray            # (M,) int64
     class_names: List[str]
+    feature_names: List[str] = field(default_factory=list)
+    encoded_columns: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -81,6 +89,12 @@ class ScalerState:
     def from_dict(cls, d: dict) -> "ScalerState":
         return cls(np.asarray(d["min"], dtype=np.float64),
                    np.asarray(d["max"], dtype=np.float64))
+
+    def overflowing_feature(self) -> Optional[int]:
+        """The first feature whose max - min is beyond float64, or None."""
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(np.isinf(self.feature_max - self.feature_min))
+        return int(bad[0]) if bad.size else None
 
 
 @dataclass
@@ -151,14 +165,18 @@ def minmax_fit(train_features: np.ndarray) -> ScalerState:
 def minmax_apply(state: ScalerState, features: np.ndarray) -> np.ndarray:
     """Scale to [0,1] by the fitted range, clamp anything outside it.
 
-    A constant feature (max == min on the training split) maps to 0.
+    A constant feature (max == min on the training split) maps to 0.  The
+    result is one new array, written in place; a value so far outside the
+    range that its distance overflows still clamps to 0 or 1.
     """
     features = np.asarray(features, dtype=np.float64)
     span = state.feature_max - state.feature_min
-    safe_span = np.where(span == 0.0, 1.0, span)
-    scaled = (features - state.feature_min) / safe_span
-    scaled = np.where(span == 0.0, 0.0, scaled)
-    return np.clip(scaled, 0.0, 1.0)
+    constant = span == 0.0
+    with np.errstate(over="ignore"):
+        scaled = np.subtract(features, state.feature_min)
+        scaled /= np.where(constant, 1.0, span)
+    scaled[..., constant] = 0.0
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 def stratified_split(ds: Dataset, seed: int = 0) -> SplitIndices:
@@ -197,55 +215,129 @@ def load_csv_dataset(path, label_column: str = "label") -> Dataset:
     are label-encoded lexicographically (the same rule the label column
     itself uses).  A numeric column may not hold nan or inf, and no two
     columns may share a name.
+
+    The file is read as a stream: each row's numbers go straight into one
+    float buffer, which becomes the feature matrix without a copy.  Text
+    columns are filled in by a second pass over the file, so an input that
+    cannot be read twice (a pipe) must be all numbers.  Errors keep the
+    precedence of a whole-file read: a byte that is not UTF-8 comes before
+    a CSV syntax error, which comes before a bad header or row.
     """
     path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text at byte {exc.start}") from None
-    rows, lines = [], []
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        for row in reader:
-            rows.append(row)
-            lines.append(reader.line_num)  # a quoted cell may span lines
-    except csv.Error as exc:
-        raise DataError(f"{path}: unreadable CSV: {exc}") from None
-    if not rows:
+    with open(path, encoding="utf-8", newline="") as f:
+        try:
+            try:
+                return _read_csv(f, path, label_column)
+            except csv.Error as exc:
+                while f.read(1 << 20):  # a bad byte further on is named first
+                    pass
+                raise DataError(f"{path}: unreadable CSV: {exc}") from None
+        except UnicodeDecodeError:
+            _rewind(f, path, "not UTF-8 text; finding the byte needs a second read")
+            try:
+                f.buffer.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+            raise DataError(f"{path}: changed while it was read") from None
+
+
+def _read_csv(f, path: Path, label_column: str) -> Dataset:
+    reader = csv.reader(f)
+    header = next(reader, None)
+    if header is None:
         raise DataError(f"{path}: empty file")
-    header = rows.pop(0)
-    del lines[0]
     if len(set(header)) < len(header):
         name = next(name for i, name in enumerate(header) if name in header[:i])
-        raise DataError(f"{path}: column {name!r} repeats in the header")
+        _fail(reader, f"{path}: column {name!r} repeats in the header")
     if label_column not in header:
-        raise DataError(f"{path}: no {label_column!r} column in header {header}")
+        _fail(reader, f"{path}: no {label_column!r} column in header {header}")
     if len(header) < 2:
-        raise DataError(f"{path}: no feature column besides {label_column!r}")
-    if not rows:
-        raise DataError(f"{path}: no data rows below the header")
+        _fail(reader, f"{path}: no feature column besides {label_column!r}")
     width = len(header)
-    for line, row in zip(lines, rows):
-        if len(row) != width:
-            raise DataError(f"{path}:{line}: expected {width} cells, found {len(row)}")
     label_idx = header.index(label_column)
-    labels_raw = [row[label_idx] for row in rows]
-    feature_cols = [i for i in range(width) if i != label_idx]
-    columns = []
-    for i in feature_cols:
-        cells = [row[i] for row in rows]
+    names = header[:label_idx] + header[label_idx + 1:]
+    values = array("d")
+    codes = array("q")   # each row's label, numbered in order of first appearance
+    label_ids: Dict[str, int] = {}
+    text: List[int] = []  # feature columns seen to hold a non-number
+    for row in reader:
+        if len(row) != width:
+            _fail(reader, f"{path}:{reader.line_num}: expected {width} cells, found {len(row)}")
+        codes.append(label_ids.setdefault(row.pop(label_idx), len(label_ids)))
+        for j in text:
+            row[j] = "0"  # a placeholder the second pass overwrites
         try:
-            column = np.array([float(cell) for cell in cells], dtype=np.float64)
+            values.extend(map(float, row))
         except ValueError:
-            column = encode_labels(cells)[0].astype(np.float64)
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size:
-            raise DataError(f"{path}:{lines[bad[0]]}: non-finite value {cells[bad[0]]!r} "
-                            f"in column {header[i]!r}")
-        columns.append(column)
-    features = np.column_stack(columns)
-    labels, class_names = encode_labels(labels_raw)
-    return Dataset(features, labels, class_names)
+            del values[(len(codes) - 1) * len(names):]
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    text.append(j)
+                    row[j] = "0"
+            values.extend(map(float, row))
+    if not codes:
+        raise DataError(f"{path}: no data rows below the header")
+    features = np.frombuffer(values, dtype=np.float64).reshape(len(codes), len(names))
+
+    encoded = {}
+    if text:
+        text.sort()
+        cells = [[] for _ in text]
+        reason = f"column {names[text[0]]!r} is not numeric; label-encoding it needs a second read"
+        for _, row in _second_pass(f, path, header, len(codes), reason):
+            del row[label_idx]
+            for column, j in zip(cells, text):
+                column.append(row[j])
+        for column, j in zip(cells, text):
+            features[:, j], categories = encode_labels(column)
+            encoded[names[j]] = len(categories)
+
+    finite = np.isfinite(features)
+    if not finite.all():
+        j = int(np.flatnonzero(~finite.all(axis=0))[0])
+        r = int(np.flatnonzero(~finite[:, j])[0])
+        reason = f"column {names[j]!r} holds a non-finite value; naming its line needs a second read"
+        line, row = next(islice(_second_pass(f, path, header, len(codes), reason), r, None))
+        raise DataError(f"{path}:{line}: non-finite value {row[j + (j >= label_idx)]!r} "
+                        f"in column {names[j]!r}")
+
+    class_names = sorted(label_ids)
+    rank = np.empty(len(class_names), dtype=np.int64)
+    rank[[label_ids[name] for name in class_names]] = np.arange(len(class_names))
+    labels = rank[np.frombuffer(codes, dtype=np.int64)]
+    return Dataset(features, labels, class_names, names, encoded)
+
+
+def _fail(reader, message: str):
+    """Raise `message`, unless the rest of the file fails to read first."""
+    for _ in reader:
+        pass
+    raise DataError(message)
+
+
+def _rewind(f, path: Path, reason: str) -> None:
+    if not f.seekable():
+        raise DataError(f"{path}: {reason}, and the input cannot be read twice")
+    f.seek(0)
+
+
+def _second_pass(f, path: Path, header: List[str], n_rows: int, reason: str):
+    """(line, row) for each data row again, from a file that must not have changed."""
+    _rewind(f, path, reason)
+    reader = csv.reader(f)
+    changed = DataError(f"{path}: changed while it was read")
+    if next(reader, None) != header:
+        raise changed
+    n = 0
+    for row in reader:
+        if len(row) != len(header):
+            raise changed
+        yield reader.line_num, row
+        n += 1
+    if n != n_rows:
+        raise changed
 
 
 def generate_synthetic(n_classes: int, per_class: int, n_features: int,
@@ -268,10 +360,12 @@ def generate_synthetic(n_classes: int, per_class: int, n_features: int,
     block = max(1, n_features // n_classes)
     width = len(str(n_classes - 1))
     class_names = [f"svc-{c:0{width}d}" for c in range(n_classes)]
+    width = len(str(n_features - 1))
+    feature_names = [f"f{j:0{width}d}" for j in range(n_features)]
     features = rng.normal(0.0, 1.0, size=(n_classes * per_class, n_features))
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     for c in range(n_classes):
         cols = np.arange(c * block, c * block + block) % n_features
         rows = np.flatnonzero(labels == c)
         features[np.ix_(rows, cols)] += 2.5
-    return Dataset(features, labels, class_names)
+    return Dataset(features, labels, class_names, feature_names)

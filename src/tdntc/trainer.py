@@ -419,7 +419,11 @@ def _scaler_state(path, doc, n_features: int) -> Optional[ScalerState]:
     for j, (lo, hi) in enumerate(zip(doc["min"], doc["max"])):
         if lo > hi:
             raise CheckpointError(f"{path}: scaler min exceeds max for feature {j}")
-    return ScalerState.from_dict(doc)
+    state = ScalerState.from_dict(doc)
+    j = state.overflowing_feature()
+    if j is not None:
+        raise CheckpointError(f"{path}: scaler range of feature {j} overflows")
+    return state
 
 
 def load_checkpoint(path) -> Tuple[ModelGraph, Optional[ScalerState], Optional[List[str]]]:

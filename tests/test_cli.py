@@ -31,6 +31,16 @@ def one_class_csv(synth_csv, path, name="svc-1", rows=5):
     return path
 
 
+def overflow_csv(synth_csv, path):
+    """synth_csv with its first column alternating 1e308 and -1e308: finite
+    cells whose range is beyond float64."""
+    header, *lines = synth_csv.read_text().splitlines()
+    rows = [("-1e308" if i % 2 else "1e308") + line[line.index(","):]
+            for i, line in enumerate(lines)]
+    path.write_text("\n".join([header] + rows) + "\n")
+    return path
+
+
 def train_args(csv_path, out_dir, **overrides):
     flags = {
         "--variant": "m1-van", "--epochs": "2", "--batch": "8",
@@ -346,6 +356,51 @@ class TestTrainEvaluate:
         assert capsys.readouterr().err == (
             f"error: {one}: one class ('svc-1'); training needs at least two\n")
         assert not out_dir.exists()
+
+    # Without the check, m1-td stopped at a non-finite frame and m2-van at a
+    # non-finite loss, neither naming the file or the column.
+    @pytest.mark.parametrize("variant", ["m1-td", "m2-van"])
+    def test_train_refuses_a_column_whose_range_overflows(self, synth_csv, tmp_path, capsys,
+                                                          variant):
+        wide = overflow_csv(synth_csv, tmp_path / "wide.csv")
+        out_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert main(train_args(wide, out_dir, **{"--variant": variant})) == 1
+        assert capsys.readouterr().err == (
+            f"error: {wide}: column 'f00' spans more than float64 can hold\n")
+        assert not out_dir.exists()
+
+    def test_evaluate_refuses_a_scaler_range_that_overflows(self, synth_csv, tmp_path, capsys):
+        # Such a scaler maps every value of the feature to nan, and the model
+        # then predicts one class for every row with exit status 0.
+        out_dir = tmp_path / "run"
+        assert main(train_args(synth_csv, out_dir)) == 0
+        ckpt = out_dir / "model.ckpt"
+
+        def widen(meta, payload):
+            meta["scaler"]["min"][0], meta["scaler"]["max"][0] = -1e308, 1e308
+            return payload
+
+        rewrite_checkpoint(ckpt, widen)
+        capsys.readouterr()
+        assert main(["evaluate", str(ckpt), str(synth_csv)]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: scaler range of feature 0 overflows\n"
+
+    def test_train_and_evaluate_name_each_label_encoded_column(self, synth_csv, tmp_path,
+                                                               capsys):
+        # One typo turns a numeric column into ranks of its distinct cells.
+        typo = tmp_path / "typo.csv"
+        header, first, *rest = synth_csv.read_text().splitlines()
+        typo.write_text("\n".join([header, first.replace(",", "x,", 1), *rest]) + "\n")
+        out_dir = tmp_path / "run"
+        line = "label-encoded column 'f00': 36 categories"
+        capsys.readouterr()
+        assert main(train_args(typo, out_dir)) == 0
+        assert line in capsys.readouterr().out.splitlines()
+        assert main(["evaluate", str(out_dir / "model.ckpt"), str(typo)]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+        assert main(["evaluate", str(out_dir / "model.ckpt"), str(synth_csv)]) == 0
+        assert "label-encoded" not in capsys.readouterr().out
 
     def test_evaluate_scores_a_one_class_csv(self, synth_csv, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -1,9 +1,18 @@
+import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tdntc import datapipe
 from tdntc.datapipe import (
     DataError,
     Dataset,
+    ScalerState,
     StratificationError,
     choose_factor_pair,
     encode_labels,
@@ -124,6 +133,36 @@ class TestMinMax:
         assert np.allclose(scaled.min(axis=0), 0.0)
         assert np.allclose(scaled.max(axis=0), 1.0)
 
+    def test_output_is_the_formula_bit_for_bit(self):
+        # One output array written in place gives the bits of the
+        # four-temporary expression, constant columns and clamps included.
+        rng = np.random.default_rng(2)
+        train = rng.normal(size=(30, 6)) * 1e3
+        train[:, 2] = 7.0
+        state = minmax_fit(train)
+        x = rng.normal(size=(50, 6)) * 2e3
+        span = state.feature_max - state.feature_min
+        want = (x - state.feature_min) / np.where(span == 0.0, 1.0, span)
+        want = np.clip(np.where(span == 0.0, 0.0, want), 0.0, 1.0)
+        got = minmax_apply(state, x)
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, x)
+
+    def test_distance_past_float_range_still_clamps(self):
+        # x - min overflows to +-inf here; it clamps without a RuntimeWarning.
+        state = ScalerState(np.array([-1e308, 1e308]), np.array([0.0, 1.7e308]))
+        out = minmax_apply(state, np.array([[1.7e308, -1.7e308], [-1e308, 1.7e308]]))
+        assert out.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("low, high, feature", [
+        ([0.0, -1e308], [1.0, 1e308], 1),
+        ([-1.7e308, -1e308], [1e308, 1e308], 0),
+        ([0.0, -1e308], [1.0, 0.0], None),
+    ])
+    def test_overflowing_feature(self, low, high, feature):
+        state = ScalerState(np.array(low), np.array(high))
+        assert state.overflowing_feature() == feature
+
 
 def _toy_dataset(per_class, n_classes=2, n_features=4, seed=0):
     rng = np.random.default_rng(seed)
@@ -224,6 +263,14 @@ class TestLoadCsv:
         assert f"{path}:3:" in str(err.value)
         assert "'f1'" in str(err.value)
 
+    def test_first_column_with_a_non_finite_cell_is_named(self, tmp_path):
+        # Columns are checked left to right, each from its first row.
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("f0,f1,label\n1,inf,a\nnan,2,b\n")
+        with pytest.raises(DataError) as err:
+            load_csv_dataset(path)
+        assert str(err.value) == f"{path}:3: non-finite value 'nan' in column 'f0'"
+
     # A quoted cell that spans two lines pushes every later row down a line.
     @pytest.mark.parametrize("text, where", [
         ('a,b,label\n1,"x\ny",s1\n2,3,s2\n4,5\n', ":5: expected 3 cells, found 2"),
@@ -247,11 +294,47 @@ class TestLoadCsv:
             load_csv_dataset(path)
         assert str(err.value) == f"{path}: column {name!r} repeats in the header"
 
+    def test_float_semantics_of_cells(self, tmp_path):
+        # A cell is read by float(): digit groups and padding are numbers.
+        path = tmp_path / "under.csv"
+        path.write_text("f0,f1,label\n1_0, 2 ,a\n-0,1e-320,b\n")
+        ds = load_csv_dataset(path)
+        assert ds.features.tobytes() == np.array([[10.0, 2.0], [-0.0, 1e-320]]).tobytes()
+        assert ds.encoded_columns == {}
+
+    def test_text_columns_are_recorded_with_their_category_counts(self, tmp_path):
+        path = tmp_path / "mix.csv"
+        path.write_text("src,f1,label,proto\nb,1,x,udp\na,1.0x,y,tcp\nc,3,x,udp\n")
+        ds = load_csv_dataset(path)
+        assert ds.feature_names == ["src", "f1", "proto"]
+        assert list(ds.encoded_columns.items()) == [("src", 3), ("f1", 3), ("proto", 2)]
+        assert ds.features.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [2.0, 2.0, 1.0]]
+
+    def test_file_that_changes_between_passes_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "mix.csv"
+        path.write_text("proto,f1,label\nudp,1,a\ntcp,2,b\n")
+        rewind = datapipe._rewind
+
+        def grow_then_rewind(f, *args):
+            with open(path, "a") as out:
+                out.write("udp,3,a\n")
+            rewind(f, *args)
+
+        monkeypatch.setattr(datapipe, "_rewind", grow_then_rewind)
+        with pytest.raises(DataError) as err:
+            load_csv_dataset(path)
+        assert str(err.value) == f"{path}: changed while it was read"
+
     @pytest.mark.parametrize("content, words", [
         (b"f0,label\n1,a\n\xff,b\n", "not UTF-8 text at byte 13"),
         (b"label\na\nb\n", "no feature column"),
         (b"f0,label\n" + b"1" * 200_000 + b",a\n", "unreadable CSV"),
-    ], ids=["non-utf8", "label-only", "oversized-field"])
+        # A byte that is not UTF-8 is named before a fault earlier in the file.
+        (b"f0,label\n" + b"1" * 200_000 + b",a\n" + b"2,b\n" * 5000 + b"\xff,b\n",
+         "not UTF-8 text at byte 220012"),
+        (b"f0,label\n1,a\n3\n\xff,b\n", "not UTF-8 text at byte 15"),
+    ], ids=["non-utf8", "label-only", "oversized-field", "non-utf8-after-oversized-field",
+            "non-utf8-after-ragged-row"])
     def test_unreadable_file_names_the_file(self, tmp_path, content, words):
         path = tmp_path / "bad.csv"
         path.write_bytes(content)
@@ -259,6 +342,57 @@ class TestLoadCsv:
             load_csv_dataset(path)
         assert str(err.value).startswith(f"{path}: ")
         assert words in str(err.value)
+
+
+def _load_through_stdin(data: bytes) -> str:
+    """Load `data` piped to a child's /dev/stdin; the digest of what it got, or its error."""
+    code = ("import hashlib, sys\n"
+            "from tdntc.datapipe import DataError, load_csv_dataset\n"
+            "try:\n"
+            "    ds = load_csv_dataset('/dev/stdin')\n"
+            "except DataError as exc:\n"
+            "    sys.exit(f'error: {exc}')\n"
+            "print(hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()"
+            " + repr(ds.class_names).encode()).hexdigest())\n")
+    src = str(Path(datapipe.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", code], input=data, capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    return run.stdout.decode().strip() or run.stderr.decode().strip()
+
+
+class TestStreamedLoad:
+    def test_numeric_csv_through_a_pipe_loads_bit_equal(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        rows = [f"{i * 0.1!r},{-i}.5,{'ab'[i % 2]}" for i in range(3000)]
+        path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        ds = load_csv_dataset(path)
+        digest = hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()
+                                + repr(ds.class_names).encode()).hexdigest()
+        assert _load_through_stdin(path.read_bytes()) == digest
+
+    def test_text_column_through_a_pipe_names_the_input(self):
+        # Label-encoding takes a second pass, which a pipe cannot give.
+        assert _load_through_stdin(b"f0,proto,label\n1,udp,a\n2,tcp,b\n") == (
+            "error: /dev/stdin: column 'proto' is not numeric; label-encoding it needs "
+            "a second read, and the input cannot be read twice")
+
+    def test_load_and_scale_hold_about_two_copies_of_the_matrix(self, tmp_path):
+        rows, cols = 20_000, 48
+        values = np.random.default_rng(0).normal(size=(rows, cols))
+        path = tmp_path / "wide.csv"
+        with open(path, "w") as out:
+            out.write(",".join(f"f{j}" for j in range(cols)) + ",label\n")
+            for i, row in enumerate(values.tolist()):
+                out.write(",".join(map(repr, row)) + f",c{i % 3}\n")
+        tracemalloc.start()
+        try:
+            ds = load_csv_dataset(path)
+            minmax_apply(minmax_fit(ds.features), ds.features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.tobytes() == values.tobytes()
+        assert peak < 3 * values.nbytes, f"peak {peak / values.nbytes:.2f}x the matrix"
 
 
 def _stump_accuracy(ds):

@@ -6,6 +6,9 @@ the loader.  The loader may accept the input or raise one of the errors
 The pcap parser must also agree with a naive per-record decoder written
 here, packet for packet and error for error, and flow assembly plus
 featurizing with a naive featurizer over per-flow lists, value for value.
+The streaming CSV loader must agree with the whole-file loader kept in
+`csv_oracle`, bit for bit and message for message, and min-max scaling
+must keep every finite matrix finite.
 Examples are drawn deterministically, so the suite stays reproducible.
 """
 
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csv_oracle
 import pcap_builder as pb
 from tdntc import datapipe, flowcap, models, trainer
 from tdntc.cli import mapped_errors
@@ -376,3 +380,67 @@ def test_load_csv_dataset_on_damaged_bytes(csv_path, edits):
         datapipe.load_csv_dataset(csv_path)
     except MAPPED:
         pass
+
+
+def load_outcome(load, path):
+    """What a loader made of `path`: its arrays' bytes and class names, or its error."""
+    try:
+        ds = load(path)
+    except MAPPED as err:
+        return type(err), str(err)
+    return (ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(), ds.class_names)
+
+
+# Cells that float() reads in ways a plain decimal does not, and one past
+# the csv module's field limit.
+number_cells = st.sampled_from(["nan", "-inf", "Infinity", "1e400", "1_0", " 2 ", "-0",
+                                "1" * 131_073])
+
+
+@FUZZ
+@given(changes=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2),
+                                  st.one_of(cells, number_cells)), max_size=4),
+       edits=st.one_of(st.just([]), byte_edits),
+       kept=st.one_of(st.just(5), st.integers(0, 4)),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_load_csv_dataset_matches_the_whole_file_oracle(csv_path, changes, edits, kept,
+                                                        newline):
+    rows = [list(row) for row in CSV_ROWS]
+    for r, c, text in changes:
+        rows[r][c] = text
+    rows = rows[:kept]
+    data = "".join(",".join(row) + newline for row in rows).encode()
+    csv_path.write_bytes(overwrite(data, edits) if edits and data else data)
+    expected = load_outcome(csv_oracle.load_csv_dataset, csv_path)
+    assert load_outcome(datapipe.load_csv_dataset, csv_path) == expected
+
+
+# ---------------------------------------------------------------------------
+# min-max scaling
+
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308]))
+
+
+@FUZZ
+@given(data=st.data(), shape=st.tuples(st.integers(1, 6), st.integers(1, 4)))
+def test_minmax_keeps_every_finite_matrix_finite(data, shape):
+    train = np.array(data.draw(st.lists(finite, min_size=shape[0] * shape[1],
+                                        max_size=shape[0] * shape[1]))).reshape(shape)
+    if data.draw(st.booleans()):
+        train[:, 0] = train[0, 0]  # a constant column
+    other = np.array(data.draw(st.lists(finite, min_size=shape[1], max_size=shape[1])))
+    state = datapipe.minmax_fit(train)
+    j = state.overflowing_feature()
+    if j is not None:
+        # The range cannot be scaled: a checkpoint holding it is refused.
+        with pytest.raises(trainer.CheckpointError) as err:
+            trainer._scaler_state("model.ckpt", state.to_dict(), shape[1])
+        assert str(err.value) == f"model.ckpt: scaler range of feature {j} overflows"
+        return
+    for x in (train, other[None, :]):
+        scaled = datapipe.minmax_apply(state, x)
+        assert np.isfinite(scaled).all()
+        assert ((scaled >= 0.0) & (scaled <= 1.0)).all()

@@ -633,6 +633,19 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: scaler min exceeds max for feature {feature}"
 
+    @pytest.mark.parametrize("feature", [0, 7], ids=["first", "middle"])
+    def test_scaler_range_that_overflows_rejected(self, tmp_path, feature):
+        # min and max are finite, but max - min is not: scaling would give nan
+        cfg, _ = tiny_splits("m1-td")
+        path = tmp_path / "model.ckpt"
+        low, high = np.zeros(12), np.ones(12)
+        low[feature:], high[feature:] = -1e308, 1e308
+        save_checkpoint(models.build_model(cfg), path,
+                        scaler=datapipe.ScalerState(low, high))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: scaler range of feature {feature} overflows"
+
     def test_scaler_min_equal_to_max_loads(self, tmp_path):
         # a feature that was constant over training has min == max, which is legal
         cfg, _ = tiny_splits("m1-td")
