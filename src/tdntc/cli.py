@@ -98,21 +98,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _print_config(args)
     ds = datapipe.generate_synthetic(args.classes, args.per_class,
                                      args.features, seed=args.seed)
-    lines = [",".join(ds.feature_names + ["label"])]
-    for i in range(ds.n_flows):
-        cells = [repr(v) for v in ds.features[i].tolist()]
-        cells.append(ds.class_names[ds.labels[i]])
-        lines.append(",".join(cells))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Each row is written as it is formatted, so the text is never held whole.
+    with open(args.out, "w", encoding="utf-8") as out:
+        out.write(",".join(ds.feature_names + ["label"]) + "\n")
+        for row, label in zip(ds.features, ds.labels.tolist()):
+            out.write(",".join([*map(repr, row.tolist()), ds.class_names[label]]) + "\n")
     print(f"wrote {ds.n_flows} flows x {ds.n_features} features -> {args.out}")
     return 0
 
 
-def _prepare_inputs(ds, variant_frame_input: bool, scaler, factor_pair):
-    """Scale the full feature matrix and shape it for the variant."""
+def _prepare_inputs(features, variant_frame_input: bool, scaler, factor_pair):
+    """Scale a feature matrix and shape it for the variant."""
     from . import datapipe
 
-    scaled = datapipe.minmax_apply(scaler, ds.features)
+    scaled = datapipe.minmax_apply(scaler, features)
     if variant_frame_input:
         return datapipe.frames_from_flows(scaled, factor_pair=factor_pair).frames
     return scaled
@@ -150,7 +149,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise datapipe.StratificationError(
             f"{args.csv}: the test split is empty ({sizes}); "
             "no class has the 5 rows one test row needs")
-    scaler = datapipe.minmax_fit(ds.features[split.train])
+    rows = ds.features[split.train]
+    scaler = datapipe.minmax_fit(rows)
     j = scaler.overflowing_feature()
     if j is not None:
         raise datapipe.DataError(
@@ -161,12 +161,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         units=args.units, kernel=kernel,
         td_units=args.td_units, factor_pair=factor_pair, seed=args.seed,
     )
-    inputs = _prepare_inputs(ds, model_cfg.frame_input, scaler, factor_pair)
-    splits = {
-        "train": (inputs[split.train], ds.labels[split.train]),
-        "val": (inputs[split.val], ds.labels[split.val]),
-        "test": (inputs[split.test], ds.labels[split.test]),
-    }
+    # Each split is gathered once and scaled and framed from its own rows;
+    # the training rows are the ones the scaler was fitted on.
+    splits = {}
+    for name in ("train", "val", "test"):
+        idx = getattr(split, name)
+        if name != "train":
+            rows = ds.features[idx]
+        splits[name] = (_prepare_inputs(rows, model_cfg.frame_input, scaler, factor_pair),
+                        ds.labels[idx])
     print(f"split sizes: {sizes}")
 
     out_dir = Path(args.out)
@@ -228,7 +231,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"{args.csv}: label {unknown[0]!r} not in the checkpoint's classes {class_names}")
     y = np.asarray([index_of[ds.class_names[lbl]] for lbl in ds.labels])
 
-    inputs = _prepare_inputs(ds, graph.config.frame_input, scaler,
+    inputs = _prepare_inputs(ds.features, graph.config.frame_input, scaler,
                              graph.config.factor_pair)
     report = trainer.evaluate(graph, inputs, y)
     report_text = metrics.per_class_report(report, class_names)

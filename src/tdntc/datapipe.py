@@ -127,14 +127,14 @@ def frames_from_flows(features, factor_pair: Tuple[int, int] | None = None) -> F
 
     `features` is a (M, N) array whose values must already lie in [0, 1].
     Row j of frame m is the contiguous feature slice of flow m, so the
-    transform is lossless by construction.
+    transform is lossless by construction.  No rows give no frames.
     """
     features = np.asarray(features)
     if features.ndim != 2:
         raise DataError(f"expected (M, N) features, got {features.shape}")
     if not np.isfinite(features).all():
         raise DataError("features contain non-finite values")
-    lo, hi = features.min(), features.max()
+    lo, hi = (features.min(), features.max()) if features.size else (0.0, 1.0)
     if lo < 0.0 or hi > 1.0:
         raise DataError(
             f"features must be min-max scaled to [0,1] first (saw range [{lo}, {hi}])"

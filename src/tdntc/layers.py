@@ -391,6 +391,13 @@ class LSTMLayer(Layer):
     emitted states are written batch-major as each step ends, so a following
     dense layer views them as (batch * steps, units) for free; the output
     activation is applied to them once after the loop.
+
+    The kept gates and the gate gradient are batch-major rows, as the GEMMs
+    read them, and a gate's block there is `batch` strided rows that numpy
+    walks one row at a time.  So each backward step copies its gates into
+    gate-major scratch, does the per-gate arithmetic on contiguous (batch,
+    units) slabs and copies the gate gradient back: the same operations in
+    the same order, so the same bits.
     """
 
     name = "LSTM"
@@ -485,43 +492,46 @@ class LSTMLayer(Layer):
         dh = np.zeros((b, k))
         if not self.return_sequences:
             dh += dout
-        # Gate axis split out: [:, :, 0..3] are the activated i, f, g, o.
+        # Gate-major scratch: a[0..3] are the step's activated i, f, g, o and
+        # dz[0..3] their gradients; dz_all keeps every step's dz batch-major.
         gate4 = gates.reshape(t, b, 4, k)
         dz_all = np.empty((t, b, 4, k))
+        a = np.empty((4, b, k))
+        dz = np.empty((4, b, k))
         w_h_t = self.w_h.T
         dc = np.empty((b, k))
         dc_next = np.zeros((b, k))
         for step in range(t - 1, -1, -1):
-            a = gate4[step]
-            dz = dz_all[step]
+            np.copyto(a, gate4[step].transpose(1, 0, 2))
             tc = tanh_c[step]
             if self.return_sequences:
                 dh += dout[:, step]
             # activation slopes: a * (1 - a) for the sigmoid gates, 1 - g^2
             np.subtract(1.0, a, out=dz)
             dz *= a
-            np.multiply(a[:, 2], a[:, 2], out=dz[:, 2])
-            np.subtract(1.0, dz[:, 2], out=dz[:, 2])
+            np.multiply(a[2], a[2], out=dz[2])
+            np.subtract(1.0, dz[2], out=dz[2])
             # dc = dh * o * (1 - tanh(c)^2) + dc_next
             np.multiply(tc, tc, out=dc)
             np.subtract(1.0, dc, out=dc)
-            dc *= a[:, 3]
+            dc *= a[3]
             dc *= dh
             dc += dc_next
             # di = dc * g, df = dc * c_prev, dg = dc * i, do = dh * tanh(c),
             # each times its slope
-            dz[:, 3] *= tc
-            dz[:, 3] *= dh
-            dz[:, :3] *= dc[:, None]
-            dz[:, 0] *= a[:, 2]
-            dz[:, 1] *= cs[step]
-            dz[:, 2] *= a[:, 0]
+            dz[3] *= tc
+            dz[3] *= dh
+            dz[:3] *= dc
+            dz[0] *= a[2]
+            dz[1] *= cs[step]
+            dz[2] *= a[0]
+            np.copyto(dz_all[step], dz.transpose(1, 0, 2))
             # the scale lives in the activation, so the recurrence runs
             # through the unscaled w_h; nothing reads the gradient of the
             # zero initial state
             if step:
-                np.matmul(dz.reshape(b, 4 * k), w_h_t, out=dh)
-                np.multiply(dc, a[:, 1], out=dc_next)
+                np.matmul(dz_all[step].reshape(b, 4 * k), w_h_t, out=dh)
+                np.multiply(dc, a[1], out=dc_next)
         flat_dz = dz_all.reshape(t * b, 4 * k)
         # one GEMM over the kept [h_{t-1} | x_t | 1] operands gives all three
         grad_w = ops[:t].reshape(t * b, k + s + 1).T @ flat_dz

@@ -264,6 +264,73 @@ def reference_conv2d(x, kernels, biases, dout):
     return y.transpose(0, 3, 1, 2), (d.T @ patches).reshape(kernels.shape), d.sum(axis=0)
 
 
+def reference_lstm_backward(layer, dout, input_grad=True):
+    """(dx, grad_w_x, grad_w_h, grad_bias) by the batch-major step loop.
+
+    Reads the state a train-mode forward of `layer` kept and writes nothing
+    into the layer.  Each step's gate arithmetic runs on the (batch, units)
+    blocks `a[:, g]` of the batch-major gate rows; the layer runs the same
+    operations in the same order on gate-major copies and must match it bit
+    for bit.  `dx` is None when `input_grad` is false.
+    """
+    ops, gates, cs, tanh_c = layer._kept()
+    t, b = gates.shape[:2]
+    s, k = layer.input_size, layer.units
+    hs = ops[1:, :, :k]
+    if layer.output_activation == "relu":
+        dout = dout * (hs.transpose(1, 0, 2) > 0 if layer.return_sequences
+                       else hs[-1] > 0)
+    # dh carries d(loss)/dh_step: the emitted gradient, read batch-major,
+    # plus what the recurrence sends back from step + 1.
+    dh = np.zeros((b, k))
+    if not layer.return_sequences:
+        dh += dout
+    # Gate axis split out: [:, :, 0..3] are the activated i, f, g, o.
+    gate4 = gates.reshape(t, b, 4, k)
+    dz_all = np.empty((t, b, 4, k))
+    w_h_t = layer.w_h.T
+    dc = np.empty((b, k))
+    dc_next = np.zeros((b, k))
+    for step in range(t - 1, -1, -1):
+        a = gate4[step]
+        dz = dz_all[step]
+        tc = tanh_c[step]
+        if layer.return_sequences:
+            dh += dout[:, step]
+        # activation slopes: a * (1 - a) for the sigmoid gates, 1 - g^2
+        np.subtract(1.0, a, out=dz)
+        dz *= a
+        np.multiply(a[:, 2], a[:, 2], out=dz[:, 2])
+        np.subtract(1.0, dz[:, 2], out=dz[:, 2])
+        # dc = dh * o * (1 - tanh(c)^2) + dc_next
+        np.multiply(tc, tc, out=dc)
+        np.subtract(1.0, dc, out=dc)
+        dc *= a[:, 3]
+        dc *= dh
+        dc += dc_next
+        # di = dc * g, df = dc * c_prev, dg = dc * i, do = dh * tanh(c),
+        # each times its slope
+        dz[:, 3] *= tc
+        dz[:, 3] *= dh
+        dz[:, :3] *= dc[:, None]
+        dz[:, 0] *= a[:, 2]
+        dz[:, 1] *= cs[step]
+        dz[:, 2] *= a[:, 0]
+        # the scale lives in the activation, so the recurrence runs
+        # through the unscaled w_h; nothing reads the gradient of the
+        # zero initial state
+        if step:
+            np.matmul(dz.reshape(b, 4 * k), w_h_t, out=dh)
+            np.multiply(dc, a[:, 1], out=dc_next)
+    flat_dz = dz_all.reshape(t * b, 4 * k)
+    # one GEMM over the kept [h_{t-1} | x_t | 1] operands gives all three
+    grad_w = ops[:t].reshape(t * b, k + s + 1).T @ flat_dz
+    dx = None
+    if input_grad:
+        dx = (flat_dz @ layer.w_x.T).reshape(t, b, s).transpose(1, 0, 2)
+    return dx, grad_w[k:k + s], grad_w[:k], grad_w[k + s]
+
+
 def check_lstm(rng: np.random.Generator) -> float:
     # (input size, units) pairs whose 4[(S+1)U+U^2] stays at or under 64
     s, k = [(1, 2), (2, 2), (3, 2), (1, 3)][int(rng.integers(4))]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -507,6 +508,42 @@ class TestTrainEvaluate:
         assert ((out_dir / "model.ckpt").read_bytes()
                 == (tmp_path / "trial1.ckpt").read_bytes())
 
+    @pytest.mark.parametrize("variant, per_class", [
+        ("m1-td", 12), ("m2-van", 12), ("m3-td", 5)],
+        ids=["frames", "flat", "frames-no-val"])
+    def test_each_split_is_the_whole_matrix_scaled_then_indexed(self, tmp_path, monkeypatch,
+                                                                variant, per_class):
+        # train scales and frames each split from its own rows; run_trials
+        # must get the bits of scaling and framing every row, then indexing.
+        # Five rows a class leave the validation split empty.
+        from tdntc import datapipe, trainer
+
+        class Captured(Exception):
+            pass
+
+        def captured(cfg, train_cfg, *splits):
+            raise Captured(splits)
+
+        csv_path = tmp_path / "flows.csv"
+        assert main(["synth", "--classes", "3", "--per-class", str(per_class),
+                     "--features", "12", "--seed", "4", "--out", str(csv_path)]) == 0
+        monkeypatch.setattr(trainer, "run_trials", captured)
+        with pytest.raises(Captured) as got:
+            main(train_args(csv_path, tmp_path / "run", **{"--variant": variant,
+                                                           "--seed": "2"}))
+        ds = datapipe.load_csv_dataset(csv_path)
+        split = datapipe.stratified_split(ds, seed=2)
+        scaled = datapipe.minmax_apply(datapipe.minmax_fit(ds.features[split.train]),
+                                       ds.features)
+        if variant != "m2-van":
+            scaled = datapipe.frames_from_flows(scaled).frames
+        want = [(scaled[idx], ds.labels[idx]) for idx in (split.train, split.val, split.test)]
+        assert split.val.size == (0 if per_class == 5 else 3)
+        for (x, y), (want_x, want_y) in zip(got.value.args[0], want, strict=True):
+            assert x.shape == want_x.shape and x.dtype == want_x.dtype
+            assert x.tobytes() == want_x.tobytes()
+            assert y.tobytes() == want_y.tobytes()
+
     def test_sgd_run_writes_artifacts_and_lowers_the_loss(self, synth_csv, tmp_path,
                                                           monkeypatch):
         from tdntc import trainer
@@ -679,6 +716,37 @@ class TestSynth:
             assert main(["synth", "--classes", "2", "--per-class", "5",
                          "--features", "6", "--seed", "3", "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_bytes_equal_the_joined_text(self, tmp_path):
+        # The formatter that joined every line into one string before
+        # writing; twelve classes give zero-padded class names.
+        from tdntc.datapipe import generate_synthetic
+
+        path = tmp_path / "flows.csv"
+        assert main(["synth", "--classes", "12", "--per-class", "20", "--features", "7",
+                     "--seed", "9", "--out", str(path)]) == 0
+        ds = generate_synthetic(12, 20, 7, seed=9)
+        lines = [",".join(ds.feature_names + ["label"])]
+        for i in range(ds.n_flows):
+            cells = [repr(v) for v in ds.features[i].tolist()]
+            cells.append(ds.class_names[ds.labels[i]])
+            lines.append(",".join(cells))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_peak_memory_stays_under_the_file_size(self, tmp_path):
+        # Rows are written as they are formatted, so the text is never held
+        # whole; the joined text peaked at about 3.5 times the file.
+        import tdntc.datapipe  # noqa: F401  numpy's import is not the command's
+
+        path = tmp_path / "flows.csv"
+        tracemalloc.start()
+        try:
+            assert main(["synth", "--classes", "3", "--per-class", "2000",
+                         "--features", "48", "--out", str(path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     def test_negative_seed_is_a_clean_error(self, tmp_path, capsys):
         path = tmp_path / "flows.csv"

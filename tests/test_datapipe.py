@@ -76,6 +76,12 @@ class TestFrames:
         with pytest.raises(DataError):
             frames_from_flows(np.array([[-0.1, 0.5, 0.0, 0.2]]))
 
+    def test_no_rows_give_no_frames(self):
+        # `train` frames each split on its own, and a split of classes
+        # below 10 rows has no validation rows.
+        fs = frames_from_flows(np.empty((0, 48)))
+        assert fs.frames.shape == (0, 8, 6)
+
     def test_lossless_across_widths(self):
         rng = np.random.default_rng(3)
         for n in (12, 48, 60):

@@ -13,6 +13,7 @@ from gradcheck_lib import (
     reference_batchnorm_backward,
     reference_batchnorm_forward,
     reference_conv2d,
+    reference_lstm_backward,
     relative_grad_error,
 )
 from tdntc.layers import (
@@ -573,6 +574,40 @@ class TestLSTM:
         raw = plain.forward(x)
         clamped = rectified.forward(x)
         assert (clamped == np.maximum(raw, 0.0)).all()
+
+
+@pytest.mark.parametrize("input_grad", [True, False], ids=["dx", "no-dx"])
+@pytest.mark.parametrize("b, t, s, k, activation, return_sequences", [
+    (32, 48, 1, 128, "relu", True),
+    (32, 6, 128, 128, "identity", True),
+    (32, 6, 128, 128, "identity", False),
+    (5, 7, 3, 4, "relu", False),
+    (2, 1, 1, 3, "identity", True),
+    (33, 48, 1, 16, "relu", True),
+    (1, 5, 2, 3, "relu", True),
+], ids=["m2", "m3-sequences", "m3-last", "small-last", "one-step", "odd-batch", "batch-1"])
+def test_lstm_backward_matches_the_batch_major_reference(b, t, s, k, activation,
+                                                         return_sequences, input_grad):
+    # The gate-major backward runs the batch-major loop's operations in the
+    # same order, so every gradient is byte-equal; it leaves the kept state
+    # as it found it, so backward can run again after one forward.
+    rng = np.random.default_rng(27)
+    layer = bound(LSTMLayer(s, k, output_activation=activation, rng=rng,
+                            return_sequences=return_sequences))
+    layer.bias[:] = rng.normal(scale=0.5, size=4 * k)
+    out = layer.forward(rng.normal(size=(b, t, s)), train=True)
+    dout = rng.normal(size=out.shape)
+    kept = [arr.tobytes() for arr in layer._kept()]
+    want_dx, *want_grads = reference_lstm_backward(layer, dout, input_grad)
+    for _ in range(2):
+        dx = layer.backward(dout, input_grad=input_grad)
+        for name, want in zip(("grad_w_x", "grad_w_h", "grad_bias"), want_grads):
+            assert same_bits(getattr(layer, name), want), name
+        if input_grad:
+            assert same_bits(dx, want_dx)
+        else:
+            assert dx is None and want_dx is None
+        assert [arr.tobytes() for arr in layer._kept()] == kept
 
 
 class TestDense:
