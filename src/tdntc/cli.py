@@ -229,7 +229,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if unknown:
         raise datapipe.DataError(
             f"{args.csv}: label {unknown[0]!r} not in the checkpoint's classes {class_names}")
-    y = np.asarray([index_of[ds.class_names[lbl]] for lbl in ds.labels])
+    y = np.array([index_of[name] for name in ds.class_names])[ds.labels]
 
     inputs = _prepare_inputs(ds.features, graph.config.frame_input, scaler,
                              graph.config.factor_pair)

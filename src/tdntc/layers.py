@@ -191,17 +191,17 @@ class Conv2DLayer(Layer):
     """2-D cross-correlation over a single-channel input, stride 1, no padding.
 
     kernels: (units, kernel_rows, kernel_cols); biases: (units,).
-    Input (batch, rows, cols) -> output (batch, units, out_rows, out_cols).
+    Input (batch, rows, cols) -> output (batch, out_rows, out_cols, units).
 
     The forward pass is one GEMM (im2col): every kernel_rows x kernel_cols
     window becomes a row of a (batch*out_rows*out_cols, taps + 1) patch
     matrix whose last column is 1, which multiplies the C-contiguous
     (taps + 1, units) stack [kernels^T; biases], so the product already
     holds the bias (Chellapilla, Puri and Simard 2006).  The product is
-    (position, unit), so the returned array is a (batch, units, out_rows,
-    out_cols) view of channel-last memory.  The backward pass reuses the
-    patch matrix's tap columns for the kernel gradient and, unless
-    `input_grad` is false, scatters the patch gradient back tap by tap.
+    (position, unit), so the output is that product reshaped.  The backward
+    pass reuses the patch matrix's tap columns for the kernel gradient and,
+    unless `input_grad` is false, scatters the patch gradient back tap by
+    tap.
     """
 
     name = "CNN_2D"
@@ -231,12 +231,12 @@ class Conv2DLayer(Layer):
         stack = np.concatenate((self.kernels.reshape(self.units, taps).T, self.biases[None]))
         y = patches @ stack
         self._keep(train, patches, x.shape)
-        return y.reshape(b, out_r, out_c, self.units).transpose(0, 3, 1, 2)
+        return y.reshape(b, out_r, out_c, self.units)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         patches, x_shape = self._kept()
-        b, _, out_r, out_c = dout.shape
-        d = dout.transpose(0, 2, 3, 1).reshape(-1, self.units)
+        b, out_r, out_c, _ = dout.shape
+        d = dout.reshape(-1, self.units)
         d.sum(axis=0, out=self.grad_biases)
         np.matmul(d.T, patches[:, :-1], out=self.grad_kernels.reshape(self.units, -1))
         if not input_grad:
@@ -251,15 +251,14 @@ class Conv2DLayer(Layer):
 
 
 class MaxPool2x2(Layer):
-    """2x2 max pooling with stride 2; requires even spatial extents.
+    """2x2 max pooling with stride 2 over (batch, rows, cols, units) maps.
 
-    The output is the elementwise maximum of the four strided cells
-    x[:, :, i::2, j::2], taken in place into one array, cell after cell, so
-    it keeps the memory layout of its input: behind the conv it is a view of
-    channel-last memory.  A train-mode forward keeps one mask per cell that
+    Requires even rows and cols.  The output is the elementwise maximum of
+    the four strided cells x[:, i::2, j::2], taken in place into one array,
+    cell after cell.  A train-mode forward keeps one mask per cell that
     marks the first maximal cell of each window in row-major order, so
     tie-breaking is deterministic.  The backward pass writes dout * mask
-    into each cell of a gradient whose memory is channel-last.
+    into each cell of the gradient.
     """
 
     name = "MP_2D"
@@ -267,11 +266,11 @@ class MaxPool2x2(Layer):
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4:
-            raise ShapeError(f"maxpool expects (batch, units, rows, cols), got {x.shape}")
-        h, w = x.shape[2:]
+            raise ShapeError(f"maxpool expects (batch, rows, cols, units), got {x.shape}")
+        h, w = x.shape[1:3]
         if h % 2 or w % 2:
             raise GeometryError(f"maxpool 2x2 needs even spatial extents, got {h}x{w}")
-        cells = [x[:, :, i::2, j::2] for i, j in self.CELLS]
+        cells = [x[:, i::2, j::2] for i, j in self.CELLS]
         out = np.maximum(cells[0], cells[1])
         np.maximum(out, cells[2], out=out)
         np.maximum(out, cells[3], out=out)
@@ -288,25 +287,25 @@ class MaxPool2x2(Layer):
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         (masks,) = self._kept()
-        b, u, h2, w2 = dout.shape
-        dx = np.empty((b, 2 * h2, 2 * w2, u)).transpose(0, 3, 1, 2)
+        b, h2, w2, u = dout.shape
+        dx = np.empty((b, 2 * h2, 2 * w2, u))
         for (i, j), mask in zip(self.CELLS, masks):
-            np.multiply(dout, mask, out=dx[:, :, i::2, j::2])
+            np.multiply(dout, mask, out=dx[:, i::2, j::2])
         return dx
 
 
 class BatchNormLayer(Layer):
-    """Per-channel batch normalization (channel axis 1).
+    """Per-channel batch normalization over the last axis.
 
-    Train mode normalizes by the batch's statistics over the batch and any
-    spatial axes and folds them into the running estimates, running =
-    MOMENTUM * running + (1 - MOMENTUM) * batch; inference mode uses those
-    alone.  Both passes work on a (positions, channels) matrix, free for a
-    channel-last input and a copy otherwise, so reductions sum in one order
-    and the output is a view of channel-last memory.  The forward centers
-    once, scaling that copy in place into the x_hat it keeps with inv_std;
-    the backward is Ioffe and Szegedy's closed form (arXiv:1502.03167) over
-    n positions: dx = gamma * inv_std * (d - grad_beta/n - x_hat*grad_gamma/n).
+    Train mode normalizes by the batch's statistics over every other axis
+    and folds them into the running estimates, running = MOMENTUM *
+    running + (1 - MOMENTUM) * batch; inference mode uses those alone.
+    Both passes work on the (positions, channels) matrix
+    x.reshape(-1, channels), so reductions sum in one order.  The forward
+    centers once, scaling that copy in place into the x_hat it keeps with
+    inv_std; the backward is Ioffe and Szegedy's closed form
+    (arXiv:1502.03167) over n positions:
+    dx = gamma * inv_std * (d - grad_beta/n - x_hat*grad_gamma/n).
     """
 
     name = "BN"
@@ -323,12 +322,11 @@ class BatchNormLayer(Layer):
         self.running_var = np.ones(self.channels)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if x.ndim < 2 or x.shape[1] != self.channels:
+        if x.ndim < 2 or x.shape[-1] != self.channels:
             raise ShapeError(
-                f"batchnorm expects channel axis 1 of width {self.channels}, got {x.shape}"
+                f"batchnorm expects a last axis of width {self.channels}, got {x.shape}"
             )
-        last = np.moveaxis(x, 1, -1)
-        flat = last.reshape(-1, self.channels)
+        flat = x.reshape(-1, self.channels)
         if train:
             if x.shape[0] < 2:
                 raise StatisticsError("batchnorm needs batch size >= 2 in train mode")
@@ -342,14 +340,14 @@ class BatchNormLayer(Layer):
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPSILON)
         x_hat = np.multiply(centered, inv_std, out=centered)
-        self._keep(train, x_hat, inv_std, last.shape)
+        self._keep(train, x_hat, inv_std, x.shape)
         y = self.gamma * x_hat
         y += self.beta
-        return np.moveaxis(y.reshape(last.shape), -1, 1)
+        return y.reshape(x.shape)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x_hat, inv_std, shape = self._kept()
-        d = np.moveaxis(dout, 1, -1).reshape(-1, self.channels)
+        d = dout.reshape(-1, self.channels)
         n = len(d)
         prod = d * x_hat
         prod.sum(axis=0, out=self.grad_gamma)
@@ -357,7 +355,7 @@ class BatchNormLayer(Layer):
         dx = d - self.grad_beta / n
         dx -= np.multiply(x_hat, self.grad_gamma / n, out=prod)
         dx *= self.gamma * inv_std
-        return np.moveaxis(dx.reshape(shape), -1, 1)
+        return dx.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Three architectures, each in a time-distributed (td) and a vanilla (van)
 flavor:
 
   m1: conv2d -> maxpool -> batchnorm -> (td: per-row sequence + shared dense
-      per step | van: flatten + plain dense) -> decision layer
+      per step | van: units-first flatten + plain dense) -> decision layer
   m2: the raw feature vector as a sequence of N scalar steps -> LSTM ->
       (td: shared dense per step over all states | van: last state + plain
       dense) -> decision layer
@@ -129,35 +129,37 @@ class ModelConfig:
 
 
 class SequenceFold(Layer):
-    """Reinterpret the (batch, units, rows, cols) map as a step sequence.
+    """Read the (batch, rows, cols, units) conv map as the next stage's input.
 
-    mode "positions": every pooled spatial position is one step carrying the
-    channel width as features (the conv->LSTM pipeline reshape).
+    mode "positions": every pooled position is one step carrying the units
+    as features (the conv->LSTM pipeline reshape).
     mode "rows": every pooled row is one step carrying cols*units features
     (the per-row sequence the conv->time-distributed pipeline uses).
-
-    The conv front hands over channel-last memory, so the forward fold is a
-    free reshape, and the backward pass returns a channel-last view.
+    Both are plain reshapes.  mode "units-first", audit name Flatten: each
+    sample flattened in (units, rows, cols) order, the order m1-van's FFNN_0
+    weights and saved checkpoints were trained on.
     """
 
-    name = "Reshape"
+    NAMES = {"positions": "Reshape", "rows": "Reshape", "units-first": "Flatten"}
 
     def __init__(self, mode: str):
-        if mode not in ("positions", "rows"):
+        if mode not in self.NAMES:
             raise ValueError(f"unknown fold mode {mode!r}")
-        self.mode = mode
+        self.mode, self.name = mode, self.NAMES[mode]
 
     def forward(self, x, train=False):
-        b, u, h, w = x.shape
-        self._keep(train, *x.shape)
-        spatial_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-        if self.mode == "positions":
-            return spatial_last.reshape(b, h * w, u)
-        return spatial_last.reshape(b, h, w * u)
+        b, h, w, u = x.shape
+        self._keep(train, x.shape)
+        if self.mode == "units-first":
+            return x.transpose(0, 3, 1, 2).reshape(b, -1)
+        return x.reshape(b, h * w, u) if self.mode == "positions" else x.reshape(b, h, w * u)
 
     def backward(self, dout):
-        b, u, h, w = self._kept()
-        return dout.reshape(b, h, w, u).transpose(0, 3, 1, 2)
+        (shape,) = self._kept()
+        if self.mode == "units-first":
+            b, h, w, u = shape
+            return dout.reshape(b, u, h, w).transpose(0, 2, 3, 1)
+        return dout.reshape(shape)
 
 
 class Flatten(Layer):
@@ -167,7 +169,7 @@ class Flatten(Layer):
 
     def forward(self, x, train=False):
         self._keep(train, x.shape)
-        return np.ascontiguousarray(x).reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], -1)
 
     def backward(self, dout):
         (shape,) = self._kept()
@@ -327,7 +329,7 @@ def build_model(cfg: ModelConfig) -> ModelGraph:
     if cfg.variant == "m1-td":
         stages += [SequenceFold("rows"), dense(), Flatten()]
     elif cfg.variant == "m1-van":
-        stages += [Flatten(), dense()]
+        stages += [SequenceFold("units-first"), dense()]
     elif cfg.variant == "m2-td":
         stages += [LSTMLayer(1, u, output_activation="relu", rng=rng), dense(), Flatten()]
     elif cfg.variant == "m2-van":

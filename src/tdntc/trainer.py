@@ -34,6 +34,7 @@ from .models import BuildError, ModelConfig, ModelGraph, build_model, state_shap
 
 CHECKPOINT_MAGIC = b"TDNTC1"
 CHECKPOINT_VERSION = 1
+INFER_BATCH = 256  # rows per inference forward in validation and evaluate
 
 
 class DivergenceError(RuntimeError):
@@ -176,15 +177,14 @@ def _batch_indices(n: int, batch_size: int, rng: np.random.Generator) -> List[np
     return batches
 
 
-def _dataset_loss_acc(graph: ModelGraph, x: np.ndarray, y: np.ndarray,
-                      batch_size: int = 256) -> Tuple[float, float]:
+def _dataset_loss_acc(graph: ModelGraph, x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
     if x.shape[0] == 0:
         return float("nan"), float("nan")
     total_loss = 0.0
     correct = 0
-    for start in range(0, x.shape[0], batch_size):
-        xb = x[start:start + batch_size]
-        yb = y[start:start + batch_size]
+    for start in range(0, x.shape[0], INFER_BATCH):
+        xb = x[start:start + INFER_BATCH]
+        yb = y[start:start + INFER_BATCH]
         logits = graph.forward_logits(xb, train=False)
         _, losses, _ = softmax_cross_entropy_batch(logits, yb)
         total_loss += float(losses.sum())
@@ -272,8 +272,8 @@ def evaluate(graph: ModelGraph, x: np.ndarray, y: np.ndarray) -> ClassReport:
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty split")
     preds = []
-    for start in range(0, x.shape[0], 256):
-        _, classes = graph.predict(x[start:start + 256])
+    for start in range(0, x.shape[0], INFER_BATCH):
+        _, classes = graph.predict(x[start:start + INFER_BATCH])
         preds.append(classes)
     y_pred = np.concatenate(preds)
     return classification_metrics(confusion_matrix(y, y_pred, graph.config.n_classes))

@@ -156,7 +156,7 @@ def check_maxpool(rng: np.random.Generator) -> float:
     h, w = 2 * int(rng.integers(1, 4)), 2 * int(rng.integers(1, 4))
     layer = layers.MaxPool2x2()
     # distinct, well-separated values: no ties, no argmax flips under 1e-5
-    x = rng.permutation(b * u * h * w).astype(np.float64).reshape(b, u, h, w)
+    x = rng.permutation(b * h * w * u).astype(np.float64).reshape(b, h, w, u)
     proj = rng.normal(size=layer.forward(x).shape)
 
     def scalar(_ignored=None):
@@ -168,29 +168,14 @@ def check_maxpool(rng: np.random.Generator) -> float:
     return relative_grad_error(dx, numeric)
 
 
-def pooled_channel_last(rng: np.random.Generator, shape) -> np.ndarray:
-    """A (b, c, h, w) input laid out as `MaxPool2x2` emits it behind the conv.
-
-    The pool's output is dense channel-last memory seen through a transposed
-    view, neither C- nor F-contiguous: the layout batchnorm meets in m1 and m3.
-    """
-    b, c, h, w = shape
-    conv_out = np.moveaxis(rng.normal(size=(b, 2 * h, 2 * w, c)), -1, 1)
-    return layers.MaxPool2x2().forward(conv_out)
-
-
 def check_batchnorm(rng: np.random.Generator) -> float:
     channels = int(rng.integers(1, 5))
-    shape = (int(rng.integers(2, 5)), channels, int(rng.integers(1, 3)),
-             int(rng.integers(1, 3)))
+    shape = (int(rng.integers(2, 5)), int(rng.integers(1, 3)), int(rng.integers(1, 3)),
+             channels)
     layer = bound(layers.BatchNormLayer(channels))
     layer.gamma[:] = rng.normal(1.0, 0.2, size=channels)
     layer.beta[:] = rng.normal(0.0, 0.2, size=channels)
-    # half the cases run on the pooled channel-last layout m1 and m3 feed it
-    if rng.integers(2):
-        x = pooled_channel_last(rng, shape)
-    else:
-        x = rng.normal(size=shape)
+    x = rng.normal(size=shape)
     proj = rng.normal(size=shape)
 
     def forward():
@@ -212,8 +197,7 @@ def reference_batchnorm_forward(x, gamma, beta, running_mean, running_var, train
     `reference_batchnorm_backward`.  The layer computes the same forward with
     one centering and must match it bit for bit.
     """
-    last = np.moveaxis(x, 1, -1)
-    flat = last.reshape(-1, last.shape[-1])
+    flat = x.reshape(-1, x.shape[-1])
     if train:
         mean = flat.mean(axis=0)
         var = flat.var(axis=0)
@@ -225,14 +209,14 @@ def reference_batchnorm_forward(x, gamma, beta, running_mean, running_var, train
     centered = flat - mean
     x_hat = centered * inv_std
     y = gamma * x_hat + beta
-    cache = (x_hat, centered, inv_std, last.shape)
-    return np.moveaxis(y.reshape(last.shape), -1, 1), running_mean, running_var, cache
+    cache = (x_hat, centered, inv_std, x.shape)
+    return y.reshape(x.shape), running_mean, running_var, cache
 
 
 def reference_batchnorm_backward(cache, gamma, dout):
     """(dx, grad_gamma, grad_beta) by the three-term chain rule through mean and var."""
     x_hat, centered, inv_std, shape = cache
-    d = np.moveaxis(dout, 1, -1).reshape(-1, shape[-1])
+    d = dout.reshape(-1, shape[-1])
     n = len(d)
     grad_gamma = (d * x_hat).sum(axis=0)
     grad_beta = d.sum(axis=0)
@@ -241,7 +225,7 @@ def reference_batchnorm_backward(cache, gamma, dout):
     dmean = (-(dxhat.sum(axis=0)) * inv_std
              + dvar * (-2.0 / n) * centered.sum(axis=0))
     dx = dxhat * inv_std + dvar * 2.0 * centered / n + dmean / n
-    return np.moveaxis(dx.reshape(shape), -1, 1), grad_gamma, grad_beta
+    return dx.reshape(shape), grad_gamma, grad_beta
 
 
 def reference_conv2d(x, kernels, biases, dout):
@@ -259,9 +243,9 @@ def reference_conv2d(x, kernels, biases, dout):
     patches = windows.reshape(-1, kernel_rows * kernel_cols)
     y = patches @ kernels.reshape(units, -1).T
     y += biases
-    d = dout.transpose(0, 2, 3, 1).reshape(-1, units)
+    d = dout.reshape(-1, units)
     y = y.reshape(b, rows - kernel_rows + 1, cols - kernel_cols + 1, units)
-    return y.transpose(0, 3, 1, 2), (d.T @ patches).reshape(kernels.shape), d.sum(axis=0)
+    return y, (d.T @ patches).reshape(kernels.shape), d.sum(axis=0)
 
 
 def reference_lstm_backward(layer, dout, input_grad=True):

@@ -123,7 +123,7 @@ def test_criterion_4_convolution_oracle():
         got = layer.forward(x[None])[0]
         expected_dims = (rows - p + 1, cols - q + 1)
         assert conv2d_output_dims(rows, cols, p, q) == expected_dims
-        assert got.shape[1:] == expected_dims
+        assert got.shape[:2] == expected_dims
         want = brute_force_conv2d(x, layer.kernels, layer.biases)
         assert np.abs(got - want).max() <= 1e-12
 

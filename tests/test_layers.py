@@ -9,7 +9,6 @@ from gradcheck_lib import (
     grads,
     lstm_hidden_states,
     params,
-    pooled_channel_last,
     reference_batchnorm_backward,
     reference_batchnorm_forward,
     reference_conv2d,
@@ -29,7 +28,7 @@ from tdntc.layers import (
     softmax,
     softmax_cross_entropy_batch,
 )
-from tdntc.models import Flatten, SequenceFold
+from tdntc.models import SequenceFold
 
 
 def one(layer, x):
@@ -39,7 +38,7 @@ def one(layer, x):
 
 def maxpool_map(x):
     """Pool a single (rows, cols) map."""
-    return MaxPool2x2().forward(x[None, None])[0, 0]
+    return MaxPool2x2().forward(x[None, :, :, None])[0, :, :, 0]
 
 
 def cross_entropy(logits, true_class):
@@ -50,11 +49,12 @@ def cross_entropy(logits, true_class):
 
 
 def brute_force_conv2d(x, kernels, biases):
-    """Direct-sum convolution oracle: nothing shared with the layer code."""
+    """Direct-sum convolution oracle, (out_rows, out_cols, units): nothing
+    shared with the layer code."""
     rows, cols = x.shape
     units, p, q = kernels.shape
     out_r, out_c = rows - p + 1, cols - q + 1
-    out = np.zeros((units, out_r, out_c))
+    out = np.zeros((out_r, out_c, units))
     for u in range(units):
         for i in range(out_r):
             for j in range(out_c):
@@ -62,7 +62,7 @@ def brute_force_conv2d(x, kernels, biases):
                 for a in range(p):
                     for b in range(q):
                         acc += kernels[u, a, b] * x[i + a, j + b]
-                out[u, i, j] = acc + biases[u]
+                out[i, j, u] = acc + biases[u]
     return out
 
 
@@ -74,20 +74,15 @@ def brute_force_conv2d_backward(x, kernels, dout):
     d_biases = np.zeros(units)
     for n in range(x.shape[0]):
         for u in range(units):
-            for i in range(dout.shape[2]):
-                for j in range(dout.shape[3]):
-                    g = dout[n, u, i, j]
+            for i in range(dout.shape[1]):
+                for j in range(dout.shape[2]):
+                    g = dout[n, i, j, u]
                     d_biases[u] += g
                     for a in range(p):
                         for b in range(q):
                             d_kernels[u, a, b] += g * x[n, i + a, j + b]
                             dx[n, i + a, j + b] += g * kernels[u, a, b]
     return d_kernels, d_biases, dx
-
-
-def channel_last(x):
-    """The same (batch, units, rows, cols) values held in channel-last memory."""
-    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 class TestConvGeometry:
@@ -111,7 +106,7 @@ class TestConv2D:
         layer = Conv2DLayer(1, kernel=(1, 1), rng=np.random.default_rng(0))
         layer.kernels[...] = 2.0
         out = one(layer, np.ones((2, 2)))
-        assert out.shape == (1, 2, 2)
+        assert out.shape == (2, 2, 1)
         assert (out == 2.0).all()
 
     def test_window_sums(self):
@@ -119,7 +114,7 @@ class TestConv2D:
         layer.kernels[:] = 1.0
         x = np.arange(1.0, 10.0).reshape(3, 3)
         out = one(layer, x)
-        assert out[0].tolist() == [[12.0, 16.0], [24.0, 28.0]]
+        assert out[..., 0].tolist() == [[12.0, 16.0], [24.0, 28.0]]
 
     def test_bias_only(self):
         layer = Conv2DLayer(2, kernel=(2, 2), rng=np.random.default_rng(0))
@@ -139,7 +134,7 @@ class TestConv2D:
             got = one(layer, x)
             want = brute_force_conv2d(x, layer.kernels, layer.biases)
             assert got.shape == want.shape
-            assert got.shape[1:] == conv2d_output_dims(rows, cols, p, q)
+            assert got.shape[:2] == conv2d_output_dims(rows, cols, p, q)
             assert np.abs(got - want).max() <= 1e-12
 
     def test_batched_passes_match_direct_sums(self):
@@ -214,7 +209,7 @@ class TestMaxPool:
     def test_gradient_mass_is_conserved(self):
         rng = np.random.default_rng(4)
         pool = MaxPool2x2()
-        x = rng.normal(size=(2, 3, 4, 6))
+        x = rng.normal(size=(2, 4, 6, 3))
         out = pool.forward(x, train=True)
         dout = rng.normal(size=out.shape)
         dx = pool.backward(dout)
@@ -222,23 +217,25 @@ class TestMaxPool:
 
     def test_tie_routes_to_first_in_row_major(self):
         pool = MaxPool2x2()
-        x = np.zeros((1, 1, 2, 2))
+        x = np.zeros((1, 2, 2, 1))
         pool.forward(x, train=True)
         dx = pool.backward(np.array([[[[1.0]]]]))
-        assert dx[0, 0].tolist() == [[1.0, 0.0], [0.0, 0.0]]
-        # Batch 2 x 3 channels of 2x2 windows on a 4x4 grid.  The window
+        assert dx[0, :, :, 0].tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        # Batch 2 of 2x2 windows on a 4x4 grid x 3 channels.  The window
         # maximum fills cells first..3 in row-major order, so the gradient
-        # belongs to cell `first` alone.
+        # belongs to cell `first` alone.  Axes: (batch, window row, window
+        # col, unit, cell) <-> (batch, window row, cell row, window col,
+        # cell col, unit).
         rng = np.random.default_rng(9)
         for first in range(4):
             cells = np.where(np.arange(4) >= first, 5.0,
-                             rng.uniform(-1.0, 1.0, size=(2, 3, 2, 2, 4)))
-            x = cells.reshape(2, 3, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 4, 4)
+                             rng.uniform(-1.0, 1.0, size=(2, 2, 2, 3, 4)))
+            x = cells.reshape(2, 2, 2, 3, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(2, 4, 4, 3)
             assert (pool.forward(x, train=True) == 5.0).all()
-            dout = rng.normal(size=(2, 3, 2, 2))
+            dout = rng.normal(size=(2, 2, 2, 3))
             dx = pool.backward(dout)
-            got = dx.reshape(2, 3, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 2, 2, 4)
-            want = np.zeros((2, 3, 2, 2, 4))
+            got = dx.reshape(2, 2, 2, 2, 2, 3).transpose(0, 1, 3, 5, 2, 4).reshape(2, 2, 2, 3, 4)
+            want = np.zeros((2, 2, 2, 3, 4))
             want[..., first] = dout
             assert np.array_equal(got, want), first
 
@@ -281,7 +278,7 @@ class TestConv2DAgainstSeparateBiasReference:
 
 def tree_maxpool(x):
     """The 2x2 pool as a tree of three maxima, with first-maximum masks."""
-    cells = [x[:, :, i::2, j::2] for i, j in MaxPool2x2.CELLS]
+    cells = [x[:, i::2, j::2] for i, j in MaxPool2x2.CELLS]
     out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
     masks, free = [], np.ones(out.shape, dtype=bool)
     for cell in cells:
@@ -290,15 +287,12 @@ def tree_maxpool(x):
     return out, masks
 
 
-@pytest.mark.parametrize("layout", ["channel-first", "channel-last"])
-def test_maxpool_in_place_maxima_match_the_tree(layout):
+def test_maxpool_in_place_maxima_match_the_tree():
     # Small integers make ties common; max is exact, so every bit must agree.
     rng = np.random.default_rng(7)
     for _ in range(40):
-        shape = tuple(int(rng.integers(1, 5)) * m for m in (1, 1, 2, 2))
+        shape = tuple(int(rng.integers(1, 5)) * m for m in (1, 2, 2, 1))
         x = rng.integers(-2, 3, size=shape).astype(np.float64)
-        if layout == "channel-last":
-            x = channel_last(x)
         pool = MaxPool2x2()
         want, want_masks = tree_maxpool(x)
         assert pool.forward(x).tobytes() == want.tobytes()
@@ -313,25 +307,46 @@ def test_maxpool_in_place_maxima_match_the_tree(layout):
 
 
 class TestConvFrontLayout:
-    """The stages after the conv see channel-last memory; results must not."""
+    """Every stage from the pool to the fold reads and writes units last."""
 
     @pytest.mark.parametrize("make", [
         MaxPool2x2, lambda: bound(BatchNormLayer(3)), lambda: SequenceFold("rows"),
-        lambda: SequenceFold("positions"), Flatten,
+        lambda: SequenceFold("positions"), lambda: SequenceFold("units-first"),
     ], ids=["maxpool", "batchnorm", "fold-rows", "fold-positions", "flatten"])
-    def test_results_are_bit_identical_for_both_layouts(self, make):
+    def test_stage_keeps_units_on_the_last_axis(self, make):
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(4, 3, 4, 6))
-        assert not channel_last(x).flags.c_contiguous
-        dout = rng.normal(size=make().forward(x).shape)
-        results = []
-        for x_form in (x, channel_last(x)):
-            for dout_form in ((dout, channel_last(dout)) if dout.ndim == 4 else (dout,)):
-                layer = make()
-                out = layer.forward(x_form, train=True)
-                dx = layer.backward(dout_form)
-                results.append((out.shape, out.tobytes(), dx.shape, dx.tobytes()))
-        assert all(r == results[0] for r in results[1:])
+        b, h, w, u = x_shape = (4, 4, 6, 3)
+        x = rng.normal(size=x_shape)
+        layer = make()
+        out = layer.forward(x, train=True)
+        dout = rng.normal(size=out.shape)
+        dx = layer.backward(dout)
+        assert dx.shape == x_shape
+        if isinstance(layer, MaxPool2x2):
+            # window (i, j) of unit k is x[:, 2i:2i+2, 2j:2j+2, k]; its
+            # gradient goes to its maximum alone
+            windows = x.reshape(b, h // 2, 2, w // 2, 2, u)
+            want = windows.max(axis=(2, 4))
+            assert out.tobytes() == want.tobytes()
+            dx_windows = dx.reshape(windows.shape)
+            assert np.array_equal(dx_windows != 0, windows == want[:, :, None, :, None])
+            assert np.array_equal(dx_windows.sum(axis=(2, 4)), dout)
+        elif isinstance(layer, BatchNormLayer):
+            # unit k is normalized over every batch row and position
+            flat = x.reshape(-1, u)
+            want = (flat - flat.mean(axis=0)) / np.sqrt(flat.var(axis=0) + layer.EPSILON)
+            assert np.abs(out.reshape(-1, u) - want).max() <= 1e-12
+            assert np.abs(layer.grad_beta - dout.reshape(-1, u).sum(axis=0)).max() <= 1e-12
+        elif layer.name == "Reshape":
+            # a fold is a reshape both ways: no copy, no reorder
+            assert np.shares_memory(out, x) and np.shares_memory(dx, dout)
+            assert out.tobytes() == x.tobytes() and dx.tobytes() == dout.tobytes()
+        else:
+            # m1-van's flatten reads each sample units first, (units, rows, cols)
+            assert layer.name == "Flatten"
+            for n, k, i, j in np.ndindex(b, u, h, w):
+                assert out[n, (k * h + i) * w + j] == x[n, i, j, k]
+                assert dx[n, i, j, k] == dout[n, (k * h + i) * w + j]
 
 
 class TestBatchNorm:
@@ -380,23 +395,20 @@ def same_bits(a, b):
 
 
 def batchnorm_cases(count, seed):
-    """(layer, x, dout) on random shapes, alternating the channel-first and the
-    pooled channel-last layout; gamma, beta and the running statistics are random."""
+    """(layer, x, dout) on random (batch, rows, cols, channels) shapes; gamma,
+    beta and the running statistics are random."""
     rng = np.random.default_rng(seed)
     for i in range(count):
-        shape = tuple(int(rng.integers(lo, hi)) for lo, hi in ((2, 41), (1, 17), (1, 5), (1, 5)))
+        shape = tuple(int(rng.integers(lo, hi)) for lo, hi in ((2, 41), (1, 5), (1, 5), (1, 17)))
         if i == 0:
-            shape = (32, 128, 3, 2)  # train-cnn's m1-td shape behind the pool
-        c = shape[1]
+            shape = (32, 3, 2, 128)  # train-cnn's m1-td shape behind the pool
+        c = shape[-1]
         layer = bound(BatchNormLayer(c))
         layer.gamma[:] = rng.normal(1.0, 0.3, size=c)
         layer.beta[:] = rng.normal(0.0, 0.3, size=c)
         layer.running_mean = rng.normal(size=c)
         layer.running_var = rng.uniform(0.1, 3.0, size=c)
-        if i % 2:
-            x = pooled_channel_last(rng, shape)
-        else:
-            x = rng.normal(loc=rng.normal(size=(1, c, 1, 1)), size=shape)
+        x = rng.normal(loc=rng.normal(size=c), size=shape)
         yield layer, x, rng.normal(size=shape)
 
 
@@ -431,8 +443,8 @@ class TestBatchNormAgainstThreeTermReference:
         for layer, x, dout in batchnorm_cases(60, seed=19):
             layer.forward(x, train=True)
             x_hat, inv_std, _ = layer._kept()
-            d = np.moveaxis(dout, 1, -1).reshape(x_hat.shape)
-            dx = np.moveaxis(layer.backward(dout), 1, -1).reshape(x_hat.shape)
+            d = dout.reshape(x_hat.shape)
+            dx = layer.backward(dout).reshape(x_hat.shape)
             scale = (np.abs(layer.gamma * inv_std * d) * (1 + x_hat ** 2)).sum(axis=0)
             eps_share = layer.gamma * inv_std ** 3 * layer.EPSILON * layer.grad_gamma
             for terms, want in ((dx, 0.0), (dx * x_hat, eps_share)):
