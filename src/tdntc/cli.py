@@ -108,10 +108,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _prepare_inputs(features, variant_frame_input: bool, scaler, factor_pair):
-    """Scale a feature matrix and shape it for the variant."""
+    """Scale a feature matrix in place and shape it for the variant."""
     from . import datapipe
 
-    scaled = datapipe.minmax_apply(scaler, features)
+    scaled = datapipe.minmax_apply(scaler, features, out=features)
     if variant_frame_input:
         return datapipe.frames_from_flows(scaled, factor_pair=factor_pair).frames
     return scaled

@@ -162,18 +162,20 @@ def minmax_fit(train_features: np.ndarray) -> ScalerState:
     return ScalerState(features.min(axis=0), features.max(axis=0))
 
 
-def minmax_apply(state: ScalerState, features: np.ndarray) -> np.ndarray:
+def minmax_apply(state: ScalerState, features: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Scale to [0,1] by the fitted range, clamp anything outside it.
 
     A constant feature (max == min on the training split) maps to 0.  The
-    result is one new array, written in place; a value so far outside the
+    result is one array, `out` if given (`features` itself may be it),
+    otherwise a new one, written in place; a value so far outside the
     range that its distance overflows still clamps to 0 or 1.
     """
     features = np.asarray(features, dtype=np.float64)
     span = state.feature_max - state.feature_min
     constant = span == 0.0
     with np.errstate(over="ignore"):
-        scaled = np.subtract(features, state.feature_min)
+        scaled = np.subtract(features, state.feature_min, out=out)
         scaled /= np.where(constant, 1.0, span)
     scaled[..., constant] = 0.0
     return np.clip(scaled, 0.0, 1.0, out=scaled)

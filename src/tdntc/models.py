@@ -47,6 +47,7 @@ from .layers import (
 )
 
 VARIANTS = ("m1-td", "m1-van", "m2-td", "m2-van", "m3-td", "m3-van")
+INFER_BLOCK = 32  # rows per feature-stage pass in inference: the default --batch
 
 
 class BuildError(ValueError):
@@ -199,6 +200,14 @@ class ModelGraph:
     probabilities and argmax classes.  `flat_params` and `flat_grads` hold
     every trainable tensor and its gradient in walk order, and the tensors
     are views of them, so the optimizer steps them in one pass.
+
+    An inference pass runs the feature stages (all but the decision layer)
+    over blocks of `INFER_BLOCK` rows into one array, then the decision
+    layer once over all rows, so a chunk never holds its whole conv map.
+    Every row keeps the bits of one pass over all rows: the feature stages'
+    GEMMs give the same rows for any block of two or more, while the
+    n_classes-wide decision GEMM does not.  A train pass runs whole, since
+    batchnorm normalizes by the batch's statistics.
     """
 
     def __init__(self, config: ModelConfig, stages: List[Layer]):
@@ -231,15 +240,31 @@ class ModelGraph:
 
     # -- passes
 
+    def _features(self, x: np.ndarray, train: bool) -> np.ndarray:
+        """What every stage before the decision layer makes of `x`."""
+        for stage in self.stages[:-1]:
+            x = stage.forward(x, train)
+        return x
+
     def forward_logits(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        out = self._check_batch(np.asarray(x, dtype=np.float64))
+        x = self._check_batch(np.asarray(x, dtype=np.float64))
         # Drop the last pass's kept state first, so no stage allocates its
         # new state while the stages after it still hold the old one.
         for stage in self.stages:
             stage._keep(False)
-        for stage in self.stages[:-1]:
-            out = stage.forward(out, train)
-        return self.stages[-1].forward_logits(out, train)
+        decision = self.stages[-1]
+        if train:
+            return decision.forward_logits(self._features(x, True), True)
+        # Inference, in blocks.  A 1-row tail joins the block before it:
+        # numpy multiplies a single row by GEMV, whose bits differ from GEMM's.
+        n = x.shape[0]
+        starts = list(range(0, n, INFER_BLOCK)) or [0]  # no rows: one empty block
+        if len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()
+        features = np.empty((n, decision.in_size))
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            features[lo:hi] = self._features(x[lo:hi], False)
+        return decision.forward_logits(features, False)
 
     def backward(self, dout: np.ndarray) -> None:
         """Fill `flat_grads` from the logits' gradient; the first stage makes no dx."""

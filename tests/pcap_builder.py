@@ -2,13 +2,18 @@
 
 Timestamps are passed as (seconds, fractional-ticks) integer pairs so the
 expected float timestamps can be recomputed exactly in the tests.
+
+    python tests/pcap_builder.py reorder IN OUT
+
+writes a copy of the little-endian capture IN with its records out of time
+order (see `reorder`).
 """
 
 from __future__ import annotations
 
 import struct
-
-from tdntc import flowcap
+import sys
+from pathlib import Path
 
 MAGIC_USEC = 0xA1B2C3D4
 MAGIC_NSEC = 0xA1B23C4D
@@ -79,7 +84,44 @@ def tcp(src: str, sport: int, dst: str, dport: int, payload_len: int = 0,
                          options=options)
 
 
-def packet_rows(packets: flowcap.Packets) -> list:
-    """Per-packet (timestamp, payload_len, protocol, src_ip, dst_ip, src_port, dst_port)."""
+def packet_rows(packets) -> list:
+    """Per-packet (timestamp, payload_len, protocol, src_ip, dst_ip, src_port, dst_port).
+
+    `packets` is a `flowcap.Packets`; flowcap is imported here so that the
+    `reorder` entry point needs only the standard library.
+    """
+    from tdntc import flowcap
+
     return [(t, total_len - 20, *rest) for t, (total_len, *rest)
             in zip(packets.timestamp, flowcap._HEAD.iter_unpack(packets.heads))]
+
+
+def reorder(raw: bytes) -> bytes:
+    """The little-endian capture `raw` with its records out of time order.
+
+    Records are sorted by (seconds mod 7, time, file index): out of time
+    order, with records of equal time kept in file order, so flow assembly
+    must read the copy as it reads the original.  ValueError if the copy is
+    still in time order.
+    """
+    records, offset = [], 24
+    while offset < len(raw):
+        sec, frac, incl = struct.unpack_from("<III", raw, offset)
+        records.append((sec % 7, sec, frac, len(records), raw[offset:offset + 16 + incl]))
+        offset += 16 + incl
+    records.sort()
+    times = [record[1:3] for record in records]
+    if times == sorted(times):
+        raise ValueError("the reordered capture is still in time order")
+    return raw[:24] + b"".join(record[-1] for record in records)
+
+
+def main(argv) -> int:
+    if len(argv) != 3 or argv[0] != "reorder":
+        raise SystemExit("usage: python tests/pcap_builder.py reorder IN OUT")
+    Path(argv[2]).write_bytes(reorder(Path(argv[1]).read_bytes()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

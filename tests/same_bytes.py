@@ -9,10 +9,17 @@ fixed matrix in one subprocess that calls `tdntc.cli.main` in process:
 
 - `train` and `evaluate --out` of the six variants under Adam and SGD
 - one m3-td `train --trials 2 --lr-jitter 0.1` and its `evaluate --out`
-- `audit-params` of the six variants at 48 features and 141 classes
+- `audit-params` of the six variants at 48 features and 141 classes, and
+  at 48 and 3 with `--units 16`, plus `--factor-pair 8,6` for m1 and m3
+  (m2 refuses any factor pair)
+- `featurize` of the capture that `python perfbench/inputs.py capture 1
+  OUT` writes, in file order and reordered (`pcap_builder.reorder`), at
+  `--idle-timeout` 0, 1 and 60, with and without `--pad-to 48`: the CSV
+  and its `.summary.json`
 
-The synth CSV that both matrices read is written once, by the change
-tree, so a change to what `synth` writes shows as one differing input,
+The inputs both matrices read are written once: the capture by the
+perfbench generator, the synth CSV and the reordered capture by the change
+tree.  So a change to what `synth` writes shows as one differing input,
 not as every artifact differing.  A third subprocess has the change tree
 evaluate every checkpoint the parent wrote.  The script prints each file
 that differs between the two trees' outputs, and each parent checkpoint
@@ -34,7 +41,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import pcap_builder
 
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
@@ -44,6 +53,10 @@ OPTIMIZERS = ("adam", "sgd")
 SYNTH_ARGS = ["--classes", "3", "--per-class", "60", "--features", "48", "--seed", "3"]
 TRAIN_ARGS = ["--epochs", "3", "--units", "16", "--td-units", "16", "--seed", "5"]
 TRIALS_ARGS = ["--variant", "m3-td", "--trials", "2", "--lr-jitter", "0.1"]
+AUDITS = {"48-141": ["48", "141"], "48-3-units16": ["48", "3", "--units", "16"],
+          "48-3-units16-pair8x6": ["48", "3", "--units", "16", "--factor-pair", "8,6"]}
+# (idle timeout, --pad-to 48) of each featurize run
+FEATURIZE_CASES = tuple((timeout, pad) for timeout in ("0", "1", "60") for pad in (False, True))
 
 
 def _cli(argv: Sequence[str]) -> str:
@@ -61,8 +74,12 @@ def _cli(argv: Sequence[str]) -> str:
 def run_matrix(spec: dict) -> None:
     """Write one tree's artifacts for `spec` (see `_spawn`) under spec["out"]."""
     out, csv = Path(spec["out"]), spec["csv"]
+    captures = spec.get("captures", ())
     if spec.get("synth"):
         _cli(["synth", *SYNTH_ARGS, "--out", csv])
+        if captures:
+            in_order, reordered = map(Path, captures)
+            reordered.write_bytes(pcap_builder.reorder(in_order.read_bytes()))
     runs = [(f"{variant}-{opt}", ["--variant", variant, "--optimizer", opt])
             for variant in spec["variants"] for opt in spec["optimizers"]]
     if spec["trials"]:
@@ -72,8 +89,18 @@ def run_matrix(spec: dict) -> None:
         _cli(["train", csv, *args, *TRAIN_ARGS, "--out", str(run)])
         _cli(["evaluate", str(run / "model.ckpt"), csv, "--out", str(run / "evaluate")])
     for variant in spec["variants"]:
-        text = _cli(["audit-params", variant, "48", "141"])
-        (out / f"audit-{variant}.txt").write_text(text, encoding="utf-8")
+        for name, args in AUDITS.items():
+            if "--factor-pair" in args and variant.startswith("m2"):
+                continue
+            text = _cli(["audit-params", variant, *args])
+            (out / f"audit-{variant}-{name}.txt").write_text(text, encoding="utf-8")
+    for capture in captures:
+        for timeout, pad in spec["featurize"]:
+            name = f"{Path(capture).stem}-idle{timeout}{'-pad48' if pad else ''}.csv"
+            flows = out / "featurize" / name
+            flows.parent.mkdir(exist_ok=True)
+            _cli(["featurize", capture, "--out", str(flows), "--idle-timeout", timeout,
+                  *(["--pad-to", "48"] if pad else [])])
     for ckpt in spec.get("checkpoints", ()):
         name = Path(ckpt).parent.name
         _cli(["evaluate", ckpt, csv, "--out", str(out / name / "evaluate")])
@@ -112,19 +139,25 @@ def diff_dirs(a: Path, b: Path) -> Tuple[int, List[str]]:
 
 
 def compare(parent_src: Path, change_src: Path, work: Path, variants=VARIANTS,
-            optimizers=OPTIMIZERS, trials: bool = True) -> Tuple[int, List[str]]:
-    """Run the matrix on both trees under `work`; (files compared, differences)."""
+            optimizers=OPTIMIZERS, trials: bool = True, capture: Optional[Path] = None,
+            featurize=FEATURIZE_CASES) -> Tuple[int, List[str]]:
+    """Run the matrix on both trees under `work`; (files compared, differences).
+
+    `capture`, if given, is featurized in file order and reordered, once
+    for each (idle timeout, pad) case of `featurize`.
+    """
     csv = str(work / "synth.csv")
     sides = {name: work / name for name in ("parent", "change", "cross")}
     for path in sides.values():
         path.mkdir(parents=True)
+    captures = [str(capture), str(work / "reordered.pcap")] if capture else []
     spec = {"csv": csv, "variants": list(variants), "optimizers": list(optimizers),
-            "trials": trials}
+            "trials": trials, "captures": captures, "featurize": list(featurize)}
     _spawn(change_src, dict(spec, out=str(sides["change"]), synth=True))
     _spawn(parent_src, dict(spec, out=str(sides["parent"])))
     checkpoints = sorted(str(p) for p in sides["parent"].glob("*/model.ckpt"))
     _spawn(change_src, dict(spec, out=str(sides["cross"]), variants=[], optimizers=[],
-                            trials=False, checkpoints=checkpoints))
+                            trials=False, captures=[], checkpoints=checkpoints))
     count, lines = diff_dirs(sides["parent"], sides["change"])
     # the change's evaluation of each parent checkpoint against the parent's own
     for ckpt in checkpoints:
@@ -145,7 +178,10 @@ def main(argv=None) -> int:
         parent_src = export_src(args.parent, work / "trees" / "parent")
         change_src = (export_src(args.change, work / "trees" / "change") if args.change
                       else REPO / "src")
-        count, lines = compare(parent_src, change_src, work / "out")
+        capture = work / "capture.pcap"
+        subprocess.run([sys.executable, str(REPO / "perfbench" / "inputs.py"), "capture", "1",
+                        str(capture)], check=True)
+        count, lines = compare(parent_src, change_src, work / "out", capture=capture)
     for line in lines:
         print(line)
     change = args.change or "the working tree"

@@ -304,6 +304,36 @@ class TestFeaturize:
                        cwd=Path(__file__).resolve().parent.parent)
         assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
+    def test_reordered_capture_writes_the_same_bytes(self, tmp_path):
+        # `python tests/pcap_builder.py reorder`, which CI runs on a perfbench
+        # capture, needs only the standard library.  Its copy holds the same
+        # records out of time order, and featurize reads both alike at every
+        # idle timeout.
+        fwd = pb.udp("10.0.0.1", 1000, "10.0.0.2", 53, payload_len=4)
+        rev = pb.udp("10.0.0.2", 53, "10.0.0.1", 1000, payload_len=40)
+        data = pb.capture([(sec, 250 * k, (fwd, rev)[(sec + k) % 2])
+                           for sec in range(0, 40, 3) for k in range(2)])
+        pcap, reordered = tmp_path / "in-order.pcap", tmp_path / "reordered.pcap"
+        pcap.write_bytes(data)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        subprocess.run([sys.executable, pb.__file__, "reorder", str(pcap), str(reordered)],
+                       check=True, env=env, cwd=tmp_path)
+        assert reordered.read_bytes() != data
+        assert sorted(reordered.read_bytes()) == sorted(data)
+        for timeout in ("0", "1", "60"):
+            written = []
+            for source in (pcap, reordered):
+                out = tmp_path / f"{source.stem}-{timeout}.csv"
+                assert main(["featurize", str(source), "--out", str(out), "--label", "x",
+                             "--idle-timeout", timeout]) == 0
+                written.append((out.read_bytes(), Path(f"{out}.summary.json").read_bytes()))
+            assert written[0] == written[1], timeout
+
+    def test_reorder_refuses_to_leave_a_capture_in_time_order(self):
+        frame = pb.udp("10.0.0.1", 1000, "10.0.0.2", 53)
+        with pytest.raises(ValueError, match="still in time order"):
+            pb.reorder(pb.capture([(0, 0, frame), (7, 0, frame)]))
+
     def test_pad_to_width(self, tmp_path):
         pcap = tmp_path / "p.pcap"
         pcap.write_bytes(pb.capture([(0, 0, pb.udp("1.1.1.1", 1, "2.2.2.2", 2))]))
@@ -327,6 +357,26 @@ def test_featurize_imports_no_numpy():
     env = dict(os.environ, PYTHONPATH="src")
     subprocess.run([sys.executable, "-c", code], check=True, env=env,
                    cwd=Path(__file__).resolve().parent.parent)
+
+
+def test_prepare_inputs_scales_the_matrix_in_place():
+    # `train` and `evaluate` read their matrix no more after scaling it, so
+    # it is scaled where it lies; the allocating scale held 1.13 times it.
+    from tdntc import cli, datapipe
+
+    values = np.random.default_rng(0).normal(size=(20_000, 48))
+    scaler = datapipe.minmax_fit(values[:14_000])  # the rest clamps in places
+    want = datapipe.frames_from_flows(datapipe.minmax_apply(scaler, values.copy())).frames
+    features = values.copy()
+    tracemalloc.start()
+    try:
+        got = cli._prepare_inputs(features, True, scaler, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    # frames_from_flows' isfinite mask alone is 0.125 times the matrix
+    assert peak < 0.2 * values.nbytes, f"peak {peak / values.nbytes:.2f}x the matrix"
 
 
 class TestTrainEvaluate:

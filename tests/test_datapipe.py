@@ -153,6 +153,10 @@ class TestMinMax:
         got = minmax_apply(state, x)
         assert got.tobytes() == want.tobytes()
         assert not np.shares_memory(got, x)
+        # given `out`, it writes the same bits there, the input itself included
+        in_place = x.copy()
+        assert minmax_apply(state, in_place, out=in_place) is in_place
+        assert in_place.tobytes() == want.tobytes()
 
     def test_distance_past_float_range_still_clamps(self):
         # x - min overflows to +-inf here; it clamps without a RuntimeWarning.

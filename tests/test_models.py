@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -307,11 +309,15 @@ class TestPredict:
             graph.predict(np.zeros((2, 6, 8)))
 
 
-def decision_input(graph, x):
-    """The holistic features: what every stage before the decision layer hands it."""
+def decision_input(graph, x, train=False):
+    """The holistic features: what every stage before the decision layer hands it.
+
+    Every stage runs once over all rows: the reference that blocked
+    inference must match bit for bit.
+    """
     out = graph._check_batch(np.asarray(x, dtype=np.float64))
     for stage in graph.stages[:-1]:
-        out = stage.forward(out)
+        out = stage.forward(out, train)
     return out
 
 
@@ -359,3 +365,84 @@ class TestSeededInitialization:
         for name, arr in graph.params().items():
             if name.endswith("/bias") or name.endswith("/biases") or name.endswith("/beta"):
                 assert (arr == 0).all(), name
+
+
+# The rows a blocked pass must handle: one row, the smallest GEMM, a block
+# and either side of it, a 1-row tail after two blocks, and evaluate's chunk.
+BLOCK_ROWS = (1, 2, 31, 32, 33, 65, 256)
+
+
+def wide_graph(variant):
+    return build_model(ModelConfig(variant, 48, 4, units=128, seed=1))
+
+
+@pytest.fixture(scope="module")
+def wide_graphs():
+    return {variant: wide_graph(variant) for variant in models.VARIANTS}
+
+
+def wide_input(graph, rows, seed=0):
+    shape = (rows, *graph.frame_dims) if graph.config.frame_input else (rows, 48)
+    return np.random.default_rng(seed).uniform(0, 1, size=shape)
+
+
+class TestBlockedInference:
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_logits_match_one_pass_over_all_rows(self, wide_graphs, variant):
+        graph = wide_graphs[variant]
+        for rows in BLOCK_ROWS:
+            x = wide_input(graph, rows, seed=rows)
+            want = graph.stages[-1].forward_logits(decision_input(graph, x))
+            assert graph.forward_logits(x).tobytes() == want.tobytes(), rows
+            _, classes = graph.predict(x)
+            assert (classes == want.argmax(axis=1)).all(), rows
+
+    @pytest.mark.parametrize("rows, blocks", [(1, [1]), (32, [32]), (33, [33]),
+                                              (65, [32, 33]), (256, [32] * 8)])
+    def test_feature_stages_see_blocks_and_the_decision_layer_all_rows(
+            self, wide_graphs, rows, blocks):
+        graph = wide_graphs["m1-td"]
+        first, decision = graph.stages[0], graph.stages[-1]
+        seen = {"first": [], "decision": []}
+
+        def spy(stage, key, attr):
+            inner = getattr(stage, attr)
+
+            def wrapped(x, *args, **kwargs):
+                seen[key].append(x.shape[0])
+                return inner(x, *args, **kwargs)
+            return wrapped
+
+        first.forward = spy(first, "first", "forward")
+        decision.forward_logits = spy(decision, "decision", "forward_logits")
+        try:
+            graph.predict(wide_input(graph, rows))
+        finally:
+            del first.forward, decision.forward_logits
+        assert seen == {"first": blocks, "decision": [rows]}
+        assert models.INFER_BLOCK == 32
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_train_mode_runs_every_stage_over_the_whole_batch(self, variant):
+        # Batchnorm normalizes by the whole batch's statistics, and its
+        # running statistics move by them.
+        graph, reference = wide_graph(variant), wide_graph(variant)
+        x = wide_input(graph, 64)
+        want = reference.stages[-1].forward_logits(decision_input(reference, x, True), True)
+        assert graph.forward_logits(x, train=True).tobytes() == want.tobytes()
+        for name, arr in graph.state_arrays().items():
+            assert arr.tobytes() == reference.state_arrays()[name].tobytes(), name
+
+    def test_m1_td_predict_peaks_below_half_the_chunks_conv_map(self, wide_graphs):
+        # A 256-row chunk's conv map is 256 rows x 24 positions x 128 units
+        # x 8 bytes = 6 MiB; a predict that holds it whole peaks at 7.63 MiB.
+        graph = wide_graphs["m1-td"]
+        x = wide_input(graph, 256)
+        graph.predict(x)
+        tracemalloc.start()
+        try:
+            graph.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
