@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -145,15 +145,6 @@ def frames_from_flows(features, factor_pair: Tuple[int, int] | None = None) -> F
         raise DataError(f"factor pair {rows}x{cols} does not cover {n} features")
     frames = np.ascontiguousarray(features, dtype=np.float64).reshape(-1, rows, cols)
     return FrameStream(frames, rows, cols)
-
-
-def encode_labels(raw: Sequence[str]) -> Tuple[np.ndarray, List[str]]:
-    """Map string labels to indices in lexicographic class order."""
-    if len(raw) == 0:
-        raise DataError("cannot encode an empty label list")
-    names = sorted(set(str(x) for x in raw))
-    table = {name: i for i, name in enumerate(names)}
-    return np.array([table[str(x)] for x in raw], dtype=np.int64), names
 
 
 def minmax_fit(train_features: np.ndarray) -> ScalerState:
@@ -286,14 +277,14 @@ def _read_csv(f, path: Path, label_column: str) -> Dataset:
     encoded = {}
     if text:
         text.sort()
-        cells = [[] for _ in text]
+        columns = [(array("q"), {}) for _ in text]
         reason = f"column {names[text[0]]!r} is not numeric; label-encoding it needs a second read"
         for _, row in _second_pass(f, path, header, len(codes), reason):
             del row[label_idx]
-            for column, j in zip(cells, text):
-                column.append(row[j])
-        for column, j in zip(cells, text):
-            features[:, j], categories = encode_labels(column)
+            for (column, ids), j in zip(columns, text):
+                column.append(ids.setdefault(row[j], len(ids)))
+        for (column, ids), j in zip(columns, text):
+            features[:, j], categories = _lexicographic(column, ids)
             encoded[names[j]] = len(categories)
 
     finite = np.isfinite(features)
@@ -305,11 +296,19 @@ def _read_csv(f, path: Path, label_column: str) -> Dataset:
         raise DataError(f"{path}:{line}: non-finite value {row[j + (j >= label_idx)]!r} "
                         f"in column {names[j]!r}")
 
-    class_names = sorted(label_ids)
-    rank = np.empty(len(class_names), dtype=np.int64)
-    rank[[label_ids[name] for name in class_names]] = np.arange(len(class_names))
-    labels = rank[np.frombuffer(codes, dtype=np.int64)]
+    labels, class_names = _lexicographic(codes, label_ids)
     return Dataset(features, labels, class_names, names, encoded)
+
+
+def _lexicographic(codes: array, ids: Dict[str, int]) -> Tuple[np.ndarray, List[str]]:
+    """Renumber first-seen codes in lexicographic order: (indices, sorted names).
+
+    `ids` maps each distinct cell to its code, the order it first appeared.
+    """
+    names = sorted(ids)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[[ids[name] for name in names]] = np.arange(len(names))
+    return rank[np.frombuffer(codes, dtype=np.int64)], names
 
 
 def _fail(reader, message: str):

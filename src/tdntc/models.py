@@ -47,6 +47,7 @@ from .layers import (
 )
 
 VARIANTS = ("m1-td", "m1-van", "m2-td", "m2-van", "m3-td", "m3-van")
+INFER_BATCH = 256  # rows per decision-layer pass in inference
 INFER_BLOCK = 32  # rows per feature-stage pass in inference: the default --batch
 
 
@@ -201,13 +202,14 @@ class ModelGraph:
     every trainable tensor and its gradient in walk order, and the tensors
     are views of them, so the optimizer steps them in one pass.
 
-    An inference pass runs the feature stages (all but the decision layer)
-    over blocks of `INFER_BLOCK` rows into one array, then the decision
-    layer once over all rows, so a chunk never holds its whole conv map.
-    Every row keeps the bits of one pass over all rows: the feature stages'
-    GEMMs give the same rows for any block of two or more, while the
-    n_classes-wide decision GEMM does not.  A train pass runs whole, since
-    batchnorm normalizes by the batch's statistics.
+    An inference pass takes any number of rows, in chunks of `INFER_BATCH`.
+    The feature stages (all but the decision layer) fill one chunk-sized
+    buffer in blocks of `INFER_BLOCK` rows, then the decision layer runs
+    once over the chunk, so no pass holds more than a chunk's features or
+    a block's conv map.  Every row keeps the bits of one pass over its
+    chunk: the feature stages' GEMMs give the same rows for any block of
+    two or more, while the n_classes-wide decision GEMM does not.  A train
+    pass runs whole, since batchnorm normalizes by the batch's statistics.
     """
 
     def __init__(self, config: ModelConfig, stages: List[Layer]):
@@ -255,16 +257,20 @@ class ModelGraph:
         decision = self.stages[-1]
         if train:
             return decision.forward_logits(self._features(x, True), True)
-        # Inference, in blocks.  A 1-row tail joins the block before it:
-        # numpy multiplies a single row by GEMV, whose bits differ from GEMM's.
+        # Inference: each chunk's features fill one buffer, block by block.
+        # A 1-row tail joins the block before it: numpy multiplies a single
+        # row by GEMV, whose bits differ from GEMM's.
         n = x.shape[0]
-        starts = list(range(0, n, INFER_BLOCK)) or [0]  # no rows: one empty block
-        if len(starts) > 1 and n - starts[-1] == 1:
-            starts.pop()
-        features = np.empty((n, decision.in_size))
-        for lo, hi in zip(starts, starts[1:] + [n]):
-            features[lo:hi] = self._features(x[lo:hi], False)
-        return decision.forward_logits(features, False)
+        features = np.empty((min(n, INFER_BATCH), decision.in_size))
+        logits = np.empty((n, decision.out_size))
+        for lo in range(0, n, INFER_BATCH):
+            m, a = min(n - lo, INFER_BATCH), 0
+            while a < m:
+                b = m if m - a <= INFER_BLOCK + 1 else a + INFER_BLOCK
+                features[a:b] = self._features(x[lo + a:lo + b], False)
+                a = b
+            logits[lo:lo + m] = decision.forward_logits(features[:m], False)
+        return logits
 
     def backward(self, dout: np.ndarray) -> None:
         """Fill `flat_grads` from the logits' gradient; the first stage makes no dx."""

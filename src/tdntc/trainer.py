@@ -30,11 +30,11 @@ import numpy as np
 from .datapipe import ScalerState
 from .layers import softmax_cross_entropy_batch
 from .metrics import ClassReport, classification_metrics, confusion_matrix
-from .models import BuildError, ModelConfig, ModelGraph, build_model, state_shapes
+from .models import (INFER_BATCH, BuildError, ModelConfig, ModelGraph, build_model,
+                     state_shapes)
 
 CHECKPOINT_MAGIC = b"TDNTC1"
 CHECKPOINT_VERSION = 1
-INFER_BATCH = 256  # rows per inference forward in validation and evaluate
 
 
 class DivergenceError(RuntimeError):
@@ -178,18 +178,15 @@ def _batch_indices(n: int, batch_size: int, rng: np.random.Generator) -> List[np
 
 
 def _dataset_loss_acc(graph: ModelGraph, x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
-    if x.shape[0] == 0:
+    n = x.shape[0]
+    if n == 0:
         return float("nan"), float("nan")
-    total_loss = 0.0
-    correct = 0
-    for start in range(0, x.shape[0], INFER_BATCH):
-        xb = x[start:start + INFER_BATCH]
-        yb = y[start:start + INFER_BATCH]
-        logits = graph.forward_logits(xb, train=False)
-        _, losses, _ = softmax_cross_entropy_batch(logits, yb)
-        total_loss += float(losses.sum())
-        correct += int((logits.argmax(axis=1) == yb).sum())
-    return total_loss / x.shape[0], correct / x.shape[0]
+    logits = graph.forward_logits(x, train=False)
+    _, losses, _ = softmax_cross_entropy_batch(logits, y)
+    # Summed per inference chunk, left to right: history.csv's bits follow the grouping.
+    total_loss = reduce(add, (float(losses[i:i + INFER_BATCH].sum())
+                              for i in range(0, n, INFER_BATCH)), 0.0)
+    return total_loss / n, int((logits.argmax(axis=1) == y).sum()) / n
 
 
 def train(graph: ModelGraph, train_data: Tuple[np.ndarray, np.ndarray],
@@ -271,11 +268,7 @@ def evaluate(graph: ModelGraph, x: np.ndarray, y: np.ndarray) -> ClassReport:
     """Inference-mode predictions scored against ground truth."""
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty split")
-    preds = []
-    for start in range(0, x.shape[0], INFER_BATCH):
-        _, classes = graph.predict(x[start:start + INFER_BATCH])
-        preds.append(classes)
-    y_pred = np.concatenate(preds)
+    _, y_pred = graph.predict(x)
     return classification_metrics(confusion_matrix(y, y_pred, graph.config.n_classes))
 
 

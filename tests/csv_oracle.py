@@ -2,10 +2,10 @@
 
 `load_csv_dataset` below is the loader as it stood before reading became a
 stream: it decodes the whole file, keeps every row as a list of cell
-strings and parses one column at a time.  It shares only `Dataset`,
-`DataError` and `encode_labels` with `tdntc.datapipe`, so the streaming
-loader must reproduce its features, labels and class names bit for bit,
-and its errors message for message.
+strings and parses one column at a time.  It shares only `Dataset` and
+`DataError` with `tdntc.datapipe`, and keeps its own label encoder, so
+the streaming loader must reproduce its features, labels and class names
+bit for bit, and its errors message for message.
 """
 
 from __future__ import annotations
@@ -13,10 +13,20 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from tdntc.datapipe import DataError, Dataset, encode_labels
+from tdntc.datapipe import DataError, Dataset
+
+
+def encode_labels(raw: Sequence[str]) -> Tuple[np.ndarray, List[str]]:
+    """Map string labels to indices in lexicographic class order."""
+    if len(raw) == 0:
+        raise DataError("cannot encode an empty label list")
+    names = sorted(set(str(x) for x in raw))
+    table = {name: i for i, name in enumerate(names)}
+    return np.array([table[str(x)] for x in raw], dtype=np.int64), names
 
 
 def load_csv_dataset(path, label_column: str = "label") -> Dataset:

@@ -8,6 +8,9 @@ to the working tree.  Each revision's `src/` is exported with
 fixed matrix in one subprocess that calls `tdntc.cli.main` in process:
 
 - `train` and `evaluate --out` of the six variants under Adam and SGD
+- one m2-td `train` and `evaluate --out` on a larger synth CSV, whose
+  321-row validation split spans two 256-row inference chunks and ends
+  in a 33-row block
 - one m3-td `train --trials 2 --lr-jitter 0.1` and its `evaluate --out`
 - `audit-params` of the six variants at 48 features and 141 classes, and
   at 48 and 3 with `--units 16`, plus `--factor-pair 8,6` for m1 and m3
@@ -18,7 +21,7 @@ fixed matrix in one subprocess that calls `tdntc.cli.main` in process:
   and its `.summary.json`
 
 The inputs both matrices read are written once: the capture by the
-perfbench generator, the synth CSV and the reordered capture by the change
+perfbench generator, the synth CSVs and the reordered capture by the change
 tree.  So a change to what `synth` writes shows as one differing input,
 not as every artifact differing.  A third subprocess has the change tree
 evaluate every checkpoint the parent wrote.  The script prints each file
@@ -53,6 +56,9 @@ OPTIMIZERS = ("adam", "sgd")
 SYNTH_ARGS = ["--classes", "3", "--per-class", "60", "--features", "48", "--seed", "3"]
 TRAIN_ARGS = ["--epochs", "3", "--units", "16", "--td-units", "16", "--seed", "5"]
 TRIALS_ARGS = ["--variant", "m3-td", "--trials", "2", "--lr-jitter", "0.1"]
+# 3 classes x floor(0.1 x 1070) = 321 validation rows: 256 + 32 + 33
+CHUNKED_RUN = "m2-td-val321"
+CHUNKED_SYNTH_ARGS = ["--classes", "3", "--per-class", "1070", "--features", "48", "--seed", "3"]
 AUDITS = {"48-141": ["48", "141"], "48-3-units16": ["48", "3", "--units", "16"],
           "48-3-units16-pair8x6": ["48", "3", "--units", "16", "--factor-pair", "8,6"]}
 # (idle timeout, --pad-to 48) of each featurize run
@@ -73,10 +79,12 @@ def _cli(argv: Sequence[str]) -> str:
 
 def run_matrix(spec: dict) -> None:
     """Write one tree's artifacts for `spec` (see `_spawn`) under spec["out"]."""
-    out, csv = Path(spec["out"]), spec["csv"]
+    out, csv, chunked_csv = Path(spec["out"]), spec["csv"], spec["chunked_csv"]
     captures = spec.get("captures", ())
     if spec.get("synth"):
         _cli(["synth", *SYNTH_ARGS, "--out", csv])
+        if spec["chunked"]:
+            _cli(["synth", *CHUNKED_SYNTH_ARGS, "--out", chunked_csv])
         if captures:
             in_order, reordered = map(Path, captures)
             reordered.write_bytes(pcap_builder.reorder(in_order.read_bytes()))
@@ -84,10 +92,12 @@ def run_matrix(spec: dict) -> None:
             for variant in spec["variants"] for opt in spec["optimizers"]]
     if spec["trials"]:
         runs.append(("m3-td-trials", TRIALS_ARGS))
+    if spec["chunked"]:
+        runs.append((CHUNKED_RUN, ["--variant", "m2-td"]))
     for name, args in runs:
-        run = out / name
-        _cli(["train", csv, *args, *TRAIN_ARGS, "--out", str(run)])
-        _cli(["evaluate", str(run / "model.ckpt"), csv, "--out", str(run / "evaluate")])
+        run, data = out / name, chunked_csv if name == CHUNKED_RUN else csv
+        _cli(["train", data, *args, *TRAIN_ARGS, "--out", str(run)])
+        _cli(["evaluate", str(run / "model.ckpt"), data, "--out", str(run / "evaluate")])
     for variant in spec["variants"]:
         for name, args in AUDITS.items():
             if "--factor-pair" in args and variant.startswith("m2"):
@@ -103,7 +113,8 @@ def run_matrix(spec: dict) -> None:
                   *(["--pad-to", "48"] if pad else [])])
     for ckpt in spec.get("checkpoints", ()):
         name = Path(ckpt).parent.name
-        _cli(["evaluate", ckpt, csv, "--out", str(out / name / "evaluate")])
+        data = chunked_csv if name == CHUNKED_RUN else csv
+        _cli(["evaluate", ckpt, data, "--out", str(out / name / "evaluate")])
 
 
 def _spawn(src: Path, spec: dict) -> None:
@@ -139,25 +150,29 @@ def diff_dirs(a: Path, b: Path) -> Tuple[int, List[str]]:
 
 
 def compare(parent_src: Path, change_src: Path, work: Path, variants=VARIANTS,
-            optimizers=OPTIMIZERS, trials: bool = True, capture: Optional[Path] = None,
+            optimizers=OPTIMIZERS, trials: bool = True, chunked: bool = True,
+            capture: Optional[Path] = None,
             featurize=FEATURIZE_CASES) -> Tuple[int, List[str]]:
     """Run the matrix on both trees under `work`; (files compared, differences).
 
-    `capture`, if given, is featurized in file order and reordered, once
-    for each (idle timeout, pad) case of `featurize`.
+    `chunked` adds the m2-td run on the larger CSV.  `capture`, if given,
+    is featurized in file order and reordered, once for each (idle timeout,
+    pad) case of `featurize`.
     """
     csv = str(work / "synth.csv")
     sides = {name: work / name for name in ("parent", "change", "cross")}
     for path in sides.values():
         path.mkdir(parents=True)
     captures = [str(capture), str(work / "reordered.pcap")] if capture else []
-    spec = {"csv": csv, "variants": list(variants), "optimizers": list(optimizers),
-            "trials": trials, "captures": captures, "featurize": list(featurize)}
+    spec = {"csv": csv, "chunked_csv": str(work / "synth-chunked.csv"),
+            "variants": list(variants), "optimizers": list(optimizers), "trials": trials,
+            "chunked": chunked, "captures": captures, "featurize": list(featurize)}
     _spawn(change_src, dict(spec, out=str(sides["change"]), synth=True))
     _spawn(parent_src, dict(spec, out=str(sides["parent"])))
     checkpoints = sorted(str(p) for p in sides["parent"].glob("*/model.ckpt"))
     _spawn(change_src, dict(spec, out=str(sides["cross"]), variants=[], optimizers=[],
-                            trials=False, captures=[], checkpoints=checkpoints))
+                            trials=False, chunked=False, captures=[],
+                            checkpoints=checkpoints))
     count, lines = diff_dirs(sides["parent"], sides["change"])
     # the change's evaluation of each parent checkpoint against the parent's own
     for ckpt in checkpoints:

@@ -15,7 +15,6 @@ from tdntc.datapipe import (
     ScalerState,
     StratificationError,
     choose_factor_pair,
-    encode_labels,
     frames_from_flows,
     generate_synthetic,
     load_csv_dataset,
@@ -92,24 +91,33 @@ class TestFrames:
 
 
 class TestEncodeLabels:
-    def test_two_classes(self):
-        idx, names = encode_labels(["chat", "video", "chat"])
-        assert idx.tolist() == [0, 1, 0]
-        assert names == ["chat", "video"]
+    """The loader's one lexicographic encoder, read through the label column
+    and a text feature column that hold the same cells."""
 
-    def test_single_class(self):
-        idx, names = encode_labels(["x", "x", "x"])
-        assert idx.tolist() == [0, 0, 0]
-        assert names == ["x"]
+    def load(self, tmp_path, cells):
+        path = tmp_path / "labels.csv"
+        path.write_text("kind,label\n" + "".join(f"{cell},{cell}\n" for cell in cells))
+        return load_csv_dataset(path)
 
-    def test_lexicographic_order(self):
-        idx, names = encode_labels(["b", "a", "c"])
-        assert idx.tolist() == [1, 0, 2]
-        assert names == ["a", "b", "c"]
+    def check(self, tmp_path, cells, idx, names):
+        ds = self.load(tmp_path, cells)
+        assert ds.labels.tolist() == idx
+        assert ds.class_names == names
+        assert ds.features[:, 0].tolist() == idx
+        assert ds.encoded_columns == {"kind": len(names)}
 
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            encode_labels([])
+    def test_two_classes(self, tmp_path):
+        self.check(tmp_path, ["chat", "video", "chat"], [0, 1, 0], ["chat", "video"])
+
+    def test_single_class(self, tmp_path):
+        self.check(tmp_path, ["x", "x", "x"], [0, 0, 0], ["x"])
+
+    def test_lexicographic_order(self, tmp_path):
+        self.check(tmp_path, ["b", "a", "c"], [1, 0, 2], ["a", "b", "c"])
+
+    def test_empty_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="no data rows below the header"):
+            self.load(tmp_path, [])
 
 
 def minmax_fit_apply(train):

@@ -368,8 +368,10 @@ class TestSeededInitialization:
 
 
 # The rows a blocked pass must handle: one row, the smallest GEMM, a block
-# and either side of it, a 1-row tail after two blocks, and evaluate's chunk.
-BLOCK_ROWS = (1, 2, 31, 32, 33, 65, 256)
+# and either side of it, a 1-row tail after two blocks, one chunk, a 1-row
+# chunk after it, a block or a block and a tail past it, and two chunks
+# and a row.
+BLOCK_ROWS = (1, 2, 31, 32, 33, 65, 256, 257, 289, 321, 513)
 
 
 def wide_graph(variant):
@@ -386,21 +388,41 @@ def wide_input(graph, rows, seed=0):
     return np.random.default_rng(seed).uniform(0, 1, size=shape)
 
 
+def chunked_logits(graph, x):
+    """Each 256-row chunk once through every stage: the reference that
+    chunked, blocked inference must match bit for bit."""
+    decision = graph.stages[-1]
+    return np.concatenate([decision.forward_logits(decision_input(graph, x[i:i + 256]))
+                           for i in range(0, x.shape[0], 256)])
+
+
 class TestBlockedInference:
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_logits_match_one_pass_over_all_rows(self, wide_graphs, variant):
+        # One pass over all rows of each 256-row chunk.
         graph = wide_graphs[variant]
         for rows in BLOCK_ROWS:
             x = wide_input(graph, rows, seed=rows)
-            want = graph.stages[-1].forward_logits(decision_input(graph, x))
+            want = chunked_logits(graph, x)
             assert graph.forward_logits(x).tobytes() == want.tobytes(), rows
             _, classes = graph.predict(x)
             assert (classes == want.argmax(axis=1)).all(), rows
 
-    @pytest.mark.parametrize("rows, blocks", [(1, [1]), (32, [32]), (33, [33]),
-                                              (65, [32, 33]), (256, [32] * 8)])
+    def test_no_rows_give_no_logits_and_no_classes(self, wide_graphs):
+        for variant, graph in wide_graphs.items():
+            logits = graph.forward_logits(wide_input(graph, 0))
+            assert logits.shape == (0, graph.config.n_classes), variant
+            probs, classes = graph.predict(wide_input(graph, 0))
+            assert probs.shape == (0, graph.config.n_classes), variant
+            assert classes.shape == (0,), variant
+
+    @pytest.mark.parametrize("rows, blocks, chunks", [
+        (1, [1], [1]), (32, [32], [32]), (33, [33], [33]), (65, [32, 33], [65]),
+        (256, [32] * 8, [256]), (321, [32] * 8 + [32, 33], [256, 65]),
+        (513, [32] * 16 + [1], [256, 256, 1])])
     def test_feature_stages_see_blocks_and_the_decision_layer_all_rows(
-            self, wide_graphs, rows, blocks):
+            self, wide_graphs, rows, blocks, chunks):
+        # All rows of each chunk of at most 256 rows.
         graph = wide_graphs["m1-td"]
         first, decision = graph.stages[0], graph.stages[-1]
         seen = {"first": [], "decision": []}
@@ -419,8 +441,8 @@ class TestBlockedInference:
             graph.predict(wide_input(graph, rows))
         finally:
             del first.forward, decision.forward_logits
-        assert seen == {"first": blocks, "decision": [rows]}
-        assert models.INFER_BLOCK == 32
+        assert seen == {"first": blocks, "decision": chunks}
+        assert (models.INFER_BATCH, models.INFER_BLOCK) == (256, 32)
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_train_mode_runs_every_stage_over_the_whole_batch(self, variant):
@@ -446,3 +468,17 @@ class TestBlockedInference:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("rows", [1000, 2000])
+    def test_m2_td_predict_peak_does_not_grow_with_the_rows(self, wide_graphs, rows):
+        # One chunk's features are 256 rows x 48 steps x 128 units x 8 bytes
+        # = 12 MiB; a (rows, 6144) features array would be 47 MiB at 1,000.
+        graph = wide_graphs["m2-td"]
+        x = wide_input(graph, rows)
+        tracemalloc.start()
+        try:
+            graph.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.2f} MiB"

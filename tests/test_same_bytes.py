@@ -21,7 +21,7 @@ def test_working_tree_against_itself_reports_no_difference(tmp_path):
     capture = small_capture(tmp_path / "small.pcap")
     count, lines = same_bytes.compare(src, src, tmp_path / "out", variants=("m1-van",),
                                       optimizers=("adam", "sgd"), trials=False,
-                                      capture=capture, featurize=[("1", True)])
+                                      chunked=False, capture=capture, featurize=[("1", True)])
     assert lines == []
     # per run: history, checkpoint, two reports and two evaluate reports; the
     # three audits; a CSV and its summary for the capture in order and
