@@ -21,8 +21,10 @@ layer, so it skips building the input gradient and returns None.
 
 Only a train-mode forward (`train=True`) keeps what `backward` needs, and
 it keeps it through `Layer._keep`; an inference forward drops whatever an
-earlier call kept.  `backward` after an inference forward raises
-RuntimeError naming the layer.
+earlier call kept.  `backward` takes that state through `Layer._kept`, so
+the layer holds none once its backward returns and a backward may write
+over what it reads.  `backward` after an inference forward, or a second
+`backward` after one forward, raises RuntimeError naming the layer.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ class Layer:
         self._saved = state if train else None
 
     def _kept(self) -> tuple:
-        if self._saved is None:
+        """Take what the last train-mode forward saved: one backward per forward."""
+        saved, self._saved = self._saved, None
+        if saved is None:
             raise RuntimeError(f"{self.name}: backward requires a train-mode forward")
-        return self._saved
+        return saved
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -395,7 +399,10 @@ class LSTMLayer(Layer):
     walks one row at a time.  So each backward step copies its gates into
     gate-major scratch, does the per-gate arithmetic on contiguous (batch,
     units) slabs and copies the gate gradient back: the same operations in
-    the same order, so the same bits.
+    the same order, so the same bits.  The gradient goes back into the
+    step's own slot of the kept gates, which nothing reads after that first
+    copy, so the backward allocates no (steps, batch, 4 * units) slab of its
+    own; this is why backward takes the kept state.
     """
 
     name = "LSTM"
@@ -491,16 +498,16 @@ class LSTMLayer(Layer):
         if not self.return_sequences:
             dh += dout
         # Gate-major scratch: a[0..3] are the step's activated i, f, g, o and
-        # dz[0..3] their gradients; dz_all keeps every step's dz batch-major.
-        gate4 = gates.reshape(t, b, 4, k)
-        dz_all = np.empty((t, b, 4, k))
+        # dz[0..3] their gradients.  dz_all keeps every step's dz batch-major
+        # in the slot its gates came from, once they are copied into a.
+        dz_all = gates.reshape(t, b, 4, k)
         a = np.empty((4, b, k))
         dz = np.empty((4, b, k))
         w_h_t = self.w_h.T
         dc = np.empty((b, k))
         dc_next = np.zeros((b, k))
         for step in range(t - 1, -1, -1):
-            np.copyto(a, gate4[step].transpose(1, 0, 2))
+            np.copyto(a, dz_all[step].transpose(1, 0, 2))
             tc = tanh_c[step]
             if self.return_sequences:
                 dh += dout[:, step]

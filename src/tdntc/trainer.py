@@ -35,6 +35,7 @@ from .models import (INFER_BATCH, BuildError, ModelConfig, ModelGraph, build_mod
 
 CHECKPOINT_MAGIC = b"TDNTC1"
 CHECKPOINT_VERSION = 1
+ADAM_BLOCK = 65536  # elements per Adam block: a block's vectors stay in cache
 
 
 class DivergenceError(RuntimeError):
@@ -115,8 +116,11 @@ class _Adam:
     """Adam over a graph's flat parameter and gradient vectors.
 
     A step runs m += (1 - BETA1) (g - m), v += (1 - BETA2) (g g - v), then
-    p -= lr m_hat / (sqrt(v_hat) + EPS), elementwise and in that order,
-    through two scratch vectors, so it allocates nothing after the first.
+    p -= lr m_hat / (sqrt(v_hat) + EPS), elementwise and in that order.  It
+    runs over blocks of `ADAM_BLOCK` elements through two block-sized
+    scratch buffers, so each block's 14 passes stay in cache and the step
+    allocates nothing after the first.  Every operation is elementwise, so
+    the blocks give the bits of one pass over the whole vectors.
     """
 
     BETA1 = 0.9
@@ -130,24 +134,30 @@ class _Adam:
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         if not self._buffers:
-            self._buffers = tuple(np.zeros_like(params) for _ in range(4))
-        m, v, a, b = self._buffers
+            block = min(params.size, ADAM_BLOCK)
+            self._buffers = (np.zeros_like(params), np.zeros_like(params),
+                             np.empty(block), np.empty(block))
+        m_all, v_all, a_all, b_all = self._buffers
         self.step_count += 1
         t = self.step_count
-        np.subtract(grads, m, out=a)
-        a *= 1 - self.BETA1
-        m += a
-        np.multiply(grads, grads, out=a)
-        a -= v
-        a *= 1 - self.BETA2
-        v += a
-        np.divide(m, 1 - self.BETA1 ** t, out=a)
-        a *= self.lr
-        np.divide(v, 1 - self.BETA2 ** t, out=b)
-        np.sqrt(b, out=b)
-        b += self.EPS
-        a /= b
-        params -= a
+        for lo in range(0, params.size, ADAM_BLOCK):
+            at = slice(lo, lo + ADAM_BLOCK)
+            g, m, v, p = grads[at], m_all[at], v_all[at], params[at]
+            a, b = a_all[:g.size], b_all[:g.size]
+            np.subtract(g, m, out=a)
+            a *= 1 - self.BETA1
+            m += a
+            np.multiply(g, g, out=a)
+            a -= v
+            a *= 1 - self.BETA2
+            v += a
+            np.divide(m, 1 - self.BETA1 ** t, out=a)
+            a *= self.lr
+            np.divide(v, 1 - self.BETA2 ** t, out=b)
+            np.sqrt(b, out=b)
+            b += self.EPS
+            a /= b
+            p -= a
 
 
 class _SGD:

@@ -93,9 +93,9 @@ def lstm_hidden_states(layer) -> np.ndarray:
     """(batch, steps, units) raw hidden states of an LSTM's last train-mode forward.
 
     They are the state part of the kept `[h | x | 1]` operands, one slot per
-    step after the zero initial state.
+    step after the zero initial state.  Reads the kept state without taking it.
     """
-    return layer._kept()[0][1:, :, :layer.units].transpose(1, 0, 2)
+    return layer._saved[0][1:, :, :layer.units].transpose(1, 0, 2)
 
 
 def _worst_param_and_input_error(layer, x, forward, projection) -> float:
@@ -251,13 +251,15 @@ def reference_conv2d(x, kernels, biases, dout):
 def reference_lstm_backward(layer, dout, input_grad=True):
     """(dx, grad_w_x, grad_w_h, grad_bias) by the batch-major step loop.
 
-    Reads the state a train-mode forward of `layer` kept and writes nothing
-    into the layer.  Each step's gate arithmetic runs on the (batch, units)
-    blocks `a[:, g]` of the batch-major gate rows; the layer runs the same
-    operations in the same order on gate-major copies and must match it bit
-    for bit.  `dx` is None when `input_grad` is false.
+    Reads the state a train-mode forward of `layer` kept, without taking it,
+    and writes nothing into the layer, so call it before the layer's own
+    backward, which writes its gate gradient over the kept gates.  Each
+    step's gate arithmetic runs on the (batch, units) blocks `a[:, g]` of
+    the batch-major gate rows; the layer runs the same operations in the
+    same order on gate-major copies and must match it bit for bit.  `dx` is
+    None when `input_grad` is false.
     """
-    ops, gates, cs, tanh_c = layer._kept()
+    ops, gates, cs, tanh_c = layer._saved
     t, b = gates.shape[:2]
     s, k = layer.input_size, layer.units
     hs = ops[1:, :, :k]

@@ -8,9 +8,13 @@ to the working tree.  Each revision's `src/` is exported with
 fixed matrix in one subprocess that calls `tdntc.cli.main` in process:
 
 - `train` and `evaluate --out` of the six variants under Adam and SGD
-- one m2-td `train` and `evaluate --out` on a larger synth CSV, whose
+- two m2-td `train` and `evaluate --out` runs on a larger synth CSV, whose
   321-row validation split spans two 256-row inference chunks and ends
-  in a 33-row block
+  in a 33-row block: one at the matrix's 16 units, and one at `--units 128
+  --td-units 128`.  At 128 units the decision layer's row results depend
+  on how many rows it runs at once, so the validation loss in
+  `history.csv` shows a change to the chunk rules, and the 101,507
+  parameters span two Adam blocks
 - one m3-td `train --trials 2 --lr-jitter 0.1` and its `evaluate --out`
 - `audit-params` of the six variants at 48 features and 141 classes, and
   at 48 and 3 with `--units 16`, plus `--factor-pair 8,6` for m1 and m3
@@ -57,7 +61,9 @@ SYNTH_ARGS = ["--classes", "3", "--per-class", "60", "--features", "48", "--seed
 TRAIN_ARGS = ["--epochs", "3", "--units", "16", "--td-units", "16", "--seed", "5"]
 TRIALS_ARGS = ["--variant", "m3-td", "--trials", "2", "--lr-jitter", "0.1"]
 # 3 classes x floor(0.1 x 1070) = 321 validation rows: 256 + 32 + 33
-CHUNKED_RUN = "m2-td-val321"
+CHUNKED_RUNS = {"m2-td-val321": ["--variant", "m2-td"],
+                "m2-td-val321-units128": ["--variant", "m2-td", "--units", "128",
+                                          "--td-units", "128"]}
 CHUNKED_SYNTH_ARGS = ["--classes", "3", "--per-class", "1070", "--features", "48", "--seed", "3"]
 AUDITS = {"48-141": ["48", "141"], "48-3-units16": ["48", "3", "--units", "16"],
           "48-3-units16-pair8x6": ["48", "3", "--units", "16", "--factor-pair", "8,6"]}
@@ -93,10 +99,10 @@ def run_matrix(spec: dict) -> None:
     if spec["trials"]:
         runs.append(("m3-td-trials", TRIALS_ARGS))
     if spec["chunked"]:
-        runs.append((CHUNKED_RUN, ["--variant", "m2-td"]))
+        runs += CHUNKED_RUNS.items()
     for name, args in runs:
-        run, data = out / name, chunked_csv if name == CHUNKED_RUN else csv
-        _cli(["train", data, *args, *TRAIN_ARGS, "--out", str(run)])
+        run, data = out / name, chunked_csv if name in CHUNKED_RUNS else csv
+        _cli(["train", data, *TRAIN_ARGS, *args, "--out", str(run)])
         _cli(["evaluate", str(run / "model.ckpt"), data, "--out", str(run / "evaluate")])
     for variant in spec["variants"]:
         for name, args in AUDITS.items():
@@ -113,7 +119,7 @@ def run_matrix(spec: dict) -> None:
                   *(["--pad-to", "48"] if pad else [])])
     for ckpt in spec.get("checkpoints", ()):
         name = Path(ckpt).parent.name
-        data = chunked_csv if name == CHUNKED_RUN else csv
+        data = chunked_csv if name in CHUNKED_RUNS else csv
         _cli(["evaluate", ckpt, data, "--out", str(out / name / "evaluate")])
 
 
@@ -155,7 +161,7 @@ def compare(parent_src: Path, change_src: Path, work: Path, variants=VARIANTS,
             featurize=FEATURIZE_CASES) -> Tuple[int, List[str]]:
     """Run the matrix on both trees under `work`; (files compared, differences).
 
-    `chunked` adds the m2-td run on the larger CSV.  `capture`, if given,
+    `chunked` adds the two m2-td runs on the larger CSV.  `capture`, if given,
     is featurized in file order and reordered, once for each (idle timeout,
     pad) case of `featurize`.
     """

@@ -92,7 +92,9 @@ def test_whole_graph_backward_matches_finite_differences(variant, factor_pair):
     grads = {name: g.copy() for name, g in graph_grads(graph).items()}
     # ModelGraph.backward asks the first stage for no input gradient
     # (`input_grad=False`), so the input check walks the stage chain itself
-    # and takes the first stage's full backward.
+    # and takes the first stage's full backward, after a forward of its own:
+    # a backward takes the state its forward kept.
+    graph.forward_logits(x, train=True)
     dout = graph.stages[-1].backward(dlogits / batch)
     for stage in reversed(graph.stages[:-1]):
         dout = stage.backward(dout)

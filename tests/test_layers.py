@@ -174,16 +174,20 @@ class TestConv2D:
 def test_backward_without_input_gradient_keeps_parameter_gradients(make, x_shape):
     # The graph's first stage skips its input gradient; the parameter
     # gradients must come out byte-equal to those of the full backward.
+    # Backward takes the kept state, so each backward runs after its own
+    # forward of the same input.
     rng = np.random.default_rng(31)
     layer = bound(make(rng))
     for arr in params(layer).values():
         arr[...] = rng.normal(size=arr.shape)
-    out = layer.forward(rng.normal(size=x_shape), train=True)
+    x = rng.normal(size=x_shape)
+    out = layer.forward(x, train=True)
     dout = rng.normal(size=out.shape)
     assert layer.backward(dout).shape == x_shape
     full = {name: g.copy() for name, g in grads(layer).items()}
     for g in grads(layer).values():
         g[...] = np.nan
+    layer.forward(x, train=True)
     assert layer.backward(dout, input_grad=False) is None
     for name, g in grads(layer).items():
         assert g.tobytes() == full[name].tobytes(), name
@@ -301,7 +305,7 @@ def test_maxpool_in_place_maxima_match_the_tree():
         assert [st for st, n in zip(got.strides, got.shape) if n > 1] == \
             [st for st, n in zip(want.strides, want.shape) if n > 1]
         assert got.tobytes() == want.tobytes()
-        (masks,) = pool._kept()
+        (masks,) = pool._saved
         for mask, want_mask in zip(masks, want_masks):
             assert np.array_equal(mask, want_mask)
 
@@ -442,7 +446,7 @@ class TestBatchNormAgainstThreeTermReference:
         # of gamma * inv_std * d, not of dx, which vanishes for two positions.
         for layer, x, dout in batchnorm_cases(60, seed=19):
             layer.forward(x, train=True)
-            x_hat, inv_std, _ = layer._kept()
+            x_hat, inv_std, _ = layer._saved
             d = dout.reshape(x_hat.shape)
             dx = layer.backward(dout).reshape(x_hat.shape)
             scale = (np.abs(layer.gamma * inv_std * d) * (1 + x_hat ** 2)).sum(axis=0)
@@ -601,25 +605,28 @@ class TestLSTM:
 def test_lstm_backward_matches_the_batch_major_reference(b, t, s, k, activation,
                                                          return_sequences, input_grad):
     # The gate-major backward runs the batch-major loop's operations in the
-    # same order, so every gradient is byte-equal; it leaves the kept state
-    # as it found it, so backward can run again after one forward.
+    # same order, so every gradient is byte-equal.  It takes the kept state
+    # and writes its gate gradient over the kept gates, so the reference
+    # reads that state first, and a second round reruns the forward.
     rng = np.random.default_rng(27)
     layer = bound(LSTMLayer(s, k, output_activation=activation, rng=rng,
                             return_sequences=return_sequences))
     layer.bias[:] = rng.normal(scale=0.5, size=4 * k)
-    out = layer.forward(rng.normal(size=(b, t, s)), train=True)
+    x = rng.normal(size=(b, t, s))
+    out = layer.forward(x, train=True)
     dout = rng.normal(size=out.shape)
-    kept = [arr.tobytes() for arr in layer._kept()]
     want_dx, *want_grads = reference_lstm_backward(layer, dout, input_grad)
-    for _ in range(2):
+    for rerun in (False, True):
+        if rerun:
+            assert same_bits(layer.forward(x, train=True), out)
         dx = layer.backward(dout, input_grad=input_grad)
+        assert layer._saved is None
         for name, want in zip(("grad_w_x", "grad_w_h", "grad_bias"), want_grads):
             assert same_bits(getattr(layer, name), want), name
         if input_grad:
             assert same_bits(dx, want_dx)
         else:
             assert dx is None and want_dx is None
-        assert [arr.tobytes() for arr in layer._kept()] == kept
 
 
 class TestDense:

@@ -152,20 +152,30 @@ STAGE_KINDS = {"CNN_2D", "MP_2D", "BN", "Reshape", "LSTM", "TD(FFNN_0)", "FFNN_0
                "Flatten", "FFNN_1"}
 
 
-@pytest.mark.parametrize("variant", models.VARIANTS)
-def test_backward_requires_a_train_mode_forward(variant):
+@pytest.mark.parametrize("variant, then", [
+    *(pytest.param(variant, "predict", id=variant) for variant in models.VARIANTS),
+    *(pytest.param(variant, "backward", id=f"{variant}-second-backward")
+      for variant in models.VARIANTS),
+])
+def test_backward_requires_a_train_mode_forward(variant, then):
     graph = build_model(make_config(variant, 12, 3, units=4, td_units=4, seed=2))
     x = np.random.default_rng(3).uniform(0, 1, size=(4, 12))
     if graph.config.frame_input:
         x = x.reshape(4, *graph.frame_dims)
     # A train-mode pass through every stage, the decision layer included,
-    # records each stage's output shape; predict then runs in inference mode.
+    # records each stage's output shape.  Then either predict runs in
+    # inference mode, or every stage runs one backward, which takes the
+    # state its forward kept.
     out = x if graph.config.frame_input else x[..., None]
     out_shapes = []
     for stage in graph.stages:
         out = stage.forward(out, True)
         out_shapes.append(out.shape)
-    graph.predict(x)
+    if then == "predict":
+        graph.predict(x)
+    else:
+        for stage, shape in zip(graph.stages, out_shapes):
+            stage.backward(np.ones(shape))
     for stage, shape in zip(graph.stages, out_shapes):
         assert stage.name in STAGE_KINDS
         with pytest.raises(RuntimeError) as err:
@@ -191,6 +201,9 @@ def test_a_graph_pass_starts_with_no_stage_state(variant, next_pass):
     logits = graph.forward_logits(x, train=True)
     graph.backward(softmax_cross_entropy_batch(logits, np.array([0, 1, 2, 0]))[2])
     trainer._Adam(1e-2).step(graph.flat_params, graph.flat_grads)
+    # Backward took every stage's state; the next step's forward keeps it again.
+    assert all(stage._saved is None for stage in graph.stages)
+    graph.forward_logits(x, train=True)
     assert all(stage._saved is not None for stage in graph.stages)
 
     # When the next pass reaches its first stage, no stage may still hold
@@ -482,3 +495,18 @@ class TestBlockedInference:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_m2_td_train_backward_makes_no_gate_gradient_slab(self):
+        # The LSTM's gate gradient over 48 steps is 48 x 32 rows x 512 x 8
+        # bytes = 6 MiB; backward writes it over the kept gates, so the peak
+        # above the backward's start is the TD(FFNN_0) backward's, 4.5 MiB.
+        graph = wide_graph("m2-td")
+        logits = graph.forward_logits(wide_input(graph, 32), train=True)
+        dlogits = softmax_cross_entropy_batch(logits, np.arange(32) % 4)[2] / 32
+        tracemalloc.start()
+        try:
+            graph.backward(dlogits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -241,10 +241,17 @@ class TestTrainLoop:
         for name, p in graph.params().items():
             assert p.tobytes() == expected[name].tobytes(), name
 
-    @pytest.mark.parametrize("variant", models.VARIANTS)
-    def test_flat_adam_matches_the_per_tensor_loop(self, variant):
+    # m2-td at 128 units holds 67,223 parameters: one full Adam block and a
+    # 1,687-element tail.
+    @pytest.mark.parametrize("variant, units", [
+        *(pytest.param(variant, 4, id=variant) for variant in models.VARIANTS),
+        pytest.param("m2-td", 128, id="m2-td-block-and-tail"),
+    ])
+    def test_flat_adam_matches_the_per_tensor_loop(self, variant, units):
         graph = models.build_model(models.ModelConfig(
-            variant, 12, 3, units=4, kernel=TINY_KERNEL, td_units=4, seed=4))
+            variant, 12, 3, units=units, kernel=TINY_KERNEL, td_units=4, seed=4))
+        if units == 128:
+            assert graph.flat_params.size == trainer.ADAM_BLOCK + 1687
         expected = {name: p.copy() for name, p in graph.params().items()}
         flat, reference = trainer._Adam(1e-2), PerTensorAdam(1e-2)
         rng = np.random.default_rng(5)
