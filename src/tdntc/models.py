@@ -19,15 +19,17 @@ their parameter tables differ only where the architecture differs.
 Every stage is a `layers.Layer` whose name is its row in the audit table
 the CLI prints (`tdntc audit-params`): Network / Calculation / Trainable
 parameters.  This module is the one home of the closed forms behind that
-table: `state_shapes` gives every tensor's shape and `_calculations` the
-Calculation text, so `count_parameters` never reads an allocated array.
+table: `_plan` lists each variant's stages in order, with every tensor's
+shape and the Calculation text beside the maker of the layer, so
+`build_model`, `state_shapes` and `count_parameters` read one list and the
+audit never reads an allocated array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -130,51 +132,29 @@ class ModelConfig:
 # stages
 
 
-class SequenceFold(Layer):
-    """Read the (batch, rows, cols, units) conv map as the next stage's input.
+class Reshape(Layer):
+    """Reshape each sample to `tail`: a fold between two stages' layouts.
 
-    mode "positions": every pooled position is one step carrying the units
-    as features (the conv->LSTM pipeline reshape).
-    mode "rows": every pooled row is one step carrying cols*units features
-    (the per-row sequence the conv->time-distributed pipeline uses).
-    Both are plain reshapes.  mode "units-first", audit name Flatten: each
-    sample flattened in (units, rows, cols) order, the order m1-van's FFNN_0
-    weights and saved checkpoints were trained on.
+    It reads the (batch, rows, cols, units) conv map as pooled rows (m1-td)
+    or pooled positions (m3), or joins a sequence's steps after the dense
+    stage.  `units_first` reads each sample in (units, rows, cols) order,
+    the order m1-van's FFNN_0 weights and saved checkpoints were trained on.
     """
 
-    NAMES = {"positions": "Reshape", "rows": "Reshape", "units-first": "Flatten"}
-
-    def __init__(self, mode: str):
-        if mode not in self.NAMES:
-            raise ValueError(f"unknown fold mode {mode!r}")
-        self.mode, self.name = mode, self.NAMES[mode]
+    def __init__(self, name: str, tail: Tuple[int, ...], units_first: bool = False):
+        self.name, self.tail, self.units_first = name, tuple(tail), units_first
 
     def forward(self, x, train=False):
-        b, h, w, u = x.shape
         self._keep(train, x.shape)
-        if self.mode == "units-first":
-            return x.transpose(0, 3, 1, 2).reshape(b, -1)
-        return x.reshape(b, h * w, u) if self.mode == "positions" else x.reshape(b, h, w * u)
+        if self.units_first:
+            x = x.transpose(0, 3, 1, 2)
+        return x.reshape(x.shape[0], *self.tail)
 
     def backward(self, dout):
         (shape,) = self._kept()
-        if self.mode == "units-first":
+        if self.units_first:
             b, h, w, u = shape
             return dout.reshape(b, u, h, w).transpose(0, 2, 3, 1)
-        return dout.reshape(shape)
-
-
-class Flatten(Layer):
-    """Collapse every axis after the batch axis into one feature axis."""
-
-    name = "Flatten"
-
-    def forward(self, x, train=False):
-        self._keep(train, x.shape)
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dout):
-        (shape,) = self._kept()
         return dout.reshape(shape)
 
 
@@ -329,119 +309,97 @@ def _pooled_dims(cfg: ModelConfig) -> Tuple[int, int]:
     return out_r // 2, out_c // 2
 
 
-def _widths(cfg: ModelConfig) -> Tuple[int, int]:
-    """(FFNN_0 input width, steps the decision layer reads: 1 for a vanilla variant).
+class _Stage(NamedTuple):
+    """A plan entry: audit name, maker (seeded rng -> layer), Calculation cell,
+    and the closed-form shapes of its trainable tensors, then of its other
+    checkpointed buffers, in checkpoint order."""
 
-    BuildError if a frame variant's geometry does not fit.
-    """
-    u, td = cfg.units, cfg.time_distributed
-    if cfg.model_number == 2:
-        return u, cfg.n_features if td else 1
-    pooled_r, pooled_c = _pooled_dims(cfg)
+    name: str
+    make: Callable[[np.random.Generator], Layer]
+    calculation: str = "-"
+    params: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+    buffers: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+
+
+def _fold(name: str, tail: Tuple[int, ...], units_first: bool = False) -> _Stage:
+    return _Stage(name, lambda rng: Reshape(name, tail, units_first))
+
+
+def _dense(name: str, size_in: int, size_out: int, activation: str, in_text: object) -> _Stage:
+    return _Stage(name, lambda rng: DenseLayer(size_in, size_out, activation, rng=rng, name=name),
+                  f"{in_text}x{size_out}+{size_out}",
+                  (("weights", (size_in, size_out)), ("bias", (size_out,))))
+
+
+def _plan(cfg: ModelConfig) -> List[_Stage]:
+    """`cfg`'s stages in pipeline order, building no layer; BuildError if a
+    frame variant's geometry does not fit.  A maker reads nothing the plan
+    rebinds after it, so `build_model` can call the makers later, in order."""
+    u, td_u, td = cfg.units, cfg.td_units, cfg.time_distributed
+    plan: List[_Stage] = []
+    if cfg.frame_input:
+        (p, q), (rows, cols) = cfg.kernel, _pooled_dims(cfg)
+        plan += [
+            _Stage("CNN_2D", lambda rng: Conv2DLayer(u, kernel=(p, q), rng=rng),
+                   f"({p}x{q}x1+1)x{u}", (("kernels", (u, p, q)), ("biases", (u,)))),
+            _Stage("MP_2D", lambda rng: MaxPool2x2()),
+            _Stage("BN", lambda rng: BatchNormLayer(u), f"2x{u}", (("gamma", (u,)), ("beta", (u,))),
+                   (("running_mean", (u,)), ("running_var", (u,)))),
+        ]
     if cfg.model_number == 1:
-        return (pooled_c * u, pooled_r) if td else (u * pooled_r * pooled_c, 1)
-    return u, pooled_r * pooled_c if td else 1
+        # m1-td: every pooled row is one step; m1-van: each sample one units-first vector
+        steps, dense_in = (rows, cols * u) if td else (1, u * rows * cols)
+        plan.append(_fold("Reshape", (rows, dense_in)) if td
+                    else _fold("Flatten", (dense_in,), units_first=True))
+    else:
+        # m2: the features as one-wide steps; m3: every pooled position as one
+        # step carrying the units
+        width, steps = (1, cfg.n_features) if cfg.model_number == 2 else (u, rows * cols)
+        if cfg.model_number == 3:
+            plan.append(_fold("Reshape", (steps, u)))
+        act = "relu" if cfg.model_number == 2 else "identity"
+        plan.append(_Stage(
+            "LSTM", lambda rng: LSTMLayer(width, u, act, rng=rng, return_sequences=td),
+            f"4x[({width}+1)x{u}+{u}^2]",
+            (("w_x", (width, 4 * u)), ("w_h", (u, 4 * u)), ("bias", (4 * u,)))))
+        steps, dense_in = steps if td else 1, u
+    plan.append(_dense("TD(FFNN_0)" if td else "FFNN_0", dense_in, td_u, "relu", dense_in))
+    if td or cfg.model_number == 3:
+        plan.append(_fold("Flatten", (steps * td_u,)))
+    plan.append(_dense("FFNN_1", steps * td_u, cfg.n_classes, "identity",
+                       f"{steps}x{td_u}" if td else td_u))
+    return plan
 
 
 def build_model(cfg: ModelConfig) -> ModelGraph:
     """Assemble the layer pipeline for `cfg`, seeded and geometry-checked."""
     rng = np.random.default_rng(cfg.seed)
-    u, td_u, classes = cfg.units, cfg.td_units, cfg.n_classes
-    dense_in, steps = _widths(cfg)
-    stages: List[Layer] = []
-    if cfg.frame_input:
-        stages += [Conv2DLayer(u, kernel=cfg.kernel, rng=rng), MaxPool2x2(),
-                   BatchNormLayer(u)]
-
-    def dense() -> DenseLayer:
-        name = "TD(FFNN_0)" if cfg.time_distributed else "FFNN_0"
-        return DenseLayer(dense_in, td_u, activation="relu", rng=rng, name=name)
-
-    if cfg.variant == "m1-td":
-        stages += [SequenceFold("rows"), dense(), Flatten()]
-    elif cfg.variant == "m1-van":
-        stages += [SequenceFold("units-first"), dense()]
-    elif cfg.variant == "m2-td":
-        stages += [LSTMLayer(1, u, output_activation="relu", rng=rng), dense(), Flatten()]
-    elif cfg.variant == "m2-van":
-        stages += [LSTMLayer(1, u, output_activation="relu", rng=rng,
-                             return_sequences=False),
-                   dense()]
-    elif cfg.variant == "m3-td":
-        stages += [SequenceFold("positions"), LSTMLayer(u, u, rng=rng), dense(), Flatten()]
-    else:  # m3-van
-        stages += [SequenceFold("positions"),
-                   LSTMLayer(u, u, rng=rng, return_sequences=False),
-                   dense(), Flatten()]
-
-    stages.append(DenseLayer(steps * td_u, classes, rng=rng, name="FFNN_1"))
-    return ModelGraph(cfg, stages)
+    return ModelGraph(cfg, [stage.make(rng) for stage in _plan(cfg)])
 
 
 def state_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
-    """Name -> shape of every tensor `build_model(cfg)` holds, allocating none.
+    """Name -> shape of every tensor `build_model(cfg)` holds, building no layer.
 
-    These are the closed forms behind the audit (conv UxPxQ plus U biases,
-    batchnorm 2U parameters plus 2U running statistics, LSTM Sx4U + Ux4U +
-    4U, dense SxU + U): `count_parameters` sums them.  A checkpoint's
-    tensor directory must list them in this order, the order of
-    `ModelGraph.state_arrays`; the loader checks it before it allocates the
-    model.
+    A checkpoint's tensor directory must list them in this order, the order
+    of `ModelGraph.state_arrays`; the loader checks it before it allocates
+    the model.
     """
-    u, td_u = cfg.units, cfg.td_units
-    dense_in, steps = _widths(cfg)
-    shapes: Dict[str, Tuple[int, ...]] = {}
-    if cfg.frame_input:
-        shapes["CNN_2D/kernels"] = (u, *cfg.kernel)
-        shapes["CNN_2D/biases"] = (u,)
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            shapes[f"BN/{name}"] = (u,)
-    if cfg.model_number != 1:
-        lstm_in = 1 if cfg.model_number == 2 else u
-        shapes.update({"LSTM/w_x": (lstm_in, 4 * u), "LSTM/w_h": (u, 4 * u),
-                       "LSTM/bias": (4 * u,)})
-    dense = "TD(FFNN_0)" if cfg.time_distributed else "FFNN_0"
-    shapes.update({f"{dense}/weights": (dense_in, td_u), f"{dense}/bias": (td_u,),
-                   "FFNN_1/weights": (steps * td_u, cfg.n_classes),
-                   "FFNN_1/bias": (cfg.n_classes,)})
-    return shapes
+    return {f"{stage.name}/{name}": shape for stage in _plan(cfg)
+            for name, shape in stage.params + stage.buffers}
 
 
 # ---------------------------------------------------------------------------
 # audit
 
 
-def _calculations(cfg: ModelConfig) -> Dict[str, str]:
-    """Stage name -> Calculation cell of every stage that holds parameters."""
-    u, td_u, classes = cfg.units, cfg.td_units, cfg.n_classes
-    dense_in, steps = _widths(cfg)
-    lstm_in = 1 if cfg.model_number == 2 else u
-    dense = f"{dense_in}x{td_u}+{td_u}"
-    decision_in = f"{steps}x{td_u}" if cfg.time_distributed else str(td_u)
-    return {
-        "CNN_2D": f"({cfg.kernel[0]}x{cfg.kernel[1]}x1+1)x{u}",
-        "BN": f"2x{u}",
-        "LSTM": f"4x[({lstm_in}+1)x{u}+{u}^2]",
-        "FFNN_0": dense,
-        "TD(FFNN_0)": dense,
-        "FFNN_1": f"{decision_in}x{classes}+{classes}",
-    }
-
-
 def count_parameters(graph: ModelGraph) -> Tuple[List[StageCount], int]:
-    """Per-stage trainable-parameter table and its total.
-
-    Each stage's count sums the shapes `state_shapes` gives its trainable
-    tensors (conv (PxQxS+1)xU, batchnorm 2U, LSTM 4[(S+1)U+U^2], dense
-    SxU+U); only the tensor names come from the stage itself.  No
-    allocated array is read, so tests can cross-check the audit against the
-    built graph.
-    """
-    shapes = state_shapes(graph.config)
-    calcs = _calculations(graph.config)
-    rows = [StageCount(stage.name, calcs.get(stage.name, "-"),
-                       sum(math.prod(shapes[f"{stage.name}/{name}"]) for name in stage.PARAMS))
-            for stage in graph.stages]
+    """Per-stage trainable-parameter table and its total, from the plan's
+    closed forms (conv (PxQxS+1)xU, batchnorm 2U, LSTM 4[(S+1)U+U^2], dense
+    SxU+U): no allocated array is read, so tests can cross-check the audit
+    against the built graph."""
+    rows = [StageCount(stage.name, stage.calculation,
+                       sum(math.prod(shape) for _, shape in stage.params))
+            for stage in _plan(graph.config)]
     return rows, sum(r.count for r in rows)
 
 

@@ -16,9 +16,14 @@ fixed matrix in one subprocess that calls `tdntc.cli.main` in process:
   `history.csv` shows a change to the chunk rules, and the 101,507
   parameters span two Adam blocks
 - one m3-td `train --trials 2 --lr-jitter 0.1` and its `evaluate --out`
+- `train` and `evaluate --out` of m1-td, m1-van, m3-td and m3-van under
+  Adam at `--kernel 3,2 --factor-pair 16,3`, whose 7x1 pooled grid shows
+  a wrong fold tail or a wrong units-first transpose that the matrix's
+  square 8x6 frames under a 3x3 kernel would not
 - `audit-params` of the six variants at 48 features and 141 classes, and
-  at 48 and 3 with `--units 16`, plus `--factor-pair 8,6` for m1 and m3
-  (m2 refuses any factor pair)
+  at 48 and 3 with `--units 16`, plus `--factor-pair 8,6` and
+  `--factor-pair 16,3 --kernel 3,2` for m1 and m3 (m2 refuses any factor
+  pair)
 - `featurize` of the capture that `python perfbench/inputs.py capture 1
   OUT` writes, in file order and reordered (`pcap_builder.reorder`), at
   `--idle-timeout` 0, 1 and 60, with and without `--pad-to 48`: the CSV
@@ -65,8 +70,10 @@ CHUNKED_RUNS = {"m2-td-val321": ["--variant", "m2-td"],
                 "m2-td-val321-units128": ["--variant", "m2-td", "--units", "128",
                                           "--td-units", "128"]}
 CHUNKED_SYNTH_ARGS = ["--classes", "3", "--per-class", "1070", "--features", "48", "--seed", "3"]
+PAIR_ARGS = ["--kernel", "3,2", "--factor-pair", "16,3"]  # pools to 7x1
 AUDITS = {"48-141": ["48", "141"], "48-3-units16": ["48", "3", "--units", "16"],
-          "48-3-units16-pair8x6": ["48", "3", "--units", "16", "--factor-pair", "8,6"]}
+          "48-3-units16-pair8x6": ["48", "3", "--units", "16", "--factor-pair", "8,6"],
+          "48-3-units16-pair16x3": ["48", "3", "--units", "16", *PAIR_ARGS]}
 # (idle timeout, --pad-to 48) of each featurize run
 FEATURIZE_CASES = tuple((timeout, pad) for timeout in ("0", "1", "60") for pad in (False, True))
 
@@ -96,6 +103,8 @@ def run_matrix(spec: dict) -> None:
             reordered.write_bytes(pcap_builder.reorder(in_order.read_bytes()))
     runs = [(f"{variant}-{opt}", ["--variant", variant, "--optimizer", opt])
             for variant in spec["variants"] for opt in spec["optimizers"]]
+    runs += [(f"{variant}-pair16x3", ["--variant", variant, *PAIR_ARGS])
+             for variant in spec["variants"] if not variant.startswith("m2")]
     if spec["trials"]:
         runs.append(("m3-td-trials", TRIALS_ARGS))
     if spec["chunked"]:

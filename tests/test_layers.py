@@ -28,7 +28,7 @@ from tdntc.layers import (
     softmax,
     softmax_cross_entropy_batch,
 )
-from tdntc.models import SequenceFold
+from tdntc.models import Reshape
 
 
 def one(layer, x):
@@ -314,9 +314,10 @@ class TestConvFrontLayout:
     """Every stage from the pool to the fold reads and writes units last."""
 
     @pytest.mark.parametrize("make", [
-        MaxPool2x2, lambda: bound(BatchNormLayer(3)), lambda: SequenceFold("rows"),
-        lambda: SequenceFold("positions"), lambda: SequenceFold("units-first"),
-    ], ids=["maxpool", "batchnorm", "fold-rows", "fold-positions", "flatten"])
+        MaxPool2x2, lambda: bound(BatchNormLayer(3)), lambda: Reshape("Reshape", (4, 18)),
+        lambda: Reshape("Reshape", (24, 3)), lambda: Reshape("Flatten", (72,)),
+        lambda: Reshape("Flatten", (72,), units_first=True),
+    ], ids=["maxpool", "batchnorm", "fold-rows", "fold-positions", "fold-join", "flatten"])
     def test_stage_keeps_units_on_the_last_axis(self, make):
         rng = np.random.default_rng(12)
         b, h, w, u = x_shape = (4, 4, 6, 3)
@@ -341,7 +342,7 @@ class TestConvFrontLayout:
             want = (flat - flat.mean(axis=0)) / np.sqrt(flat.var(axis=0) + layer.EPSILON)
             assert np.abs(out.reshape(-1, u) - want).max() <= 1e-12
             assert np.abs(layer.grad_beta - dout.reshape(-1, u).sum(axis=0)).max() <= 1e-12
-        elif layer.name == "Reshape":
+        elif not layer.units_first:
             # a fold is a reshape both ways: no copy, no reorder
             assert np.shares_memory(out, x) and np.shares_memory(dx, dout)
             assert out.tobytes() == x.tobytes() and dx.tobytes() == dout.tobytes()

@@ -70,17 +70,40 @@ class TestGoldenParameterTables:
                     assert [r.count for r in rows] == stage_sizes, (
                         variant, n_features, n_classes)
                     assert total == live_total
+                    # the plan writes each audit name beside the layer's own
+                    assert [r.name for r in rows] == [s.name for s in graph.stages]
 
     def test_state_shapes_match_the_built_graph(self):
+        # 16x3 frames under a 3x2 kernel pool to a 7x1 grid
         for variant in models.VARIANTS:
-            for n_features, kernel in ((12, (3, 2)), (48, (3, 3)), (141, (2, 2))):
+            for n_features, kernel, pair in ((12, (3, 2), None), (48, (3, 3), None),
+                                             (141, (2, 2), None), (48, (3, 2), (16, 3))):
+                if pair and variant.startswith("m2"):
+                    continue  # m2 reads flow vectors and refuses a factor pair
                 cfg = ModelConfig(variant, n_features, 5, units=3, kernel=kernel,
-                                  td_units=2)
+                                  td_units=2, factor_pair=pair)
                 live = build_model(cfg).state_arrays()
                 # in order too: load_checkpoint fills state_arrays() in the
                 # order of the state_shapes directory
                 assert list(models.state_shapes(cfg).items()) == [
-                    (name, arr.shape) for name, arr in live.items()], (variant, n_features)
+                    (name, arr.shape) for name, arr in live.items()], (variant, n_features, pair)
+
+    def test_state_shapes_and_the_audit_build_no_layer(self, monkeypatch):
+        graphs = {variant: build_model(ModelConfig(variant, 48, 141))
+                  for variant in models.VARIANTS}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a layer was built")
+
+        for name in ("Conv2DLayer", "MaxPool2x2", "BatchNormLayer", "LSTMLayer",
+                     "DenseLayer", "Reshape"):
+            monkeypatch.setattr(models, name, refuse)
+        for variant, graph in graphs.items():
+            shapes = models.state_shapes(graph.config)
+            assert shapes == {name: arr.shape for name, arr in graph.state_arrays().items()}
+            assert count_parameters(graph)[1] == graph.flat_params.size
+            with pytest.raises(AssertionError, match="a layer was built"):
+                build_model(graph.config)
 
     def test_lstm_formula_follows_text_not_table_cell(self):
         # 4[(S+1)U+U^2] at S=U=128 is 131,584; the squared-sum misprint

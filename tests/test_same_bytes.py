@@ -23,10 +23,11 @@ def test_working_tree_against_itself_reports_no_difference(tmp_path):
                                       optimizers=("adam", "sgd"), trials=False,
                                       chunked=False, capture=capture, featurize=[("1", True)])
     assert lines == []
-    # per run: history, checkpoint, two reports and two evaluate reports; the
-    # three audits; a CSV and its summary for the capture in order and
-    # reordered; the change's two reports for each parent checkpoint
-    assert count == 2 * 6 + 3 + 2 * 2 + 2 * 2
+    # per run (two optimizers and the 16x3 frames): history, checkpoint, two
+    # reports and two evaluate reports; the four audits; a CSV and its
+    # summary for the capture in order and reordered; the change's two
+    # reports for each parent checkpoint
+    assert count == 3 * 6 + 4 + 2 * 2 + 3 * 2
     # the reordered copy holds the same records in another order
     reordered = tmp_path / "out" / "reordered.pcap"
     assert reordered.read_bytes() != capture.read_bytes()
