@@ -10,3 +10,6 @@ nothing heavy may be pulled in at package-import time.
 """
 
 __version__ = "0.1.0"
+
+# The six classifier variants, here so that the CLI parser loads no numpy.
+VARIANTS = ("m1-td", "m1-van", "m2-td", "m2-van", "m3-td", "m3-van")

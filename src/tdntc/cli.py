@@ -19,9 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-
-# models.VARIANTS, spelled out so that building the parser loads no numpy.
-VARIANTS = ("m1-td", "m1-van", "m2-td", "m2-van", "m3-td", "m3-van")
+from . import VARIANTS
 
 
 class UsageError(ValueError):
@@ -187,8 +185,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         (out_dir / "history.csv").write_text(trainer.history_csv(result.history),
                                              encoding="utf-8")
-        print(f"trained {len(result.history)} epochs "
-              f"(best val loss {result.best_val_loss:.6f} at epoch {result.best_epoch})")
+        kept = (f"best val loss {result.best_val_loss:.6f} at epoch {result.best_epoch}"
+                if split.val.size else "no validation split; kept the last epoch")
+        print(f"trained {len(result.history)} epochs ({kept})")
 
     report_text = metrics.per_class_report(report, ds.class_names)
     print(report_text)
@@ -257,8 +256,7 @@ def cmd_audit_params(args: argparse.Namespace) -> int:
         td_units=args.td_units,
         factor_pair=_parse_pair(args.factor_pair, "--factor-pair", "R,C"),
     )
-    graph = models.build_model(cfg)
-    print(models.format_stage_table(graph))
+    print(models.format_stage_table(cfg))
     return 0
 
 

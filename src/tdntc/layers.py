@@ -14,10 +14,9 @@ its slice and gives it a `grad_` view of one zeroed flat gradient vector,
 so the optimizer updates every tensor in one pass.
 
 A backward pass writes its parameter gradients into the `grad_*` views
-(`out=` or `[...] =`) and never rebinds them.  `Conv2DLayer` and
-`LSTMLayer`, the layers a graph can start with, take
-`backward(dout, input_grad=False)`: the graph's first stage feeds no other
-layer, so it skips building the input gradient and returns None.
+(`out=` or `[...] =`) and never rebinds them, and returns the gradient of
+its input.  `Conv2DLayer.backward` returns None: a conv is always a graph's
+first stage, so nothing reads its input gradient.
 
 Only a train-mode forward (`train=True`) keeps what `backward` needs, and
 it keeps it through `Layer._keep`; an inference forward drops whatever an
@@ -203,9 +202,9 @@ class Conv2DLayer(Layer):
     (taps + 1, units) stack [kernels^T; biases], so the product already
     holds the bias (Chellapilla, Puri and Simard 2006).  The product is
     (position, unit), so the output is that product reshaped.  The backward
-    pass reuses the patch matrix's tap columns for the kernel gradient and,
-    unless `input_grad` is false, scatters the patch gradient back tap by
-    tap.
+    pass reuses the patch matrix's tap columns for the kernel gradient and
+    returns None: a conv only ever starts a graph, so it builds no input
+    gradient.
     """
 
     name = "CNN_2D"
@@ -234,24 +233,14 @@ class Conv2DLayer(Layer):
         # Made on every call: the optimizer updates the parameters in place.
         stack = np.concatenate((self.kernels.reshape(self.units, taps).T, self.biases[None]))
         y = patches @ stack
-        self._keep(train, patches, x.shape)
+        self._keep(train, patches)
         return y.reshape(b, out_r, out_c, self.units)
 
-    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        patches, x_shape = self._kept()
-        b, out_r, out_c, _ = dout.shape
+    def backward(self, dout: np.ndarray) -> None:
+        (patches,) = self._kept()
         d = dout.reshape(-1, self.units)
         d.sum(axis=0, out=self.grad_biases)
         np.matmul(d.T, patches[:, :-1], out=self.grad_kernels.reshape(self.units, -1))
-        if not input_grad:
-            return None
-        dpatches = (d @ self.kernels.reshape(self.units, -1)).reshape(
-            b, out_r, out_c, self.kernel_rows, self.kernel_cols)
-        dx = np.zeros(x_shape)
-        for p in range(self.kernel_rows):
-            for q in range(self.kernel_cols):
-                dx[:, p:p + out_r, q:q + out_c] += dpatches[..., p, q]
-        return dx
 
 
 class MaxPool2x2(Layer):
@@ -484,7 +473,7 @@ class LSTMLayer(Layer):
         self._keep(train, ops, gates, cs, tanh_c)
         return out
 
-    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray) -> np.ndarray:
         ops, gates, cs, tanh_c = self._kept()
         t, b = gates.shape[:2]
         s, k = self.input_size, self.units
@@ -543,8 +532,6 @@ class LSTMLayer(Layer):
         self.grad_w_h[...] = grad_w[:k]
         self.grad_w_x[...] = grad_w[k:k + s]
         self.grad_bias[...] = grad_w[k + s]
-        if not input_grad:
-            return None
         return (flat_dz @ self.w_x.T).reshape(t, b, s).transpose(1, 0, 2)
 
 

@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import VARIANTS
 from .datapipe import choose_factor_pair
 from .layers import (
     BatchNormLayer,
@@ -48,7 +49,6 @@ from .layers import (
     softmax,
 )
 
-VARIANTS = ("m1-td", "m1-van", "m2-td", "m2-van", "m3-td", "m3-van")
 INFER_BATCH = 256  # rows per decision-layer pass in inference
 INFER_BLOCK = 32  # rows per feature-stage pass in inference: the default --batch
 
@@ -253,10 +253,10 @@ class ModelGraph:
         return logits
 
     def backward(self, dout: np.ndarray) -> None:
-        """Fill `flat_grads` from the logits' gradient; the first stage makes no dx."""
-        for stage in reversed(self.stages[1:]):
+        """Fill `flat_grads` from the logits' gradient, last stage first: each
+        stage passes its input gradient back, and a conv first stage makes none."""
+        for stage in reversed(self.stages):
             dout = stage.backward(dout)
-        self.stages[0].backward(dout, input_grad=False)
 
     def predict(self, x: np.ndarray):
         """Probabilities and argmax classes of a batch.
@@ -392,19 +392,23 @@ def state_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
 # audit
 
 
-def count_parameters(graph: ModelGraph) -> Tuple[List[StageCount], int]:
-    """Per-stage trainable-parameter table and its total, from the plan's
-    closed forms (conv (PxQxS+1)xU, batchnorm 2U, LSTM 4[(S+1)U+U^2], dense
-    SxU+U): no allocated array is read, so tests can cross-check the audit
-    against the built graph."""
+def _audit(cfg: ModelConfig) -> Tuple[List[StageCount], int]:
+    """Per-stage trainable-parameter rows and their total, from the plan's closed
+    forms (conv (PxQxS+1)xU, batchnorm 2U, LSTM 4[(S+1)U+U^2], dense SxU+U)."""
     rows = [StageCount(stage.name, stage.calculation,
                        sum(math.prod(shape) for _, shape in stage.params))
-            for stage in _plan(graph.config)]
+            for stage in _plan(cfg)]
     return rows, sum(r.count for r in rows)
 
 
-def format_stage_table(graph: ModelGraph) -> str:
-    rows, total = count_parameters(graph)
+def count_parameters(graph: ModelGraph) -> Tuple[List[StageCount], int]:
+    """`graph`'s audit, read from its config: tests cross-check it against the graph."""
+    return _audit(graph.config)
+
+
+def format_stage_table(cfg: ModelConfig) -> str:
+    """The `audit-params` table of `cfg`, building no model."""
+    rows, total = _audit(cfg)
     name_w = max(len("Network"), max(len(r.name) for r in rows)) + 2
     calc_w = max(len("Calculation"), max(len(r.calculation) for r in rows)) + 2
     lines = [f"{'Network':<{name_w}}{'Calculation':<{calc_w}}Trainable parameters"]

@@ -210,17 +210,17 @@ def train(graph: ModelGraph, train_data: Tuple[np.ndarray, np.ndarray],
     """
     x_train, y_train = train_data
     x_val, y_val = val_data
-    # An empty validation split (legal for tiny classes under the floor
-    # split rule) disables early stopping; every epoch counts as the best.
+    # An empty validation split (legal for tiny classes under the floor split
+    # rule) disables early stopping: the last epoch stays, best_val_loss NaN.
     has_val = x_val.shape[0] > 0
     optimizer = _make_optimizer(cfg)
     rng = np.random.default_rng(cfg.seed)
     started = time.perf_counter()
     initial_loss = float("nan")
     history: List[EpochStats] = []
-    best_val = np.inf
+    best_val = np.inf if has_val else np.nan
     best_epoch = 0
-    best_state = graph.get_state()
+    best_state = graph.get_state() if has_val else None
     stale = 0
     steps = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -251,23 +251,21 @@ def train(graph: ModelGraph, train_data: Tuple[np.ndarray, np.ndarray],
             val_loss=val_loss,
             val_acc=val_acc,
         ))
-        if not has_val:
-            best_epoch = epoch
-            best_state = graph.get_state()
-        elif val_loss < best_val:
+        if has_val and val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
             best_state = graph.get_state()
             stale = 0
-        else:
+        elif has_val:
             stale += 1
             if stale >= cfg.patience:
                 break
-    graph.set_state(best_state)
+    if has_val:
+        graph.set_state(best_state)
     return TrainResult(
         history=history,
         initial_train_loss=initial_loss,
-        best_epoch=best_epoch,
+        best_epoch=best_epoch if has_val else len(history),
         best_val_loss=float(best_val),
         wall_seconds=time.perf_counter() - started,
         optimizer_steps=steps,

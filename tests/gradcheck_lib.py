@@ -5,7 +5,9 @@ is checked against; it shares no code with the layers.  Each check builds
 one random small instance (at most 64 parameters early in the pipeline,
 per the contract for these checks), runs the analytic backward pass, and
 measures the worst relative deviation from the central difference oracle
-over every parameter tensor and the input.
+over every parameter tensor and the input.  The conv check covers its
+parameters only: a conv starts every graph, so its backward makes no input
+gradient.
 
 Instances are generated to stay away from activation kinks and pooling
 ties: pre-activations and window gaps far larger than the 1e-5 probe step,
@@ -98,7 +100,27 @@ def lstm_hidden_states(layer) -> np.ndarray:
     return layer._saved[0][1:, :, :layer.units].transpose(1, 0, 2)
 
 
+def graph_backward_returns(graph, dout) -> list:
+    """Run `graph.backward(dout)`; what each stage's backward returned, in stage order."""
+    returned = [None] * len(graph.stages)
+    for i, stage in enumerate(graph.stages):
+        def record(d, i=i, inner=stage.backward):
+            returned[i] = inner(d)
+            return returned[i]
+        stage.backward = record
+    try:
+        graph.backward(dout)
+    finally:
+        for stage in graph.stages:
+            del stage.backward
+    return returned
+
+
 def _worst_param_and_input_error(layer, x, forward, projection) -> float:
+    """Worst error over the parameters and, unless `x` is None, the input.
+
+    With `x` None the layer's backward must return None.
+    """
     def scalar(_ignored=None):
         return float((forward() * projection).sum())
 
@@ -109,6 +131,9 @@ def _worst_param_and_input_error(layer, x, forward, projection) -> float:
     for name, arr in params(layer).items():
         numeric = finite_diff_grad(scalar, arr)
         worst = max(worst, relative_grad_error(analytic[name], numeric))
+    if x is None:
+        assert dx is None, f"{layer.name} made an input gradient"
+        return worst
     numeric = finite_diff_grad(scalar, x)
     worst = max(worst, relative_grad_error(dx, numeric))
     return worst
@@ -147,7 +172,7 @@ def check_conv2d(rng: np.random.Generator) -> float:
     layer = bound(layers.Conv2DLayer(units, kernel=(p, q), rng=rng))
     x = rng.normal(size=(int(rng.integers(1, 3)), rows, cols))
     proj = rng.normal(size=layer.forward(x).shape)
-    return _worst_param_and_input_error(layer, x, lambda: layer.forward(x, train=True),
+    return _worst_param_and_input_error(layer, None, lambda: layer.forward(x, train=True),
                                         proj)
 
 
@@ -248,7 +273,7 @@ def reference_conv2d(x, kernels, biases, dout):
     return y, (d.T @ patches).reshape(kernels.shape), d.sum(axis=0)
 
 
-def reference_lstm_backward(layer, dout, input_grad=True):
+def reference_lstm_backward(layer, dout):
     """(dx, grad_w_x, grad_w_h, grad_bias) by the batch-major step loop.
 
     Reads the state a train-mode forward of `layer` kept, without taking it,
@@ -256,8 +281,7 @@ def reference_lstm_backward(layer, dout, input_grad=True):
     backward, which writes its gate gradient over the kept gates.  Each
     step's gate arithmetic runs on the (batch, units) blocks `a[:, g]` of
     the batch-major gate rows; the layer runs the same operations in the
-    same order on gate-major copies and must match it bit for bit.  `dx` is
-    None when `input_grad` is false.
+    same order on gate-major copies and must match it bit for bit.
     """
     ops, gates, cs, tanh_c = layer._saved
     t, b = gates.shape[:2]
@@ -311,9 +335,7 @@ def reference_lstm_backward(layer, dout, input_grad=True):
     flat_dz = dz_all.reshape(t * b, 4 * k)
     # one GEMM over the kept [h_{t-1} | x_t | 1] operands gives all three
     grad_w = ops[:t].reshape(t * b, k + s + 1).T @ flat_dz
-    dx = None
-    if input_grad:
-        dx = (flat_dz @ layer.w_x.T).reshape(t, b, s).transpose(1, 0, 2)
+    dx = (flat_dz @ layer.w_x.T).reshape(t, b, s).transpose(1, 0, 2)
     return dx, grad_w[k:k + s], grad_w[:k], grad_w[k + s]
 
 

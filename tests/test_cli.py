@@ -67,6 +67,18 @@ class TestAuditParams:
         assert main(["audit-params", "m3-van", "48", "141"]) == 0
         assert "167,821" in capsys.readouterr().out
 
+    def test_audit_builds_no_model(self, capsys, monkeypatch):
+        # Allocating these 3,617,260,141 parameters would take over 29 GB.
+        from tdntc import models
+
+        def refuse(cfg):
+            raise AssertionError("audit-params built the model")
+
+        monkeypatch.setattr(models, "build_model", refuse)
+        assert main(["audit-params", "m3-td", "48", "141",
+                     "--units", "20000", "--td-units", "20000"]) == 0
+        assert "3,617,260,141" in capsys.readouterr().out
+
     def test_cos_decision_width(self, capsys):
         assert main(["audit-params", "m3-td", "48", "24"]) == 0
         assert "18456" in capsys.readouterr().out
@@ -344,7 +356,7 @@ class TestFeaturize:
 
 
 def test_variant_choices_are_the_model_variants():
-    # cli spells the names out so that its parser loads no numpy.
+    # Both read the names from the numpy-free package root.
     from tdntc import cli, models
 
     assert cli.VARIANTS == models.VARIANTS
@@ -391,6 +403,16 @@ class TestTrainEvaluate:
         printed = capsys.readouterr().out
         assert "resolved-config" in printed
         assert "weighted avg" in printed
+
+    def test_train_without_validation_rows_says_it_kept_the_last_epoch(self, tmp_path,
+                                                                        capsys):
+        csv = tmp_path / "small.csv"
+        assert main(["synth", "--classes", "3", "--per-class", "9", "--features", "12",
+                     "--seed", "0", "--out", str(csv)]) == 0
+        assert main(train_args(csv, tmp_path / "run", **{"--epochs": "3"})) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "split sizes: train=24 val=0 test=3" in printed
+        assert "trained 3 epochs (no validation split; kept the last epoch)" in printed
 
     def test_train_then_evaluate_round_trip(self, synth_csv, tmp_path, capsys):
         out_dir = tmp_path / "run"

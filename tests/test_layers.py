@@ -67,9 +67,8 @@ def brute_force_conv2d(x, kernels, biases):
 
 
 def brute_force_conv2d_backward(x, kernels, dout):
-    """Direct-sum gradients of a batched convolution: (d kernels, d biases, dx)."""
+    """Direct-sum parameter gradients of a batched convolution: (d kernels, d biases)."""
     units, p, q = kernels.shape
-    dx = np.zeros_like(x)
     d_kernels = np.zeros_like(kernels)
     d_biases = np.zeros(units)
     for n in range(x.shape[0]):
@@ -81,8 +80,7 @@ def brute_force_conv2d_backward(x, kernels, dout):
                     for a in range(p):
                         for b in range(q):
                             d_kernels[u, a, b] += g * x[n, i + a, j + b]
-                            dx[n, i + a, j + b] += g * kernels[u, a, b]
-    return d_kernels, d_biases, dx
+    return d_kernels, d_biases
 
 
 class TestConvGeometry:
@@ -151,46 +149,15 @@ class TestConv2D:
                 want = brute_force_conv2d(x[n], layer.kernels, layer.biases)
                 assert np.abs(got[n] - want).max() <= 1e-12
             dout = rng.normal(size=got.shape)
-            dx = layer.backward(dout)
-            d_kernels, d_biases, want_dx = brute_force_conv2d_backward(
-                x, layer.kernels, dout)
+            assert layer.backward(dout) is None
+            d_kernels, d_biases = brute_force_conv2d_backward(x, layer.kernels, dout)
             assert np.abs(layer.grad_kernels - d_kernels).max() <= 1e-12
             assert np.abs(layer.grad_biases - d_biases).max() <= 1e-12
-            assert dx.shape == x.shape
-            assert np.abs(dx - want_dx).max() <= 1e-12
 
     def test_geometry_error_propagates(self):
         layer = Conv2DLayer(1, kernel=(3, 3), rng=np.random.default_rng(0))
         with pytest.raises(GeometryError):
             layer.forward(np.zeros((1, 2, 2)))
-
-
-@pytest.mark.parametrize("make, x_shape", [
-    (lambda rng: Conv2DLayer(3, kernel=(3, 2), rng=rng), (4, 6, 5)),
-    (lambda rng: Conv2DLayer(2, kernel=(1, 1), rng=rng), (3, 4, 3)),
-    (lambda rng: LSTMLayer(2, 3, output_activation="relu", rng=rng), (4, 5, 2)),
-    (lambda rng: LSTMLayer(3, 2, rng=rng, return_sequences=False), (4, 6, 3)),
-], ids=["conv-3x2", "conv-1x1", "lstm-relu-sequences", "lstm-last-state"])
-def test_backward_without_input_gradient_keeps_parameter_gradients(make, x_shape):
-    # The graph's first stage skips its input gradient; the parameter
-    # gradients must come out byte-equal to those of the full backward.
-    # Backward takes the kept state, so each backward runs after its own
-    # forward of the same input.
-    rng = np.random.default_rng(31)
-    layer = bound(make(rng))
-    for arr in params(layer).values():
-        arr[...] = rng.normal(size=arr.shape)
-    x = rng.normal(size=x_shape)
-    out = layer.forward(x, train=True)
-    dout = rng.normal(size=out.shape)
-    assert layer.backward(dout).shape == x_shape
-    full = {name: g.copy() for name, g in grads(layer).items()}
-    for g in grads(layer).values():
-        g[...] = np.nan
-    layer.forward(x, train=True)
-    assert layer.backward(dout, input_grad=False) is None
-    for name, g in grads(layer).items():
-        assert g.tobytes() == full[name].tobytes(), name
 
 
 class TestMaxPool:
@@ -274,7 +241,7 @@ class TestConv2DAgainstSeparateBiasReference:
                 got = layer.forward(x, train=train)
                 assert got.shape == want.shape, shape
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), shape
-            assert layer.backward(dout, input_grad=False) is None
+            assert layer.backward(dout) is None
             assert (np.abs(layer.grad_kernels - want_kernels).max()
                     <= 1e-13 * np.abs(want_kernels).max()), shape
             assert layer.grad_biases.tobytes() == want_biases.tobytes(), shape
@@ -593,7 +560,7 @@ class TestLSTM:
         assert (clamped == np.maximum(raw, 0.0)).all()
 
 
-@pytest.mark.parametrize("input_grad", [True, False], ids=["dx", "no-dx"])
+# Every case checks the input gradient too, hence the "-dx" ids.
 @pytest.mark.parametrize("b, t, s, k, activation, return_sequences", [
     (32, 48, 1, 128, "relu", True),
     (32, 6, 128, 128, "identity", True),
@@ -602,9 +569,10 @@ class TestLSTM:
     (2, 1, 1, 3, "identity", True),
     (33, 48, 1, 16, "relu", True),
     (1, 5, 2, 3, "relu", True),
-], ids=["m2", "m3-sequences", "m3-last", "small-last", "one-step", "odd-batch", "batch-1"])
+], ids=["m2-dx", "m3-sequences-dx", "m3-last-dx", "small-last-dx", "one-step-dx",
+        "odd-batch-dx", "batch-1-dx"])
 def test_lstm_backward_matches_the_batch_major_reference(b, t, s, k, activation,
-                                                         return_sequences, input_grad):
+                                                         return_sequences):
     # The gate-major backward runs the batch-major loop's operations in the
     # same order, so every gradient is byte-equal.  It takes the kept state
     # and writes its gate gradient over the kept gates, so the reference
@@ -616,18 +584,15 @@ def test_lstm_backward_matches_the_batch_major_reference(b, t, s, k, activation,
     x = rng.normal(size=(b, t, s))
     out = layer.forward(x, train=True)
     dout = rng.normal(size=out.shape)
-    want_dx, *want_grads = reference_lstm_backward(layer, dout, input_grad)
+    want_dx, *want_grads = reference_lstm_backward(layer, dout)
     for rerun in (False, True):
         if rerun:
             assert same_bits(layer.forward(x, train=True), out)
-        dx = layer.backward(dout, input_grad=input_grad)
+        dx = layer.backward(dout)
         assert layer._saved is None
         for name, want in zip(("grad_w_x", "grad_w_h", "grad_bias"), want_grads):
             assert same_bits(getattr(layer, name), want), name
-        if input_grad:
-            assert same_bits(dx, want_dx)
-        else:
-            assert dx is None and want_dx is None
+        assert same_bits(dx, want_dx)
 
 
 class TestDense:

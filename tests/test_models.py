@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradcheck_lib import grads, params
+from gradcheck_lib import graph_backward_returns, grads, params
 from tdntc import models, trainer
 from tdntc.layers import DenseLayer, Layer, ShapeError, softmax, softmax_cross_entropy_batch
 from tdntc.models import BuildError, ModelConfig, build_model, count_parameters
@@ -169,6 +169,32 @@ def test_stages_share_one_layer_interface(variant):
     graph.backward(softmax_cross_entropy_batch(logits, np.array([0, 1, 2, 0]))[2])
     graph.predict(x)
     assert calls == {"forward_logits": 2, "backward": 1}
+
+
+@pytest.mark.parametrize("variant", models.VARIANTS)
+def test_stage_order_carries_the_backward_contract(variant):
+    # Only a conv makes no input gradient, and the plan puts it first, where
+    # nothing reads one; every other stage returns the gradient of the input
+    # its forward took, m2's first-stage LSTM included.
+    graph = build_model(make_config(variant, 48, 3, units=4, td_units=4, seed=2))
+    x = np.random.default_rng(3).uniform(0, 1, size=(4, 48))
+    if graph.config.frame_input:
+        x = x.reshape(4, *graph.frame_dims)
+    out = x if graph.config.frame_input else x[..., None]
+    in_shapes = []
+    for stage in graph.stages:
+        in_shapes.append(out.shape)
+        out = stage.forward(out)
+    logits = graph.forward_logits(x, train=True)
+    dlogits = softmax_cross_entropy_batch(logits, np.array([0, 1, 2, 0]))[2]
+    returned = graph_backward_returns(graph, dlogits)
+    for i, (stage, dx, shape) in enumerate(zip(graph.stages, returned, in_shapes)):
+        if stage.name == "CNN_2D":
+            assert i == 0 and dx is None
+        else:
+            assert dx.shape == shape, (variant, stage.name)
+    if not graph.config.frame_input:
+        assert returned[0].shape == (4, 48, 1)
 
 
 STAGE_KINDS = {"CNN_2D", "MP_2D", "BN", "Reshape", "LSTM", "TD(FFNN_0)", "FFNN_0",

@@ -213,11 +213,17 @@ class TestTrainLoop:
         graph = models.build_model(cfg)
         x, y = data["train"]
         empty = (x[:0], y[:0])
+        snapshots = []
+        graph.get_state = lambda: snapshots.append(1) or models.ModelGraph.get_state(graph)
         result = train(graph, (x, y), empty,
                        TrainConfig(epochs=3, batch_size=8, seed=0, patience=1))
         assert len(result.history) == 3
         assert result.best_epoch == 3
         assert all(np.isnan(h.val_loss) for h in result.history)
+        # No best loss to report, like history's val_loss, and the last epoch
+        # stays without a parameter snapshot to restore it from.
+        assert np.isnan(result.best_val_loss)
+        assert snapshots == []
 
     def test_history_csv_layout(self):
         cfg, data = tiny_splits("m2-van")
