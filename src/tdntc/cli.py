@@ -8,7 +8,8 @@ Subcommands:
   audit-params  print the per-stage trainable-parameter table for a variant
 
 Heavy modules are imported inside the handlers so the TDNTC_THREADS cap can
-be applied to the BLAS environment before numpy first loads.
+be applied to the BLAS environment before numpy first loads, and so a
+command that fails reports its `tdntc.Error` without loading them.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import VARIANTS
+from . import VARIANTS, Error
 
 
-class UsageError(ValueError):
+class UsageError(Error, ValueError):
     """Raised for an option value the command cannot use."""
 
 
@@ -209,7 +210,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import datapipe, metrics, trainer
-    from .layers import ShapeError
 
     _print_config(args)
     graph, scaler, class_names = trainer.load_checkpoint(args.checkpoint)
@@ -220,7 +220,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ds = _load_csv(args)
     expected = graph.config.n_features
     if ds.n_features != expected:
-        raise ShapeError(
+        raise datapipe.DataError(
             f"feature count mismatch: model expects N={expected}, "
             f"found N={ds.n_features} in {args.csv}")
     index_of = {name: i for i, name in enumerate(class_names)}
@@ -332,28 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def mapped_errors() -> tuple:
-    """The typed errors `main` reports as `error: ...` with exit status 1."""
-    from . import datapipe, flowcap, layers, models, trainer
-
-    return (
-        UsageError, datapipe.DataError, flowcap.PcapFormatError,
-        flowcap.PcapParseError, layers.GeometryError, layers.StatisticsError,
-        layers.ShapeError, models.BuildError, trainer.ConfigError,
-        trainer.DivergenceError, trainer.CheckpointError, OSError,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _apply_thread_cap()
         return args.func(args)
-    except Exception as exc:  # surface our typed errors as clean CLI failures
-        if isinstance(exc, mapped_errors()):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        raise
+    except (Error, OSError) as exc:  # any other exception is a bug: a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,8 +19,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import Error
 
-class DataError(ValueError):
+
+class DataError(Error, ValueError):
     """Raised for malformed input data or contract violations in this module."""
 
 

@@ -33,16 +33,18 @@ from itertools import islice
 from operator import le
 from typing import BinaryIO, Dict, List, NamedTuple, Optional, Tuple
 
+from . import Error
+
 MAGIC_USEC = 0xA1B2C3D4
 MAGIC_NSEC = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
 SKIP_KINDS = ("non_ip", "ipv6", "fragmented", "non_tcp_udp", "truncated")
 
-class PcapFormatError(ValueError):
+class PcapFormatError(Error, ValueError):
     """Raised when a file is not a classic pcap this parser understands."""
 
 
-class PcapParseError(ValueError):
+class PcapParseError(Error, ValueError):
     """Raised when a capture is structurally damaged; carries a byte offset."""
 
 
@@ -51,8 +53,7 @@ class Packets:
     """Parsed IPv4 TCP/UDP packets in file order: a timestamp and a 24-byte head each.
 
     `timestamp` is a `d` array and `heads` the packets' heads in `_HEAD`
-    layout: about 33 bytes a packet, where one typed column per field took
-    about 25.  A packet's payload_len, its total length less the 20-byte
+    layout.  A packet's payload_len, its total length less the 20-byte
     IP header, is the transport header plus application data.
     """
 

@@ -33,16 +33,18 @@ from typing import Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import Error
 
-class ShapeError(ValueError):
+
+class ShapeError(Error, ValueError):
     """Raised when an array shape violates an operation's contract."""
 
 
-class GeometryError(ValueError):
+class GeometryError(Error, ValueError):
     """Raised when convolution or pooling geometry does not fit the input."""
 
 
-class StatisticsError(ValueError):
+class StatisticsError(Error, ValueError):
     """Raised when batch statistics are requested from a degenerate batch."""
 
 
@@ -555,9 +557,10 @@ def softmax_cross_entropy_batch(logits: np.ndarray, labels: np.ndarray
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
         raise IndexError(f"class index out of range for {c} classes")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    ez = np.exp(shifted)
+    log_norm = np.log(ez.sum(axis=1))
     losses = log_norm - shifted[np.arange(n), labels]
-    probs = np.exp(shifted) / np.exp(log_norm)[:, None]
+    probs = ez / np.exp(log_norm)[:, None]
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
     return probs, losses, dlogits

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import VARIANTS
+from . import VARIANTS, Error
 from .datapipe import choose_factor_pair
 from .layers import (
     BatchNormLayer,
@@ -53,7 +53,7 @@ INFER_BATCH = 256  # rows per decision-layer pass in inference
 INFER_BLOCK = 32  # rows per feature-stage pass in inference: the default --batch
 
 
-class BuildError(ValueError):
+class BuildError(Error, ValueError):
     """Raised when a model cannot be assembled; names the failing stage."""
 
 

@@ -27,6 +27,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import Error
 from .datapipe import ScalerState
 from .layers import softmax_cross_entropy_batch
 from .metrics import ClassReport, classification_metrics, confusion_matrix
@@ -38,15 +39,15 @@ CHECKPOINT_VERSION = 1
 ADAM_BLOCK = 65536  # elements per Adam block: a block's vectors stay in cache
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(Error, RuntimeError):
     """Raised when training produces a non-finite loss."""
 
 
-class CheckpointError(ValueError):
+class CheckpointError(Error, ValueError):
     """Raised for unreadable, truncated, or incompatible checkpoint files."""
 
 
-class ConfigError(ValueError):
+class ConfigError(Error, ValueError):
     """Raised for a training setting outside its valid range."""
 
 

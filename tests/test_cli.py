@@ -371,6 +371,67 @@ def test_featurize_imports_no_numpy():
                    cwd=Path(__file__).resolve().parent.parent)
 
 
+@pytest.mark.parametrize("kind", ["not-a-pcap", "missing"])
+def test_failing_featurize_imports_no_numpy(tmp_path, kind):
+    # The error root lives in the numpy-free package root, so saying that a
+    # capture is bad costs no more imports than parsing a good one.
+    pcap = tmp_path / "bad.pcap"
+    if kind == "not-a-pcap":
+        pcap.write_text("not a pcap file, just text")
+        want = "error: bad pcap magic 0x6E6F7420\n"
+    else:
+        want = f"error: [Errno 2] No such file or directory: {str(pcap)!r}\n"
+    code = ("import sys; from tdntc.cli import main; rc = main(sys.argv[1:]); "
+            "print('numpy loaded:', 'numpy' in sys.modules); sys.exit(rc)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "featurize", str(pcap), "--out", str(tmp_path / "f.csv")],
+        env=dict(os.environ, PYTHONPATH="src"), cwd=Path(__file__).resolve().parent.parent,
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, want)
+    assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
+
+
+def test_typed_errors_share_the_package_root():
+    import importlib
+    import pkgutil
+
+    import tdntc
+
+    for module in pkgutil.iter_modules(tdntc.__path__):
+        importlib.import_module(f"tdntc.{module.name}")
+    from tdntc import cli, datapipe, flowcap, layers, models, trainer
+
+    bases = {
+        cli.UsageError: ValueError, datapipe.DataError: ValueError,
+        datapipe.StratificationError: ValueError, flowcap.PcapFormatError: ValueError,
+        flowcap.PcapParseError: ValueError, layers.ShapeError: ValueError,
+        layers.GeometryError: ValueError, layers.StatisticsError: ValueError,
+        models.BuildError: ValueError, trainer.CheckpointError: ValueError,
+        trainer.ConfigError: ValueError, trainer.DivergenceError: RuntimeError,
+    }
+    found, todo = set(), [tdntc.Error]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        found.update(subs)
+        todo.extend(subs)
+    assert found == set(bases)
+    for cls, base in bases.items():
+        assert issubclass(cls, base), cls
+
+
+def test_untyped_error_in_a_handler_is_a_traceback(tmp_path, monkeypatch, capsys):
+    # Only a `tdntc.Error` or an OSError is the user's fault; anything else is a bug.
+    from tdntc import datapipe
+
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(datapipe, "generate_synthetic", broken)
+    with pytest.raises(ValueError, match="a bug, not bad input"):
+        main(["synth", "--out", str(tmp_path / "s.csv")])
+    assert "error:" not in capsys.readouterr().err
+
+
 def test_prepare_inputs_scales_the_matrix_in_place():
     # `train` and `evaluate` read their matrix no more after scaling it, so
     # it is scaled where it lies; the allocating scale held 1.13 times it.

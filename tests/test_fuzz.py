@@ -24,11 +24,10 @@ from hypothesis import strategies as st
 
 import csv_oracle
 import pcap_builder as pb
-from tdntc import datapipe, flowcap, models, trainer
-from tdntc.cli import mapped_errors
+from tdntc import Error, datapipe, flowcap, models, trainer
 from tdntc.flowcap import FlowStats, PcapFormatError, PcapParseError, parse_pcap_bytes
 
-MAPPED = mapped_errors()
+MAPPED = (Error, OSError)
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
