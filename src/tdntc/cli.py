@@ -106,13 +106,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prepare_inputs(features, variant_frame_input: bool, scaler, factor_pair):
-    """Scale a feature matrix in place and shape it for the variant."""
+def _prepare_inputs(features, cfg, scaler):
+    """Scale a feature matrix in place and shape it as `cfg`'s variant reads it."""
     from . import datapipe
 
     scaled = datapipe.minmax_apply(scaler, features, out=features)
-    if variant_frame_input:
-        return datapipe.frames_from_flows(scaled, factor_pair=factor_pair).frames
+    if cfg.frame_input:
+        return datapipe.frames_from_flows(scaled, factor_pair=cfg.factor_pair).frames
     return scaled
 
 
@@ -167,8 +167,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         idx = getattr(split, name)
         if name != "train":
             rows = ds.features[idx]
-        splits[name] = (_prepare_inputs(rows, model_cfg.frame_input, scaler, factor_pair),
-                        ds.labels[idx])
+        splits[name] = (_prepare_inputs(rows, model_cfg, scaler), ds.labels[idx])
     print(f"split sizes: {sizes}")
 
     out_dir = Path(args.out)
@@ -193,8 +192,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     report_text = metrics.per_class_report(report, ds.class_names)
     print(report_text)
 
-    trainer.save_checkpoint(graph, out_dir / "model.ckpt", scaler=scaler,
-                            class_names=ds.class_names)
+    trainer.save_checkpoint(graph, out_dir / "model.ckpt", scaler, ds.class_names)
     (out_dir / "report.txt").write_text(
         f"# config: {json.dumps(config_header, sort_keys=True)}\n{report_text}\n",
         encoding="utf-8")
@@ -213,10 +211,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     _print_config(args)
     graph, scaler, class_names = trainer.load_checkpoint(args.checkpoint)
-    if scaler is None or class_names is None:
-        raise trainer.CheckpointError(
-            f"{args.checkpoint}: checkpoint lacks scaler/encoder state needed "
-            "for evaluation")
     ds = _load_csv(args)
     expected = graph.config.n_features
     if ds.n_features != expected:
@@ -230,8 +224,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"{args.csv}: label {unknown[0]!r} not in the checkpoint's classes {class_names}")
     y = np.array([index_of[name] for name in ds.class_names])[ds.labels]
 
-    inputs = _prepare_inputs(ds.features, graph.config.frame_input, scaler,
-                             graph.config.factor_pair)
+    inputs = _prepare_inputs(ds.features, graph.config, scaler)
     report = trainer.evaluate(graph, inputs, y)
     report_text = metrics.per_class_report(report, class_names)
     print(report_text)

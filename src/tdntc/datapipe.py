@@ -84,14 +84,6 @@ class ScalerState:
     feature_min: np.ndarray
     feature_max: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {"min": self.feature_min.tolist(), "max": self.feature_max.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalerState":
-        return cls(np.asarray(d["min"], dtype=np.float64),
-                   np.asarray(d["max"], dtype=np.float64))
-
     def overflowing_feature(self) -> Optional[int]:
         """The first feature whose max - min is beyond float64, or None."""
         with np.errstate(over="ignore"):

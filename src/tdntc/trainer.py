@@ -8,8 +8,8 @@ and reports the per-trial metrics plus their averages.
 
 Checkpoints are a self-describing binary container: magic b"TDNTC1", a
 length-prefixed UTF-8 JSON metadata document (format version, model config,
-tensor directory, scaler state, encoder table), then the raw little-endian
-float64 tensor payloads in directory order.
+tensor directory, and the required scaler {"min", "max"} and class names),
+then the raw little-endian float64 tensor payloads in directory order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from operator import add
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -384,9 +384,9 @@ def run_trials(model_cfg: ModelConfig, cfg: TrainConfig,
 # checkpoints
 
 
-def save_checkpoint(graph: ModelGraph, path, scaler: Optional[ScalerState] = None,
-                    class_names: Optional[List[str]] = None) -> None:
-    """Serialize the graph (parameters + running stats) and pipeline state."""
+def save_checkpoint(graph: ModelGraph, path, scaler: ScalerState,
+                    class_names: List[str]) -> None:
+    """Serialize the graph (parameters + running stats), its scaler and class names."""
     tensors = graph.state_arrays()
     directory = [{"name": name, "shape": list(arr.shape)}
                  for name, arr in tensors.items()]
@@ -394,8 +394,8 @@ def save_checkpoint(graph: ModelGraph, path, scaler: Optional[ScalerState] = Non
         "format_version": CHECKPOINT_VERSION,
         "model_config": graph.config.to_dict(),
         "tensors": directory,
-        "scaler": scaler.to_dict() if scaler is not None else None,
-        "class_names": list(class_names) if class_names is not None else None,
+        "scaler": {"min": scaler.feature_min.tolist(), "max": scaler.feature_max.tolist()},
+        "class_names": list(class_names),
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     with Path(path).open("wb") as handle:
@@ -406,9 +406,7 @@ def save_checkpoint(graph: ModelGraph, path, scaler: Optional[ScalerState] = Non
             handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _scaler_state(path, doc, n_features: int) -> Optional[ScalerState]:
-    if doc is None:
-        return None
+def _scaler_state(path, doc, n_features: int) -> ScalerState:
     # The bound also rejects an int too large for a float, on which
     # math.isfinite would raise OverflowError.
     if not (isinstance(doc, dict) and all(
@@ -421,14 +419,15 @@ def _scaler_state(path, doc, n_features: int) -> Optional[ScalerState]:
     for j, (lo, hi) in enumerate(zip(doc["min"], doc["max"])):
         if lo > hi:
             raise CheckpointError(f"{path}: scaler min exceeds max for feature {j}")
-    state = ScalerState.from_dict(doc)
+    state = ScalerState(np.asarray(doc["min"], dtype=np.float64),
+                        np.asarray(doc["max"], dtype=np.float64))
     j = state.overflowing_feature()
     if j is not None:
         raise CheckpointError(f"{path}: scaler range of feature {j} overflows")
     return state
 
 
-def load_checkpoint(path) -> Tuple[ModelGraph, Optional[ScalerState], Optional[List[str]]]:
+def load_checkpoint(path) -> Tuple[ModelGraph, ScalerState, List[str]]:
     """Rebuild a graph from a checkpoint; inference is bit-identical to save time."""
     data = Path(path).read_bytes()
     if len(data) < len(CHECKPOINT_MAGIC) + 4 or not data.startswith(CHECKPOINT_MAGIC):
@@ -491,12 +490,11 @@ def load_checkpoint(path) -> Tuple[ModelGraph, Optional[ScalerState], Optional[L
         values = values[arr.size:]
     scaler = _scaler_state(path, meta.get("scaler"), cfg.n_features)
     class_names = meta.get("class_names")
-    if class_names is not None and not (
-            isinstance(class_names, list) and len(class_names) == cfg.n_classes
+    if not (isinstance(class_names, list) and len(class_names) == cfg.n_classes
             and all(isinstance(c, str) for c in class_names)):
         raise CheckpointError(
             f"{path}: class_names must be a list of {cfg.n_classes} strings")
-    for i, name in enumerate(class_names or ()):
+    for i, name in enumerate(class_names):
         if name in class_names[:i]:
             raise CheckpointError(f"{path}: class_names repeats {name!r}")
     return graph, scaler, class_names

@@ -49,13 +49,13 @@ def criterion(number, name):
 
 @pytest.fixture(scope="module")
 def synth_pipeline():
-    """The fixed-seed desk-scale dataset, split, scaled, and framed."""
+    """The fixed-seed desk-scale dataset, split, scaler, scaled, and framed."""
     ds = datapipe.generate_synthetic(3, 1000, 48, seed=SYNTH_SEED)
     split = datapipe.stratified_split(ds, seed=SYNTH_SEED)
     scaler = datapipe.minmax_fit(ds.features[split.train])
     scaled = datapipe.minmax_apply(scaler, ds.features)
     frames = datapipe.frames_from_flows(scaled).frames
-    return ds, split, scaled, frames
+    return ds, split, scaler, scaled, frames
 
 
 @criterion(1, "parameter audit golden values")
@@ -154,7 +154,7 @@ def test_criterion_5_metrics_oracle():
 
 @criterion(6, "desk-scale learning targets")
 def test_criterion_6_desk_scale_learning(synth_pipeline, tmp_path):
-    ds, split, scaled, frames = synth_pipeline
+    ds, split, _, scaled, frames = synth_pipeline
     targets = {"m3-td": 0.95, "m3-van": 0.90}
     cfg = trainer.TrainConfig(epochs=50, batch_size=32, learning_rate=1e-3,
                               optimizer="adam", seed=SYNTH_SEED, patience=5)
@@ -291,7 +291,7 @@ def test_criterion_8_flowcap(tmp_path):
 
 @criterion(9, "checkpoint round-trip bit-exactness")
 def test_criterion_9_checkpoint_round_trip(synth_pipeline, tmp_path):
-    ds, split, scaled, frames = synth_pipeline
+    ds, split, scaler, scaled, frames = synth_pipeline
     probe_idx = split.test[:16]
     for variant in models.VARIANTS:
         cfg = models.ModelConfig(variant, 48, 3, seed=9)
@@ -304,7 +304,7 @@ def test_criterion_9_checkpoint_round_trip(synth_pipeline, tmp_path):
         probe = inputs[probe_idx]
         before, classes_before = graph.predict(probe)
         path = tmp_path / f"{variant}.ckpt"
-        trainer.save_checkpoint(graph, path, class_names=ds.class_names)
+        trainer.save_checkpoint(graph, path, scaler, ds.class_names)
         loaded, _, _ = trainer.load_checkpoint(path)
         after, classes_after = loaded.predict(probe)
         assert np.abs(after - before).max() == 0.0, variant

@@ -12,7 +12,7 @@ import pytest
 import pcap_builder as pb
 from tdntc.cli import main
 from tdntc.flowcap import FEATURE_COLUMNS
-from test_trainer import rewrite_checkpoint
+from test_trainer import INCOMPLETE_PIPELINE, rewrite_checkpoint, take_out_pipeline_state
 
 
 @pytest.fixture
@@ -435,15 +435,15 @@ def test_untyped_error_in_a_handler_is_a_traceback(tmp_path, monkeypatch, capsys
 def test_prepare_inputs_scales_the_matrix_in_place():
     # `train` and `evaluate` read their matrix no more after scaling it, so
     # it is scaled where it lies; the allocating scale held 1.13 times it.
-    from tdntc import cli, datapipe
+    from tdntc import cli, datapipe, models
 
     values = np.random.default_rng(0).normal(size=(20_000, 48))
     scaler = datapipe.minmax_fit(values[:14_000])  # the rest clamps in places
     want = datapipe.frames_from_flows(datapipe.minmax_apply(scaler, values.copy())).frames
-    features = values.copy()
+    features, cfg = values.copy(), models.ModelConfig("m1-td", 48, 3)
     tracemalloc.start()
     try:
-        got = cli._prepare_inputs(features, True, scaler, None)
+        got = cli._prepare_inputs(features, cfg, scaler)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -519,6 +519,17 @@ class TestTrainEvaluate:
         capsys.readouterr()
         assert main(["evaluate", str(ckpt), str(synth_csv)]) == 1
         assert capsys.readouterr().err == f"error: {ckpt}: scaler range of feature 0 overflows\n"
+
+    @pytest.mark.parametrize("case", sorted(INCOMPLETE_PIPELINE))
+    def test_evaluate_refuses_a_checkpoint_without_pipeline_state(self, synth_csv, tmp_path,
+                                                                  capsys, case):
+        out_dir = tmp_path / "run"
+        assert main(train_args(synth_csv, out_dir)) == 0
+        ckpt = out_dir / "model.ckpt"
+        take_out_pipeline_state(ckpt, case)
+        capsys.readouterr()
+        assert main(["evaluate", str(ckpt), str(synth_csv)]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: {INCOMPLETE_PIPELINE[case]}\n"
 
     def test_train_and_evaluate_name_each_label_encoded_column(self, synth_csv, tmp_path,
                                                                capsys):

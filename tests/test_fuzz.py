@@ -435,8 +435,9 @@ def test_minmax_keeps_every_finite_matrix_finite(data, shape):
     j = state.overflowing_feature()
     if j is not None:
         # The range cannot be scaled: a checkpoint holding it is refused.
+        doc = {"min": state.feature_min.tolist(), "max": state.feature_max.tolist()}
         with pytest.raises(trainer.CheckpointError) as err:
-            trainer._scaler_state("model.ckpt", state.to_dict(), shape[1])
+            trainer._scaler_state("model.ckpt", doc, shape[1])
         assert str(err.value) == f"model.ckpt: scaler range of feature {j} overflows"
         return
     for x in (train, other[None, :]):

@@ -67,6 +67,15 @@ class PerTensorAdam:
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def save_graph(graph, path, scaler=None, class_names=None):
+    """save_checkpoint with a unit scaler and classes 'c0', 'c1', ... where none is given."""
+    n = graph.config.n_features
+    save_checkpoint(graph, path,
+                    datapipe.ScalerState(np.zeros(n), np.ones(n)) if scaler is None else scaler,
+                    [f"c{i}" for i in range(graph.config.n_classes)]
+                    if class_names is None else class_names)
+
+
 def assert_tiles_flat_vectors(graph):
     """Every parameter and gradient is the next slice of the graph's flat vectors."""
     for tensors, flat in ((graph.params(), graph.flat_params),
@@ -91,7 +100,7 @@ def test_tensors_stay_views_of_the_flat_vectors(variant, tmp_path):
     graph.set_state(graph.get_state())
     assert_tiles_flat_vectors(graph)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(graph, path)
+    save_graph(graph, path)
     loaded, _, _ = load_checkpoint(path)
     assert_tiles_flat_vectors(loaded)
     assert loaded.flat_params.tobytes() == graph.flat_params.tobytes()
@@ -371,6 +380,29 @@ def rewrite_checkpoint(path, edit):
                      + new_meta + payload)
 
 
+# The pipeline state a checkpoint of 12 features and 3 classes can lack, and
+# the loader's message for each.
+INCOMPLETE_PIPELINE = {
+    "scaler-null": "scaler needs 'min' and 'max' lists of 12 finite numbers",
+    "scaler-deleted": "scaler needs 'min' and 'max' lists of 12 finite numbers",
+    "class_names-null": "class_names must be a list of 3 strings",
+}
+
+
+def take_out_pipeline_state(path, case):
+    """Null or delete a checkpoint's scaler or class names as `case` says."""
+    key, how = case.rsplit("-", 1)
+
+    def edit(meta, payload):
+        if how == "deleted":
+            del meta[key]
+        else:
+            meta[key] = None
+        return payload
+
+    rewrite_checkpoint(path, edit)
+
+
 def reverse_directory(meta, payload):
     """Reverse the tensor directory and permute the payload to match."""
     chunks, offset = [], 0
@@ -427,7 +459,7 @@ class TestCheckpoints:
         cfg, _ = tiny_splits("m1-van")
         graph = models.build_model(cfg)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(graph, path)
+        save_graph(graph, path)
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
@@ -443,7 +475,7 @@ class TestCheckpoints:
         cfg, _ = tiny_splits("m1-van")
         graph = models.build_model(cfg)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(graph, path)
+        save_graph(graph, path)
         raw = path.read_bytes()
         (meta_len,) = struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))
         start = len(CHECKPOINT_MAGIC) + 4
@@ -460,7 +492,7 @@ class TestCheckpoints:
         cfg, _ = tiny_splits("m1-van")
         graph = models.build_model(cfg)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(graph, path)
+        save_graph(graph, path)
         raw = path.read_bytes()
         (meta_len,) = struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))
         start = len(CHECKPOINT_MAGIC) + 4
@@ -475,7 +507,7 @@ class TestCheckpoints:
     def test_directory_missing_a_tensor_rejected(self, tmp_path):
         cfg, _ = tiny_splits("m3-td")
         path = tmp_path / "model.ckpt"
-        save_checkpoint(models.build_model(cfg), path)
+        save_graph(models.build_model(cfg), path)
 
         def drop_w_x(meta, payload):
             offset = 0
@@ -496,7 +528,7 @@ class TestCheckpoints:
         # units = td_units = 20000 would fill about 3 GB in an m1-van model
         cfg, _ = tiny_splits("m1-van")
         path = tmp_path / "model.ckpt"
-        save_checkpoint(models.build_model(cfg), path)
+        save_graph(models.build_model(cfg), path)
 
         def widen(meta, payload):
             meta["model_config"].update(units=20000, td_units=20000)
@@ -535,7 +567,7 @@ class TestCheckpoints:
     def test_factor_pair_that_misses_the_features_names_the_file(self, tmp_path, variant):
         cfg, _ = tiny_splits(variant)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(models.build_model(cfg), path)
+        save_graph(models.build_model(cfg), path)
 
         def cover_49(meta, payload):
             meta["model_config"]["factor_pair"] = [7, 7]
@@ -550,7 +582,7 @@ class TestCheckpoints:
     def test_m2_checkpoint_with_a_factor_pair_names_the_file(self, tmp_path, variant):
         cfg, _ = tiny_splits(variant)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(models.build_model(cfg), path)
+        save_graph(models.build_model(cfg), path)
 
         def cover_12(meta, payload):
             meta["model_config"]["factor_pair"] = [4, 3]
@@ -579,7 +611,7 @@ class TestCheckpoints:
     def test_non_finite_tensor_rejected(self, tmp_path, value, names):
         cfg, _ = tiny_splits("m3-td")
         path = tmp_path / "model.ckpt"
-        save_checkpoint(models.build_model(cfg), path)
+        save_graph(models.build_model(cfg), path)
 
         def poison(meta, payload):
             floats = np.frombuffer(payload, dtype="<f8").copy()
@@ -617,7 +649,7 @@ class TestCheckpoints:
         # variance gives NaN or a huge scale, not a load error
         cfg, _ = tiny_splits(variant)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(models.build_model(cfg), path)
+        save_graph(models.build_model(cfg), path)
         self._set_running_var(path, index, value)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
@@ -627,7 +659,7 @@ class TestCheckpoints:
         # a channel that was constant over training has variance 0, which is legal
         cfg, _ = tiny_splits("m1-td")
         path = tmp_path / "model.ckpt"
-        save_checkpoint(models.build_model(cfg), path)
+        save_graph(models.build_model(cfg), path)
         self._set_running_var(path, 0, 0.0)
         graph, _, _ = load_checkpoint(path)
         assert graph.state_arrays()["BN/running_var"][0] == 0.0
@@ -640,8 +672,7 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         low, high = np.zeros(12), np.ones(12)
         high[feature:] = -1.0
-        save_checkpoint(models.build_model(cfg), path,
-                        scaler=datapipe.ScalerState(low, high))
+        save_graph(models.build_model(cfg), path, scaler=datapipe.ScalerState(low, high))
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: scaler min exceeds max for feature {feature}"
@@ -653,8 +684,7 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         low, high = np.zeros(12), np.ones(12)
         low[feature:], high[feature:] = -1e308, 1e308
-        save_checkpoint(models.build_model(cfg), path,
-                        scaler=datapipe.ScalerState(low, high))
+        save_graph(models.build_model(cfg), path, scaler=datapipe.ScalerState(low, high))
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: scaler range of feature {feature} overflows"
@@ -665,15 +695,14 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         low, high = np.zeros(12), np.ones(12)
         low[3] = high[3] = 2.5
-        save_checkpoint(models.build_model(cfg), path,
-                        scaler=datapipe.ScalerState(low, high))
+        save_graph(models.build_model(cfg), path, scaler=datapipe.ScalerState(low, high))
         _, scaler, _ = load_checkpoint(path)
         assert scaler.feature_min[3] == scaler.feature_max[3] == 2.5
 
     def test_directory_repeating_a_tensor_rejected(self, tmp_path):
         cfg, _ = tiny_splits("m1-van")
         path = tmp_path / "model.ckpt"
-        save_checkpoint(models.build_model(cfg), path)
+        save_graph(models.build_model(cfg), path)
 
         def repeat_last(meta, payload):
             last = meta["tensors"][-1]
@@ -694,7 +723,7 @@ class TestCheckpoints:
         # is read.
         cfg, _ = tiny_splits("m3-td")
         path = tmp_path / "model.ckpt"
-        save_checkpoint(models.build_model(cfg), path)
+        save_graph(models.build_model(cfg), path)
         rewrite_checkpoint(path, edit)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
@@ -706,8 +735,7 @@ class TestCheckpoints:
     def test_scaler_number_beyond_float_range_rejected(self, tmp_path, value):
         cfg, _ = tiny_splits("m3-van")
         path = tmp_path / "model.ckpt"
-        save_checkpoint(models.build_model(cfg), path,
-                        scaler=datapipe.ScalerState(np.zeros(12), np.ones(12)))
+        save_graph(models.build_model(cfg), path)
 
         def overflow(meta, payload):
             meta["scaler"]["min" if value < 0 else "max"][0] = value
@@ -719,13 +747,24 @@ class TestCheckpoints:
         assert str(err.value) == (
             f"{path}: scaler needs 'min' and 'max' lists of 12 finite numbers")
 
+    @pytest.mark.parametrize("case", sorted(INCOMPLETE_PIPELINE))
+    def test_checkpoint_without_pipeline_state_rejected(self, tmp_path, case):
+        # a model without the scaler and class table it was trained with
+        # cannot score new traffic, and no program path writes one
+        cfg, _ = tiny_splits("m1-van")
+        path = tmp_path / "model.ckpt"
+        save_graph(models.build_model(cfg), path)
+        take_out_pipeline_state(path, case)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {INCOMPLETE_PIPELINE[case]}"
+
     def test_repeated_class_name_rejected(self, tmp_path):
         # cmd_evaluate maps each name to one class index: a repeated name
         # would score the other class's rows against the wrong column
         cfg, _ = tiny_splits("m3-van")
         path = tmp_path / "model.ckpt"
-        save_checkpoint(models.build_model(cfg), path,
-                        class_names=["svc-0", "svc-0", "svc-2"])
+        save_graph(models.build_model(cfg), path, class_names=["svc-0", "svc-0", "svc-2"])
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: class_names repeats 'svc-0'"
